@@ -7,10 +7,11 @@ per-model profile, disaggregation, and coefficient files into the output
 directory; predict evaluates a basic or saved calibrated model over the
 grid; rank prints the numeric rank of each design matrix.
 
-All numeric report cells use 4 decimal places, and identical inputs produce
-byte-identical output files.  One model's failure (for example measurement
-distances beyond the Walfisch-Bertoni curvature limit) is reported on stderr
-and reflected in the exit status without aborting the other models.
+All numeric report cells use 4 decimal places (negative zero prints as
+0.0000), and identical inputs produce byte-identical output files.  One
+model's failure (for example measurement distances beyond the
+Walfisch-Bertoni curvature limit) is reported on stderr and reflected in the
+exit status without aborting the other models.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ _TERRAIN_KEYS = ("f_mhz", "w_m", "b_m", "phi_deg", "dh_rx_m", "dh_tx_m")
 _GRID_KEYS = ("d_min_km", "d_max_km", "d_step_km")
 _CONFIG_KEYS = frozenset(_TERRAIN_KEYS) | frozenset(_GRID_KEYS) | {"models", "rank_tol"}
 _REQUIRED_KEYS = _CONFIG_KEYS - {"rank_tol"}
+_GRID_POINTS_MAX = 10_000_000
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,14 @@ def load_config(path) -> CampaignConfig:
 
 
 def load_measurements(path) -> MeasurementSet:
-    """Read a distance_km,pathloss_db CSV; errors carry 1-based line numbers."""
+    """Read a UTF-8 distance_km,pathloss_db CSV; errors carry 1-based line numbers.
+
+    A leading byte-order mark, as spreadsheet exports write, is skipped.
+    """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read measurements {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or ",".join(cell.strip() for cell in lines[0].split(",")) != MEASUREMENT_HEADER:
@@ -196,7 +202,11 @@ def prediction_grid(d_min_km: float, d_max_km: float, d_step_km: float) -> np.nd
     """Inclusive arithmetic grid from d_min to d_max in steps of d_step."""
     if d_step_km <= 0.0 or d_min_km <= 0.0 or d_max_km < d_min_km:
         raise DomainError("grid must satisfy 0 < d_min <= d_max with positive step")
-    count = int(math.floor((d_max_km - d_min_km) / d_step_km + 1e-9)) + 1
+    steps = (d_max_km - d_min_km) / d_step_km + 1e-9
+    # checked before floor(), which fails on the inf a subnormal step gives
+    if steps >= _GRID_POINTS_MAX:
+        raise DomainError(f"d_step_km = {d_step_km!r} gives over {_GRID_POINTS_MAX} grid points")
+    count = int(math.floor(steps)) + 1
     return d_min_km + d_step_km * np.arange(count)
 
 
@@ -238,6 +248,29 @@ def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _write_table(out, header: str, columns, present=None) -> None:
+    """Write a header line, then rows of %.4f cells as _db formats them.
+
+    columns are equal-length float arrays; rows where the mask present is
+    False leave the second cell empty.  With 4 decimals a minus sign only
+    leads a cell, so one replace per chunk fixes exactly the negative zeros.
+    """
+    full = ",".join(["%.4f"] * len(columns)) + "\n"
+    blank = full.replace(",%.4f", ",", 1)
+    out.write(header + "\n")
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        block = np.column_stack([column[start : start + _CHUNK_ROWS] for column in columns])
+        if present is None:
+            template, cells = full * len(block), block.ravel()
+        else:
+            shown = present[start : start + _CHUNK_ROWS]
+            template = "".join([full if row else blank for row in shown.tolist()])
+            keep = np.ones(block.shape, dtype=bool)
+            keep[:, 1] = shown
+            cells = block[keep]
+        out.write((template % tuple(cells.tolist())).replace("-0.0000", "0.0000"))
+
+
 def _truncate_wb_grid(grid: np.ndarray, dh_tx_m: float):
     keep = grid[grid * grid < 17.0 * dh_tx_m]
     dropped = grid.size - keep.size
@@ -250,24 +283,22 @@ def _truncate_wb_grid(grid: np.ndarray, dh_tx_m: float):
     return keep, None
 
 
-def _profile_rows(meas: MeasurementSet, grid: np.ndarray):
-    taken = {float(d) for d in meas.distances_km}
-    rows = [(float(d), float(p)) for d, p in zip(meas.distances_km, meas.pathloss_db)]
-    rows += [(float(g), None) for g in grid if float(g) not in taken]
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
 def _write_profile(path, kind, terrain, cal, meas, grid) -> None:
-    rows = _profile_rows(meas, grid)
-    dists = np.array([row[0] for row in rows])
+    extra = grid[~np.isin(grid, meas.distances_km)]
+    dists = np.concatenate([meas.distances_km, extra])
+    # stable: duplicate measured distances keep their input order
+    order = np.argsort(dists, kind="stable")
+    dists = dists[order]
+    measured = np.concatenate([meas.pathloss_db, np.zeros(extra.size)])[order]
     basic = np.atleast_1d(predict_basic(kind, terrain, dists))
     fitted = np.atleast_1d(predict_calibrated(cal, dists))
-    lines = ["distance_km,measured_db,basic_db,calibrated_db"]
-    for (d, measured), b, c in zip(rows, basic, fitted):
-        cell = "" if measured is None else _db(measured)
-        lines.append(f"{_db(d)},{cell},{_db(b)},{_db(c)}")
-    _write_text(path, lines)
+    with open(path, "w", newline="\n") as out:
+        _write_table(
+            out,
+            "distance_km,measured_db,basic_db,calibrated_db",
+            [dists, measured, basic, fitted],
+            present=order < meas.distances_km.size,
+        )
 
 
 def _write_disagg(path, cal, meas, grid) -> None:
@@ -277,15 +308,11 @@ def _write_disagg(path, cal, meas, grid) -> None:
     header = ["distance_km"]
     header += [f"basic_{g}_db" for g in groups] + ["basic_total_db"]
     header += [f"calibrated_{g}_db" for g in groups] + ["calibrated_total_db"]
-    net_basic = profile.net_basic()
-    net_cal = profile.net_calibrated()
-    lines = [",".join(header)]
-    for i, d in enumerate(dists):
-        cells = [_db(float(d))]
-        cells += [_db(profile.basic[g][i]) for g in groups] + [_db(net_basic[i])]
-        cells += [_db(profile.calibrated[g][i]) for g in groups] + [_db(net_cal[i])]
-        lines.append(",".join(cells))
-    _write_text(path, lines)
+    columns = [dists]
+    columns += [profile.basic[g] for g in groups] + [profile.net_basic()]
+    columns += [profile.calibrated[g] for g in groups] + [profile.net_calibrated()]
+    with open(path, "w", newline="\n") as out:
+        _write_table(out, ",".join(header), columns)
 
 
 def _write_coefficients(path, cal) -> None:
@@ -313,7 +340,7 @@ def _write_summary(path, runs) -> None:
 def _run_one(kind, config, meas, grid, out_dir) -> ModelRun:
     warnings: list[str] = []
     try:
-        cal = calibrate(kind, config.terrain, meas)
+        cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
         basic_at_meas = predict_basic(kind, config.terrain, meas.distances_km)
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
         model_grid = grid
@@ -442,14 +469,13 @@ def _cmd_predict(args) -> int:
         values = dm.matrix @ alpha
     else:
         values = np.atleast_1d(predict_basic(kind, config.terrain, grid))
-    lines = ["distance_km,pathloss_db"]
-    lines += [f"{_db(float(d))},{_db(float(v))}" for d, v in zip(grid, values)]
+    header = "distance_km,pathloss_db"
     if args.output:
-        _write_text(Path(args.output), lines)
+        with open(args.output, "w", newline="\n") as out:
+            _write_table(out, header, [grid, values])
         print(f"predictions written to {args.output}")
     else:
-        for line in lines:
-            print(line)
+        _write_table(sys.stdout, header, [grid, values])
     return 0
 
 

@@ -75,10 +75,6 @@ class ModelKind(Enum):
             raise DomainError(f"unknown model kind {label!r}; expected one of {known}") from None
 
     @property
-    def is_walfisch_bertoni(self) -> bool:
-        return self is ModelKind.W_BERT
-
-    @property
     def family(self) -> Family | None:
         """COST or ITU for Walfisch-Ikegami variants, None for W-BERT."""
         if self is ModelKind.W_BERT:

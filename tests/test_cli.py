@@ -123,6 +123,25 @@ class TestLoadMeasurements:
         with pytest.raises(ParseError, match="cannot read"):
             load_measurements(tmp_path / "absent.csv")
 
+    def test_utf8_bom_header_accepted(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbfdistance_km,pathloss_db\n1.0,120.5\n2.0,125.0\n")
+        meas = load_measurements(path)
+        assert meas.distances_km.tolist() == [1.0, 2.0]
+        assert meas.pathloss_db.tolist() == [120.5, 125.0]
+
+    def test_utf8_bom_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbfdistance_km,pathloss_db\n1.0,120.5\n2.0,oops\n")
+        with pytest.raises(ParseError, match=r"m\.csv:3:"):
+            load_measurements(path)
+
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"distance_km,pathloss_db\n1.0,\xff120.5\n")
+        with pytest.raises(ParseError, match="cannot read"):
+            load_measurements(path)
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         meas = MeasurementSet(rng.uniform(0.01, 20.0, 50), rng.uniform(40.0, 180.0, 50))
@@ -210,6 +229,21 @@ class TestPredictionGrid:
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             prediction_grid(2.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("step", [1e-9, 5e-324])
+    def test_tiny_step_rejected_before_allocation(self, monkeypatch, step):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("grid was allocated")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        with pytest.raises(DomainError, match="d_step_km"):
+            prediction_grid(0.1, 4.5, step)
+
+    def test_point_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr("walfcal.cli._GRID_POINTS_MAX", 45)
+        assert prediction_grid(0.1, 4.5, 0.1).size == 45
+        with pytest.raises(DomainError, match="d_step_km"):
+            prediction_grid(0.1, 4.6, 0.1)
 
 
 class TestCampaignConfigValidation:
@@ -538,6 +572,25 @@ class TestMainCommand:
         for line in lines[:4]:
             assert "rank=2" in line
         assert "W-BERT: rank=3" in lines[4]
+
+    @pytest.mark.parametrize("rank_tol", [None, 0.9])
+    def test_config_rank_tol_reaches_the_fit(self, tmp_path, capsys, rank_tol):
+        config_path, meas_path = write_campaign(tmp_path)
+        if rank_tol is not None:
+            with config_path.open("a") as cfg:
+                cfg.write(f"rank_tol = {rank_tol}\n")
+        out_dir = tmp_path / "out"
+        argv = ["--config", str(config_path), "--measurements", str(meas_path)]
+        assert main(["calibrate", *argv, "--output-dir", str(out_dir)]) == 0
+        assert main(["rank", *argv]) == 0
+        printed = capsys.readouterr().out
+        ranks = {}
+        for kind in ModelKind:
+            header = (out_dir / f"coefficients_{kind.value}.csv").read_text().splitlines()[0]
+            ranks[kind] = next(t for t in header.split() if t.startswith("rank="))
+            assert f"{kind.value}: {ranks[kind]} " in printed
+        expected = {"rank=1"} if rank_tol == 0.9 else {"rank=2", "rank=3"}
+        assert set(ranks.values()) == expected
 
     def test_rank_over_grid_with_tol(self, tmp_path, capsys):
         config_path, _ = write_campaign(tmp_path, models="CWI-M")
