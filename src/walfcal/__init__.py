@@ -6,84 +6,14 @@ those terms to field measurements by minimum-norm least squares so that the
 calibrated model tracks a measured drive-test profile.
 """
 
-from .basis import (
-    RANK_TOL_DEFAULT,
-    WB_GROUPS,
-    WI_GROUPS,
-    BasisFunction,
-    BasisSet,
-    DesignMatrix,
-    build_basis,
-    design_matrix,
-    effective_rank,
-)
-from .calib import (
-    SVD_CUTOFF_DEFAULT,
-    Calibration,
-    DisaggregationProfile,
-    MeasurementSet,
-    calibrate,
-    disaggregate,
-    minimum_norm_lstsq,
-    predict_calibrated,
-)
-from .errors import CurvatureDomainError, DomainError, ParseError, WalfcalError
-from .metrics import MetricsReport, improvement_pct, mpe, rmse
-from .models import (
-    Density,
-    Family,
-    ModelKind,
-    Terrain,
-    building_geometry_term,
-    free_space_loss,
-    multiscreen_constants,
-    multiscreen_loss,
-    predict_basic,
-    rooftop_to_street_loss,
-    street_orientation_term,
-    wb_excess_loss,
-    wb_max_distance_km,
-)
+from . import basis, calib, errors, metrics, models
+from .basis import *  # noqa: F403
+from .calib import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .models import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisFunction",
-    "BasisSet",
-    "Calibration",
-    "CurvatureDomainError",
-    "Density",
-    "DesignMatrix",
-    "DisaggregationProfile",
-    "DomainError",
-    "Family",
-    "MeasurementSet",
-    "MetricsReport",
-    "ModelKind",
-    "ParseError",
-    "RANK_TOL_DEFAULT",
-    "SVD_CUTOFF_DEFAULT",
-    "Terrain",
-    "WB_GROUPS",
-    "WI_GROUPS",
-    "WalfcalError",
-    "build_basis",
-    "building_geometry_term",
-    "calibrate",
-    "design_matrix",
-    "disaggregate",
-    "effective_rank",
-    "free_space_loss",
-    "improvement_pct",
-    "minimum_norm_lstsq",
-    "mpe",
-    "multiscreen_constants",
-    "multiscreen_loss",
-    "predict_basic",
-    "predict_calibrated",
-    "rmse",
-    "rooftop_to_street_loss",
-    "street_orientation_term",
-    "wb_excess_loss",
-    "wb_max_distance_km",
-]
+# each module's __all__ is the one list of its public names
+__all__ = sorted(basis.__all__ + calib.__all__ + errors.__all__ + metrics.__all__ + models.__all__)

@@ -1,24 +1,24 @@
-"""Component-term basis sets of the Walfisch-type models.
+"""Component-term basis sets of the Walfisch-type models, as Φ(d)·M.
 
 Each model variant is rewritten as a plain sum of component terms; the terms
 become the expansion (and, in Galerkin fashion, also the testing) functions
-of the calibration fit.  A Walfisch-Ikegami variant contributes 13 functions
-tagged FSP / RTS / MSD; the Walfisch-Bertoni model contributes 8 functions
+of the calibration fit.  A Walfisch-Ikegami variant contributes 13 terms
+tagged FSP / RTS / MSD; the Walfisch-Bertoni model contributes 8 terms
 tagged CORE / HEIGHT / GEOMETRY / CURVATURE, with the overlapping free-space
 constants merged (89.5 = 32.4 + 57.1, 38 log10 d, 21 log10 f).
 
-The sum of a variant's basis functions reproduces predict_basic exactly.
-For fixed terrain most functions are constants in d, so the design matrix
-over any set of distances is rank deficient by construction: its numeric
-rank is 2 for Walfisch-Ikegami (span {1, log10 d}) and 3 for
-Walfisch-Bertoni (the curvature term adds one dimension).
+At fixed terrain each term is a weight times one feature of distance: 1,
+log10 d or, for W-BERT only, log10(1 - d^2 / (17 dh_tx)).  So the terms at n
+distances are Φ(d)·M, with Φ the n×2 (WI) or n×3 (W-BERT) feature matrix and
+M the features×terms weight table built from one list of (label, group,
+feature, weight) rows per family.  The design matrix Φ @ M is therefore rank
+deficient by construction: rank 2 for WI, 3 for W-BERT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -51,36 +51,46 @@ WI_GROUPS = ("FSP", "RTS", "MSD")
 WB_GROUPS = ("CORE", "HEIGHT", "GEOMETRY", "CURVATURE")
 RANK_TOL_DEFAULT = 1e-10
 
+# feature columns of Φ
+_ONE, _LOG_D, _CURVATURE = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class BasisFunction:
-    """One component term: index, printable label, group tag, evaluator."""
+    """One component term: a view of its column of the basis's table M."""
 
     index: int
     label: str
     group: str
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    basis: BasisSet = field(repr=False, compare=False)
 
     def evaluate(self, d_km):
-        """Term value in dB at the given distance(s)."""
-        d, scalar = _as_distance(d_km)
-        values = np.broadcast_to(np.asarray(self.evaluator(d), dtype=float), d.shape)
-        return float(values) if scalar else np.array(values, dtype=float)
+        """Term value in dB at the given distance(s): its weight times its feature."""
+        return self.basis.evaluate(d_km, np.eye(len(self.basis))[self.index])
 
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Ordered component functions of one model variant at fixed terrain."""
+    """Component terms of one model variant at fixed terrain.
+
+    terms are (label, group, feature, weight) rows; weights is the
+    features×terms table M that holds each term's weight in its feature row.
+    """
 
     kind: ModelKind
     terrain: Terrain
-    functions: tuple[BasisFunction, ...]
+    terms: tuple[tuple[str, str, int, float], ...]
+    weights: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return len(self.terms)
 
     def __iter__(self):
         return iter(self.functions)
+
+    @property
+    def functions(self) -> tuple[BasisFunction, ...]:
+        return tuple(BasisFunction(n, *row[:2], self) for n, row in enumerate(self.terms))
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -88,14 +98,29 @@ class BasisSet:
         return WB_GROUPS if self.kind is ModelKind.W_BERT else WI_GROUPS
 
     def group_indices(self, group: str) -> tuple[int, ...]:
-        """Indices of the functions carrying the given group tag."""
-        found = tuple(fn.index for fn in self.functions if fn.group == group)
+        """Indices of the terms carrying the given group tag."""
+        found = tuple(n for n, row in enumerate(self.terms) if row[1] == group)
         if not found:
             raise DomainError(f"unknown group {group!r} for {self.kind.value}")
         return found
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(fn.label for fn in self.functions)
+        return tuple(row[0] for row in self.terms)
+
+    def features(self, d_km) -> np.ndarray:
+        """Φ(d), one row per distance; validates d and the W-BERT domain once."""
+        d = _as_distance(d_km)[0].ravel()
+        columns = [np.ones_like(d), np.log10(d)]
+        if self.kind is ModelKind.W_BERT:
+            _check_wb_domain(d, self.terrain.dh_tx_m)
+            columns.append(np.log10(1.0 - d * d / (17.0 * self.terrain.dh_tx_m)))
+        return np.column_stack(columns)
+
+    def evaluate(self, d_km, weights):
+        """Weighted sum of the terms in dB, Φ(d) @ (M @ weights); a float for a scalar d."""
+        d = np.asarray(d_km, dtype=float)
+        values = self.features(d) @ (self.weights @ weights)
+        return float(values[0]) if d.ndim == 0 else values.reshape(d.shape)
 
 
 @dataclass(frozen=True)
@@ -110,81 +135,62 @@ class DesignMatrix:
         return self.matrix.shape
 
 
-def _const(value: float):
-    def evaluate(d: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.float64(value), d.shape)
-
-    return evaluate
-
-
-def _wi_functions(terrain: Terrain, kind: ModelKind) -> list[BasisFunction]:
+def _wi_terms(terrain: Terrain, kind: ModelKind) -> list[tuple[str, str, int, float]]:
     family, density = kind.family, kind.density
     lead = RTS_LEAD_ITU if family is Family.ITU else RTS_LEAD_COST
     ka, kf = multiscreen_constants(terrain, density, family)
     log_f = math.log10(terrain.f_mhz)
-    specs = [
-        ("32.4", "FSP", _const(32.4)),
-        ("20 log10 d", "FSP", lambda d: 20.0 * np.log10(d)),
-        ("20 log10 f", "FSP", _const(20.0 * log_f)),
-        (f"{lead:g}", "RTS", _const(lead)),
-        ("-10 log10 w", "RTS", _const(-10.0 * math.log10(terrain.w_m))),
-        ("10 log10 f", "RTS", _const(10.0 * log_f)),
-        ("20 log10 dh_rx", "RTS", _const(20.0 * math.log10(terrain.dh_rx_m))),
-        ("orientation(phi)", "RTS", _const(street_orientation_term(terrain.phi_deg))),
-        ("-18 log10(1 + dh_tx)", "MSD", _const(-18.0 * math.log10(1.0 + terrain.dh_tx_m))),
-        ("k_a", "MSD", _const(ka)),
-        ("18 log10 d", "MSD", lambda d: 18.0 * np.log10(d)),
-        ("k_f log10 f", "MSD", _const(kf * log_f)),
-        ("-9 log10 b", "MSD", _const(-9.0 * math.log10(terrain.b_m))),
+    return [
+        ("32.4", "FSP", _ONE, 32.4),
+        ("20 log10 d", "FSP", _LOG_D, 20.0),
+        ("20 log10 f", "FSP", _ONE, 20.0 * log_f),
+        (f"{lead:g}", "RTS", _ONE, lead),
+        ("-10 log10 w", "RTS", _ONE, -10.0 * math.log10(terrain.w_m)),
+        ("10 log10 f", "RTS", _ONE, 10.0 * log_f),
+        ("20 log10 dh_rx", "RTS", _ONE, 20.0 * math.log10(terrain.dh_rx_m)),
+        ("orientation(phi)", "RTS", _ONE, street_orientation_term(terrain.phi_deg)),
+        ("-18 log10(1 + dh_tx)", "MSD", _ONE, -18.0 * math.log10(1.0 + terrain.dh_tx_m)),
+        ("k_a", "MSD", _ONE, ka),
+        ("18 log10 d", "MSD", _LOG_D, 18.0),
+        ("k_f log10 f", "MSD", _ONE, kf * log_f),
+        ("-9 log10 b", "MSD", _ONE, -9.0 * math.log10(terrain.b_m)),
     ]
-    return [BasisFunction(n, label, group, fn) for n, (label, group, fn) in enumerate(specs)]
 
 
-def _wb_functions(terrain: Terrain) -> list[BasisFunction]:
-    dh_tx = terrain.dh_tx_m
+def _wb_terms(terrain: Terrain) -> list[tuple[str, str, int, float]]:
     half_b = terrain.b_m / 2.0
     angle_deg = math.degrees(math.atan(2.0 * terrain.dh_rx_m / terrain.b_m))
-
-    def curvature(d: np.ndarray) -> np.ndarray:
-        _check_wb_domain(d, dh_tx)
-        return -18.0 * np.log10(1.0 - d * d / (17.0 * dh_tx))
-
-    specs = [
-        ("89.5", "CORE", _const(89.5)),
-        ("38 log10 d", "CORE", lambda d: 38.0 * np.log10(d)),
-        ("-18 log10 dh_tx", "HEIGHT", _const(-18.0 * math.log10(dh_tx))),
-        ("21 log10 f", "CORE", _const(21.0 * math.log10(terrain.f_mhz))),
-        (
-            "5 log10((b/2)^2 + dh_rx^2)",
-            "GEOMETRY",
-            _const(5.0 * math.log10(half_b * half_b + terrain.dh_rx_m * terrain.dh_rx_m)),
-        ),
-        ("-9 log10 b", "GEOMETRY", _const(-9.0 * math.log10(terrain.b_m))),
-        ("20 log10 atan_deg(2 dh_rx / b)", "GEOMETRY", _const(20.0 * math.log10(angle_deg))),
-        ("-18 log10(1 - d^2 / (17 dh_tx))", "CURVATURE", curvature),
+    geometry = 5.0 * math.log10(half_b * half_b + terrain.dh_rx_m * terrain.dh_rx_m)
+    return [
+        ("89.5", "CORE", _ONE, 89.5),
+        ("38 log10 d", "CORE", _LOG_D, 38.0),
+        ("-18 log10 dh_tx", "HEIGHT", _ONE, -18.0 * math.log10(terrain.dh_tx_m)),
+        ("21 log10 f", "CORE", _ONE, 21.0 * math.log10(terrain.f_mhz)),
+        ("5 log10((b/2)^2 + dh_rx^2)", "GEOMETRY", _ONE, geometry),
+        ("-9 log10 b", "GEOMETRY", _ONE, -9.0 * math.log10(terrain.b_m)),
+        ("20 log10 atan_deg(2 dh_rx / b)", "GEOMETRY", _ONE, 20.0 * math.log10(angle_deg)),
+        ("-18 log10(1 - d^2 / (17 dh_tx))", "CURVATURE", _CURVATURE, -18.0),
     ]
-    return [BasisFunction(n, label, group, fn) for n, (label, group, fn) in enumerate(specs)]
 
 
 def build_basis(kind: ModelKind, terrain: Terrain) -> BasisSet:
-    """Component functions of one variant, closed over fixed terrain.
+    """Component terms of one variant at fixed terrain, with their table M.
 
-    13 functions for a Walfisch-Ikegami variant, 8 for Walfisch-Bertoni;
-    their sum over n equals predict_basic(kind, terrain, d) at every d.
+    13 terms for a Walfisch-Ikegami variant, 8 for Walfisch-Bertoni; their
+    sum equals predict_basic(kind, terrain, d) at every d.
     """
-    if kind is ModelKind.W_BERT:
-        functions = _wb_functions(terrain)
-    else:
-        functions = _wi_functions(terrain, kind)
-    return BasisSet(kind=kind, terrain=terrain, functions=tuple(functions))
+    terms = _wb_terms(terrain) if kind is ModelKind.W_BERT else _wi_terms(terrain, kind)
+    weights = np.zeros((1 + max(row[2] for row in terms), len(terms)))
+    for n, (_, _, feature, weight) in enumerate(terms):
+        weights[feature, n] = weight
+    weights.setflags(write=False)
+    return BasisSet(kind=kind, terrain=terrain, terms=tuple(terms), weights=weights)
 
 
 def design_matrix(basis: BasisSet, distances_km) -> DesignMatrix:
-    """Tabulate every basis function at every distance (rows = distances)."""
-    d, _ = _as_distance(distances_km)
-    d = np.atleast_1d(d).astype(float)
-    matrix = np.column_stack([fn.evaluate(d) for fn in basis.functions])
-    return DesignMatrix(matrix=matrix, distances_km=d)
+    """Tabulate every term at every distance (rows = distances): Φ @ M."""
+    d = np.array(distances_km, dtype=float, ndmin=1)
+    return DesignMatrix(matrix=basis.features(d) @ basis.weights, distances_km=d)
 
 
 def effective_rank(m, tol: float = RANK_TOL_DEFAULT) -> int:

@@ -8,6 +8,10 @@ minimum-norm least-squares solution via SVD with a relative cutoff, which
 coincides with the Gram-system solve whenever that system is well posed and
 leaves the fitted values dependent only on the column space.
 
+The n×k design matrix Φ·M is never formed: after a thin QR Φ = QR, the tiny
+system (R·M) α ~ Qᵀp has the same minimum-norm solution and singular values,
+as Q has orthonormal columns whatever the rank of Φ.
+
 Consequences worth knowing before comparing runs: coefficient vectors are
 unique only modulo the null space, so per-coefficient (and per-group) values
 can differ wildly between numerically equal fits; the fitted curve and the
@@ -20,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, build_basis, design_matrix
+from .basis import BasisSet, build_basis
 from .errors import DomainError
-from .models import ModelKind, Terrain, _as_distance
+from .models import ModelKind, Terrain
 
 __all__ = [
     "Calibration",
@@ -116,13 +120,13 @@ def calibrate(
     column; in particular its mean is zero because constants lie in the span.
     """
     basis = build_basis(kind, terrain)
-    dm = design_matrix(basis, meas.distances_km)
-    alpha, rank = minimum_norm_lstsq(dm.matrix, meas.pathloss_db, cutoff)
-    fitted = dm.matrix @ alpha
-    for arr in (alpha, fitted):
-        arr.setflags(write=False)
+    phi = basis.features(meas.distances_km)
+    q, r = np.linalg.qr(phi)
+    alpha, rank = minimum_norm_lstsq(r @ basis.weights, q.T @ meas.pathloss_db, cutoff)
+    fitted = phi @ (basis.weights @ alpha)
     residual = fitted - meas.pathloss_db
-    residual.setflags(write=False)
+    for arr in (alpha, fitted, residual):
+        arr.setflags(write=False)
     return Calibration(
         kind=kind,
         terrain=terrain,
@@ -138,11 +142,7 @@ def calibrate(
 
 def predict_calibrated(c: Calibration, d_km):
     """Calibrated pathloss: the coefficient-weighted sum of component terms."""
-    d, scalar = _as_distance(d_km)
-    d1 = np.atleast_1d(d)
-    columns = np.column_stack([fn.evaluate(d1) for fn in c.basis.functions])
-    values = columns @ c.alpha
-    return float(values[0]) if scalar else values
+    return c.basis.evaluate(d_km, c.alpha)
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,15 @@ class DisaggregationProfile:
 
 def disaggregate(c: Calibration, distances_km) -> DisaggregationProfile:
     """Split basic and calibrated predictions into per-group contributions."""
-    d, _ = _as_distance(distances_km)
-    d = np.atleast_1d(d).astype(float)
-    columns = np.column_stack([fn.evaluate(d) for fn in c.basis.functions])
+    d = np.array(distances_km, dtype=float, ndmin=1)
+    phi = c.basis.features(d)
     basic: dict[str, np.ndarray] = {}
     calibrated: dict[str, np.ndarray] = {}
     for group in c.basis.groups:
         idx = list(c.basis.group_indices(group))
-        basic[group] = columns[:, idx].sum(axis=1)
-        calibrated[group] = columns[:, idx] @ c.alpha[idx]
+        weights = c.basis.weights[:, idx]
+        basic[group] = phi @ weights.sum(axis=1)
+        calibrated[group] = phi @ (weights @ c.alpha[idx])
     return DisaggregationProfile(
         kind=c.kind,
         distances_km=d,

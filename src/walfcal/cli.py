@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import RANK_TOL_DEFAULT, build_basis, design_matrix, effective_rank
+from .basis import RANK_TOL_DEFAULT, BasisSet, build_basis, design_matrix, effective_rank
 from .calib import (
     Calibration,
     MeasurementSet,
@@ -97,8 +97,8 @@ def load_config(path) -> CampaignConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
 
     raw: dict[str, tuple[str, int]] = {}
@@ -375,15 +375,20 @@ def run_calibration(config: CampaignConfig) -> CampaignResult:
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
 
 
-def load_coefficients(path) -> tuple[ModelKind | None, np.ndarray]:
-    """Read a coefficients file back; returns (kind or None, alpha by index)."""
+def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | None, np.ndarray]:
+    """Read a coefficients file back; returns (kind or None, alpha by index).
+
+    Coefficients must be finite.  Given the basis they will be used with, the
+    file must also match it: same model, one row per term, and each row's
+    label and group equal to that term's (DomainError otherwise).
+    """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read coefficients {path}: {exc}") from exc
     kind: ModelKind | None = None
-    rows: dict[int, float] = {}
+    rows: dict[int, tuple[int, tuple[str, ...], float]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -403,14 +408,29 @@ def load_coefficients(path) -> tuple[ModelKind | None, np.ndarray]:
             value = float(cells[-1])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed coefficient row {line!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: coefficient must be finite, got {cells[-1]}")
         if index in rows:
             raise ParseError(f"{path}:{lineno}: duplicate index {index}")
-        rows[index] = value
+        rows[index] = (lineno, tuple(cells[1:-1]), value)
     if not rows:
         raise ParseError(f"{path}: no coefficient rows")
     if sorted(rows) != list(range(len(rows))):
         raise ParseError(f"{path}: coefficient indices must cover 0..{len(rows) - 1}")
-    return kind, np.array([rows[i] for i in range(len(rows))])
+    if basis is not None:
+        model = basis.kind.value
+        if kind not in (None, basis.kind):
+            raise DomainError(f"coefficients were saved for {kind.value}, not {model}")
+        if len(rows) != len(basis):
+            raise DomainError(f"{model} needs {len(basis)} coefficients, file has {len(rows)}")
+        for index, (label, group, _, _) in enumerate(basis.terms):
+            lineno, tags, _ = rows[index]
+            if tags != (label, group):
+                raise DomainError(
+                    f"{path}:{lineno}: term {index} reads {','.join(tags)!r}, "
+                    f"but {model} term {index} is {label},{group}"
+                )
+    return kind, np.array([rows[i][2] for i in range(len(rows))])
 
 
 def _summary_line(run: ModelRun) -> str:
@@ -455,18 +475,9 @@ def _cmd_predict(args) -> int:
                 f"{wb_max_distance_km(config.terrain.dh_tx_m):.4f} km"
             )
     if args.coefficients:
-        saved_kind, alpha = load_coefficients(args.coefficients)
-        if saved_kind is not None and saved_kind is not kind:
-            raise DomainError(
-                f"coefficients were saved for {saved_kind.value}, not {kind.value}"
-            )
         basis = build_basis(kind, config.terrain)
-        if alpha.size != len(basis):
-            raise DomainError(
-                f"{kind.value} needs {len(basis)} coefficients, file has {alpha.size}"
-            )
-        dm = design_matrix(basis, grid)
-        values = dm.matrix @ alpha
+        _, alpha = load_coefficients(args.coefficients, basis)
+        values = basis.evaluate(grid, alpha)
     else:
         values = np.atleast_1d(predict_basic(kind, config.terrain, grid))
     header = "distance_km,pathloss_db"

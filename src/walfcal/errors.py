@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CurvatureDomainError", "DomainError", "ParseError", "WalfcalError"]
+
 
 class WalfcalError(Exception):
     """Base class for every error raised by this package."""

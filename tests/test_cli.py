@@ -211,6 +211,12 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="models"):
             load_config(path)
 
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"f_mhz = 9\xff00\n")
+        with pytest.raises(ParseError, match="cannot read config"):
+            load_config(path)
+
 
 class TestPredictionGrid:
     def test_inclusive_endpoints(self):
@@ -443,6 +449,33 @@ class TestCoefficientsFile:
         path.write_text("index,label,group,coefficient\n0,a,G,1.0\n0,b,G,2.0\n")
         with pytest.raises(ParseError, match="duplicate"):
             load_coefficients(path)
+
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"index,label,group,coefficient\n0,a,G,1.\xff0\n")
+        with pytest.raises(ParseError, match="cannot read coefficients"):
+            load_coefficients(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_coefficient(self, tmp_path, cell):
+        path = tmp_path / "c.csv"
+        path.write_text(f"index,label,group,coefficient\n0,a,G,1.0\n1,b,G,{cell}\n")
+        with pytest.raises(ParseError, match=r"c\.csv:3: coefficient must be finite"):
+            load_coefficients(path)
+
+    def test_predict_checks_labels_against_the_model(self, tmp_path, capsys):
+        result = run_campaign(tmp_path, models="CWI-M")
+        saved = (result.output_dir / "coefficients_CWI-M.csv").read_text().splitlines()
+        headerless = tmp_path / "headerless.csv"
+        headerless.write_text("\n".join(saved[1:]) + "\n")
+        argv = ["predict", "--config", str(tmp_path / "campaign.cfg")]
+        argv += ["--coefficients", str(headerless)]
+        assert main([*argv, "--model", "CWI-M"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--model", "ITWI-M"]) == 1
+        err = capsys.readouterr().err
+        assert "headerless.csv:5: term 3 reads '-16.9,RTS'" in err
+        assert "ITWI-M term 3 is -8.2,RTS" in err
 
 
 class TestMainCommand:
