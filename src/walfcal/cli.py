@@ -17,14 +17,18 @@ exit status without aborting the other models.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import io
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .basis import RANK_TOL_DEFAULT, BasisSet, build_basis, design_matrix, effective_rank
+from .basis import RANK_TOL_DEFAULT, BasisSet, build_basis, effective_rank
 from .calib import (
     Calibration,
     MeasurementSet,
@@ -158,12 +162,57 @@ def load_measurements(path) -> MeasurementSet:
     A leading byte-order mark, as spreadsheet exports write, is skipped.
     """
     path = Path(path)
+    table = _read_measurements_fast(path)
+    if table is None:
+        distances, losses = _read_measurements_by_line(path)
+    else:
+        distances, losses = table.T.copy()
+    return MeasurementSet(distances, losses, label=path.stem)
+
+
+# Line boundaries of str.splitlines beyond \n and \r, UTF-8 encoded.  numpy
+# reads them as whitespace inside a cell, where the line parser splits there.
+_OTHER_LINE_BREAKS = tuple(ch.encode() for ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _header_ok(line: str) -> bool:
+    return ",".join(cell.strip() for cell in line.split(",")) == MEASUREMENT_HEADER
+
+
+def _read_measurements_fast(path: Path):
+    """The n×2 table numpy reads, or None when only the line parser can decide.
+
+    None on any doubt: an unreadable file, a line break numpy does not split
+    at, a header or cell numpy rejects, a warning, no rows, or a value that is
+    not finite and positive.  The line parser then accepts or rejects the file
+    and words the error, so the fast path never accepts what it rejects.
+    """
+    try:
+        data = path.read_bytes()
+        if any(mark in data for mark in _OTHER_LINE_BREAKS):
+            return None
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as handle:
+            if not _header_ok(handle.readline()):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, Warning):
+        return None
+    if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
+        return None
+    if not (np.isfinite(table).all() and (table > 0.0).all()):
+        return None
+    return table
+
+
+def _read_measurements_by_line(path: Path) -> tuple[list[float], list[float]]:
     try:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read measurements {path}: {exc}") from exc
     lines = text.splitlines()
-    if not lines or ",".join(cell.strip() for cell in lines[0].split(",")) != MEASUREMENT_HEADER:
+    if not lines or not _header_ok(lines[0]):
         raise ParseError(f"{path}:1: expected header {MEASUREMENT_HEADER!r}")
 
     distances: list[float] = []
@@ -187,7 +236,7 @@ def load_measurements(path) -> MeasurementSet:
         losses.append(p)
     if not distances:
         raise ParseError(f"{path}: no data rows")
-    return MeasurementSet(np.array(distances), np.array(losses), label=path.stem)
+    return distances, losses
 
 
 def save_measurements(meas: MeasurementSet, path) -> None:
@@ -248,31 +297,25 @@ def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _write_table(out, header: str, columns, present=None) -> None:
+def _write_table(out, header: str, columns) -> None:
     """Write a header line, then rows of %.4f cells as _db formats them.
 
-    columns are equal-length float arrays; rows where the mask present is
-    False leave the second cell empty.  With 4 decimals a minus sign only
+    columns are equal-length float arrays.  With 4 decimals a minus sign only
     leads a cell, so one replace per chunk fixes exactly the negative zeros.
     """
-    full = ",".join(["%.4f"] * len(columns)) + "\n"
-    blank = full.replace(",%.4f", ",", 1)
+    row = ",".join(["%.4f"] * len(columns)) + "\n"
     out.write(header + "\n")
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         block = np.column_stack([column[start : start + _CHUNK_ROWS] for column in columns])
-        if present is None:
-            template, cells = full * len(block), block.ravel()
-        else:
-            shown = present[start : start + _CHUNK_ROWS]
-            template = "".join([full if row else blank for row in shown.tolist()])
-            keep = np.ones(block.shape, dtype=bool)
-            keep[:, 1] = shown
-            cells = block[keep]
-        out.write((template % tuple(cells.tolist())).replace("-0.0000", "0.0000"))
+        out.write((row * len(block) % tuple(block.ravel().tolist())).replace("-0.0000", "0.0000"))
+
+
+def _inside_wb_limit(d: np.ndarray, dh_tx_m: float) -> np.ndarray:
+    return d * d < 17.0 * dh_tx_m
 
 
 def _truncate_wb_grid(grid: np.ndarray, dh_tx_m: float):
-    keep = grid[grid * grid < 17.0 * dh_tx_m]
+    keep = grid[_inside_wb_limit(grid, dh_tx_m)]
     dropped = grid.size - keep.size
     if dropped:
         warning = (
@@ -283,32 +326,91 @@ def _truncate_wb_grid(grid: np.ndarray, dh_tx_m: float):
     return keep, None
 
 
-def _write_profile(path, kind, terrain, cal, meas, grid) -> None:
-    extra = grid[~np.isin(grid, meas.distances_km)]
-    dists = np.concatenate([meas.distances_km, extra])
-    # stable: duplicate measured distances keep their input order
-    order = np.argsort(dists, kind="stable")
-    dists = dists[order]
-    measured = np.concatenate([meas.pathloss_db, np.zeros(extra.size)])[order]
-    basic = np.atleast_1d(predict_basic(kind, terrain, dists))
-    fitted = np.atleast_1d(predict_calibrated(cal, dists))
-    with open(path, "w", newline="\n") as out:
-        _write_table(
-            out,
-            "distance_km,measured_db,basic_db,calibrated_db",
-            [dists, measured, basic, fitted],
-            present=order < meas.distances_km.size,
-        )
+def _model_axis(axis: np.ndarray, cal: Calibration) -> np.ndarray:
+    """The report axis points a model covers: all of them, or for W-BERT the
+    prefix inside its limit, which holds every measured distance of a fit."""
+    if cal.kind is ModelKind.W_BERT:
+        return axis[_inside_wb_limit(axis, cal.terrain.dh_tx_m)]
+    return axis
 
 
-def _write_disagg(path, cal, meas, grid) -> None:
-    dists = np.unique(np.concatenate([meas.distances_km, grid]))
-    profile = disaggregate(cal, dists)
+def _profile_rows(axis: np.ndarray, meas: MeasurementSet, grid: np.ndarray):
+    """Axis index and measured sample (-1 for none) of each profile row.
+
+    Rows are sorted by distance, duplicate measured distances keep their
+    input order, and a grid point equal to a measured distance is not
+    repeated.
+    """
+    n = len(meas)
+    index = np.searchsorted(axis, np.concatenate([meas.distances_km, grid]))
+    measured = np.zeros(axis.size, dtype=bool)
+    measured[index[:n]] = True
+    rows = np.concatenate([index[:n], index[n:][~measured[index[n:]]]])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], np.where(order < n, order, -1)
+
+
+def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid, cals) -> None:
+    """Write the profile files of the fitted models in one pass over chunks of
+    the rows they share.
+
+    axis is the report axis, the sorted distinct distances of measured ∪
+    grid.  Each model is evaluated once per point of its _model_axis, and its
+    file ends at the last row on it.  Per chunk, the distance and measured
+    cells are formatted once for all models, and each model's basic and
+    calibrated cells once per distinct distance; rows take their cells by
+    axis index.
+    """
+    header = "distance_km,measured_db,basic_db,calibrated_db\n"
+    # measured values are positive, so these cells are never negative zero
+    shown, blank = "%.4f,%.4f,", "%.4f,,"
+    tables = []
+    for cal in cals:
+        d = _model_axis(axis, cal)
+        basic = predict_basic(cal.kind, cal.terrain, d)
+        tables.append(np.column_stack([basic, predict_calibrated(cal, d)]))
+    axis_rows, axis_sample = _profile_rows(axis, meas, grid)
+    ends = [int(np.searchsorted(axis_rows, len(values))) for values in tables]
+    with contextlib.ExitStack() as stack:
+        files = [
+            stack.enter_context(open(out_dir / f"profile_{cal.kind.value}.csv", "w", newline="\n"))
+            for cal in cals
+        ]
+        for out in files:
+            out.write(header)
+        for start in range(0, max(ends, default=0), _CHUNK_ROWS):
+            rows = axis_rows[start : start + _CHUNK_ROWS]
+            sample = axis_sample[start : start + _CHUNK_ROWS]
+            has = sample >= 0
+            template = "\n".join([shown if row else blank for row in has.tolist()])
+            # grid rows (sample -1) pick a measured value that keep drops
+            cells = np.column_stack([axis[rows], meas.pathloss_db[sample]])
+            keep = np.ones(cells.shape, dtype=bool)
+            keep[:, 1] = has
+            # even slots: the shared row prefixes; odd slots: one model's cells
+            parts = [None] * (2 * len(rows))
+            parts[0::2] = (template % tuple(cells[keep].tolist())).split("\n")
+            low = int(rows[0])
+            for values, end, out in zip(tables, ends, files):
+                count = min(end - start, len(rows))
+                if count <= 0:
+                    continue
+                local = rows[:count] - low
+                values = values[low : low + int(local[-1]) + 1]
+                text = "%.4f,%.4f\n" * len(values) % tuple(values.ravel().tolist())
+                text = text.replace("-0.0000", "0.0000")
+                cells_at = np.array(text.splitlines(keepends=True), dtype=object)
+                parts[1 : 2 * count : 2] = cells_at[local].tolist()
+                out.write("".join(parts[: 2 * count]))
+
+
+def _write_disagg(path, cal, distances_km) -> None:
+    profile = disaggregate(cal, distances_km)
     groups = profile.groups
     header = ["distance_km"]
     header += [f"basic_{g}_db" for g in groups] + ["basic_total_db"]
     header += [f"calibrated_{g}_db" for g in groups] + ["calibrated_total_db"]
-    columns = [dists]
+    columns = [profile.distances_km]
     columns += [profile.basic[g] for g in groups] + [profile.net_basic()]
     columns += [profile.calibrated[g] for g in groups] + [profile.net_calibrated()]
     with open(path, "w", newline="\n") as out:
@@ -337,25 +439,23 @@ def _write_summary(path, runs) -> None:
     _write_text(path, lines)
 
 
-def _run_one(kind, config, meas, grid, out_dir) -> ModelRun:
-    warnings: list[str] = []
+def _run_one(kind, config, meas, grid, axis, out_dir) -> ModelRun:
+    """Fit one model and write its disagg and coefficient files; its profile
+    is written with the other models' once all are fitted."""
+    warned: list[str] = []
     try:
         cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
         basic_at_meas = predict_basic(kind, config.terrain, meas.distances_km)
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
-        model_grid = grid
         if kind is ModelKind.W_BERT:
-            model_grid, warning = _truncate_wb_grid(grid, config.terrain.dh_tx_m)
+            _, warning = _truncate_wb_grid(grid, config.terrain.dh_tx_m)
             if warning:
-                warnings.append(f"{kind.value}: {warning}")
-        _write_profile(
-            out_dir / f"profile_{kind.value}.csv", kind, config.terrain, cal, meas, model_grid
-        )
-        _write_disagg(out_dir / f"disagg_{kind.value}.csv", cal, meas, model_grid)
+                warned.append(f"{kind.value}: {warning}")
+        _write_disagg(out_dir / f"disagg_{kind.value}.csv", cal, _model_axis(axis, cal))
         _write_coefficients(out_dir / f"coefficients_{kind.value}.csv", cal)
-        return ModelRun(kind, cal, report, tuple(warnings))
+        return ModelRun(kind, cal, report, tuple(warned))
     except WalfcalError as exc:
-        return ModelRun(kind, None, None, tuple(warnings), error=f"{kind.value}: {exc}")
+        return ModelRun(kind, None, None, tuple(warned), error=f"{kind.value}: {exc}")
 
 
 def run_calibration(config: CampaignConfig) -> CampaignResult:
@@ -370,7 +470,10 @@ def run_calibration(config: CampaignConfig) -> CampaignResult:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
-    runs = tuple(_run_one(kind, config, meas, grid, out_dir) for kind in config.models)
+    # the report axis: the sorted distinct distances of measured ∪ grid
+    axis = np.unique(np.concatenate([meas.distances_km, grid]))
+    runs = tuple(_run_one(kind, config, meas, grid, axis, out_dir) for kind in config.models)
+    _write_profiles(out_dir, axis, meas, grid, [run.calibration for run in runs if run.ok])
     _write_summary(out_dir / "summary.csv", runs)
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
 
@@ -514,15 +617,19 @@ def _cmd_rank(args) -> int:
                 failed = True
                 continue
         basis = build_basis(kind, config.terrain)
-        dm = design_matrix(basis, model_d)
-        rank = effective_rank(dm, tol)
+        # Φ = QR: R·M has the singular values of the design matrix Φ·M
+        _, r = np.linalg.qr(basis.features(model_d))
+        rank = effective_rank(r @ basis.weights, tol)
         print(
-            f"{kind.value}: rank={rank} (rows={dm.shape[0]}, functions={dm.shape[1]}, tol={tol:g})"
+            f"{kind.value}: rank={rank} (rows={model_d.size}, functions={len(basis)}, tol={tol:g})"
         )
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: each build leaves
+    reference cycles that only the cyclic garbage collector frees."""
     parser = argparse.ArgumentParser(
         prog="walfcal",
         description="Calibrate Walfisch-type pathloss models against field measurements.",

@@ -1,6 +1,9 @@
 """Config parsing, measurement IO, report files, and the command line."""
 
+import argparse
 import dataclasses
+import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from walfcal import (
 )
 from walfcal.cli import (
     MEASUREMENT_HEADER,
+    _read_measurements_by_line,
+    _read_measurements_fast,
     CampaignConfig,
     load_coefficients,
     load_config,
@@ -45,6 +50,7 @@ d_step_km = 0.1
 """
 
 ALL_LABELS = "CWI-M, CWI-SU, ITWI-M, ITWI-SU, W-BERT"
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def write_campaign(tmp_path, models=ALL_LABELS, d_max=4.5, seed=42, n=60):
@@ -150,6 +156,63 @@ class TestLoadMeasurements:
         back = load_measurements(path)
         assert np.array_equal(back.distances_km, meas.distances_km)
         assert np.array_equal(back.pathloss_db, meas.pathloss_db)
+
+
+HEADER = b"distance_km,pathloss_db\n"
+
+# measurement files, each with whether numpy alone must read it (True) or
+# the line parser may decide (None)
+PARSE_CASES = {
+    "plain": (HEADER + b"0.5,80\n1.5,95.25\n", True),
+    "bom": (b"\xef\xbb\xbf" + HEADER + b"0.5,80\n1.5,95.25\n", True),
+    "crlf": (HEADER.replace(b"\n", b"\r\n") + b"0.5,80\r\n1.5,95.25\r\n", True),
+    "spaces around cells": (HEADER + b" 0.5 , 80 \n\t1.5,\t95.25 \n", True),
+    "blank lines": (HEADER + b"0.5,80\n\n1.5,95.25\n\n", None),
+    "whitespace-only lines": (HEADER + b"0.5,80\n  \t \n1.5,95.25\n", None),
+    "comment line": (HEADER + b"# drive 2\n0.5,80\n", None),
+    "trailing comma": (HEADER + b"0.5,80,\n1.5,95.25,\n", None),
+    "three cells": (HEADER + b"0.5,80,3\n1.5,95.25,4\n", None),
+    "nan": (HEADER + b"0.5,80\n1.5,nan\n", None),
+    "inf": (HEADER + b"inf,80\n1.5,95.25\n", None),
+    "negative": (HEADER + b"0.5,80\n1.5,-1\n", None),
+    "underscore": (HEADER + b"1_0,80\n1.5,95.25\n", None),
+    "form feed in a line": (HEADER + b"0.5,\x0c80\n1.5,95.25\n", None),
+    "line separator in a line": (HEADER + "0.5,\u2028 80\n".encode() + b"1.5,95.25\n", None),
+    "header only": (HEADER, None),
+}
+
+
+class TestMeasurementFastPath:
+    """numpy reads plain files; on any doubt the line parser decides."""
+
+    @pytest.mark.parametrize("name", PARSE_CASES)
+    def test_agrees_with_the_line_parser(self, tmp_path, name):
+        data, fast = PARSE_CASES[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        table = _read_measurements_fast(path)
+        try:
+            distances, losses = _read_measurements_by_line(path)
+        except ParseError as exc:
+            assert table is None
+            with pytest.raises(ParseError) as caught:
+                load_measurements(path)
+            assert str(caught.value) == str(exc)
+            return
+        meas = load_measurements(path)
+        assert meas.distances_km.tolist() == distances
+        assert meas.pathloss_db.tolist() == losses
+        if table is not None:
+            assert table.tolist() == [list(row) for row in zip(distances, losses)]
+        if fast:
+            assert table is not None
+
+    def test_columns_are_contiguous(self, tmp_path):
+        # strided columns could take other BLAS kernels in the fit
+        path = tmp_path / "m.csv"
+        path.write_bytes(PARSE_CASES["plain"][0])
+        meas = load_measurements(path)
+        assert meas.distances_km.flags.c_contiguous and meas.pathloss_db.flags.c_contiguous
 
 
 class TestLoadConfig:
@@ -648,3 +711,49 @@ class TestMainCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("campaign", ["sample", "one distance"])
+    def test_rank_matches_the_coefficient_header(self, tmp_path, capsys, campaign):
+        if campaign == "sample":
+            config_path, meas_path = SAMPLE / "campaign.cfg", SAMPLE / "measurements.csv"
+        else:
+            config_path, _ = write_campaign(tmp_path)
+            meas_path = tmp_path / "one.csv"
+            one = MeasurementSet([1.2] * 5, [101.0, 99.5, 100.25, 98.0, 102.0])
+            save_measurements(one, meas_path)
+        n = len(load_measurements(meas_path))
+        out_dir = tmp_path / "out"
+        argv = ["--config", str(config_path), "--measurements", str(meas_path)]
+        assert main(["calibrate", *argv, "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert main(["rank", *argv]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        expected = []
+        for kind in ModelKind:
+            header = (out_dir / f"coefficients_{kind.value}.csv").read_text().splitlines()[0]
+            tokens = dict(t.split("=") for t in header.lstrip("# ").split())
+            expected.append(
+                f"{kind.value}: rank={tokens['rank']} "
+                f"(rows={n}, functions={tokens['n_functions']}, tol=1e-10)"
+            )
+            if campaign == "one distance":
+                assert tokens["rank"] == "1"
+        assert printed == expected
+
+    def test_repeated_calls_leave_no_parser_garbage(self, capsys):
+        argv = ["rank", "--config", str(SAMPLE / "campaign.cfg"), "--tol", "1e-6"]
+        assert main(argv) == 0  # the parser may be built here, once
+
+        def parsers():
+            return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = parsers()
+            for _ in range(20):
+                assert main(argv) == 0
+            after = parsers()
+        finally:
+            gc.enable()
+        assert after == before
