@@ -36,7 +36,6 @@ from .models import (
 )
 
 __all__ = [
-    "BasisFunction",
     "BasisSet",
     "DesignMatrix",
     "RANK_TOL_DEFAULT",
@@ -55,18 +54,16 @@ RANK_TOL_DEFAULT = 1e-10
 _ONE, _LOG_D, _CURVATURE = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """One component term: a view of its column of the basis's table M."""
+def _check_rank_tol(tol: float, name: str) -> float:
+    """Return tol if it lies in (0, 1), the domain of every relative
+    singular-value cutoff; DomainError naming it otherwise.
 
-    index: int
-    label: str
-    group: str
-    basis: BasisSet = field(repr=False, compare=False)
-
-    def evaluate(self, d_km):
-        """Term value in dB at the given distance(s): its weight times its feature."""
-        return self.basis.evaluate(d_km, np.eye(len(self.basis))[self.index])
+    At 0 round-off directions count, and at 1 or above no singular value
+    does, where np.linalg.lstsq would silently use machine precision instead.
+    """
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,6 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.functions)
-
-    @property
-    def functions(self) -> tuple[BasisFunction, ...]:
-        return tuple(BasisFunction(n, *row[:2], self) for n, row in enumerate(self.terms))
-
     @property
     def groups(self) -> tuple[str, ...]:
         """Group tags in profile order."""
@@ -103,9 +93,6 @@ class BasisSet:
         if not found:
             raise DomainError(f"unknown group {group!r} for {self.kind.value}")
         return found
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(row[0] for row in self.terms)
 
     def features(self, d_km) -> np.ndarray:
         """Φ(d), one row per distance; validates d and the W-BERT domain once."""
@@ -196,12 +183,12 @@ def design_matrix(basis: BasisSet, distances_km) -> DesignMatrix:
 def effective_rank(m, tol: float = RANK_TOL_DEFAULT) -> int:
     """Singular values above tol times the largest one.
 
-    Accepts a DesignMatrix or a plain 2-d array.  This is the numeric stand-in
-    for the symbolic linear-independence argument: constants collapse into a
-    single dimension no matter how many columns carry them.
+    Accepts a DesignMatrix or a plain 2-d array; tol must lie in (0, 1).
+    This is the numeric stand-in for the symbolic linear-independence
+    argument: constants collapse into a single dimension no matter how many
+    columns carry them.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tol must be a finite non-negative number, got {tol!r}")
+    _check_rank_tol(tol, "tol")
     matrix = m.matrix if isinstance(m, DesignMatrix) else np.asarray(m, dtype=float)
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular.size == 0 or singular[0] == 0.0:

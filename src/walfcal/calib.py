@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, build_basis
+from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis
 from .errors import DomainError
 from .models import ModelKind, Terrain
 
@@ -32,14 +32,11 @@ __all__ = [
     "Calibration",
     "DisaggregationProfile",
     "MeasurementSet",
-    "SVD_CUTOFF_DEFAULT",
     "calibrate",
     "disaggregate",
     "minimum_norm_lstsq",
     "predict_calibrated",
 ]
-
-SVD_CUTOFF_DEFAULT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,26 +75,40 @@ class MeasurementSet:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Result of one fit: coefficients, rank, fitted values, residuals."""
+    """Result of one fit: coefficients, rank and fitted values.
 
-    kind: ModelKind
-    terrain: Terrain
+    The model kind and terrain are read from the basis.
+    """
+
     basis: BasisSet
     alpha: np.ndarray
     rank: int
     distances_km: np.ndarray
     measured_db: np.ndarray
     fitted_db: np.ndarray
-    residual_db: np.ndarray
+
+    @property
+    def kind(self) -> ModelKind:
+        return self.basis.kind
+
+    @property
+    def terrain(self) -> Terrain:
+        return self.basis.terrain
+
+    @property
+    def residual_db(self) -> np.ndarray:
+        """Fitted minus measured pathloss, computed on each read."""
+        return self.fitted_db - self.measured_db
 
 
-def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = SVD_CUTOFF_DEFAULT):
+def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK_TOL_DEFAULT):
     """Minimum-norm least-squares solve of matrix @ x ~ rhs.
 
     Returns (x, rank) where rank counts singular values above cutoff times
-    the largest.  Deterministic for given inputs; the unique minimizer of
-    ||x|| among all least-squares solutions.
+    the largest; cutoff must lie in (0, 1).  Deterministic for given inputs;
+    the unique minimizer of ||x|| among all least-squares solutions.
     """
+    _check_rank_tol(cutoff, "cutoff")
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if matrix.ndim != 2 or rhs.ndim != 1 or matrix.shape[0] != rhs.size:
@@ -112,7 +123,7 @@ def calibrate(
     kind: ModelKind,
     terrain: Terrain,
     meas: MeasurementSet,
-    cutoff: float = SVD_CUTOFF_DEFAULT,
+    cutoff: float = RANK_TOL_DEFAULT,
 ) -> Calibration:
     """Fit one variant's component weights to a measurement set.
 
@@ -124,19 +135,15 @@ def calibrate(
     q, r = np.linalg.qr(phi)
     alpha, rank = minimum_norm_lstsq(r @ basis.weights, q.T @ meas.pathloss_db, cutoff)
     fitted = phi @ (basis.weights @ alpha)
-    residual = fitted - meas.pathloss_db
-    for arr in (alpha, fitted, residual):
+    for arr in (alpha, fitted):
         arr.setflags(write=False)
     return Calibration(
-        kind=kind,
-        terrain=terrain,
         basis=basis,
         alpha=alpha,
         rank=rank,
         distances_km=meas.distances_km,
         measured_db=meas.pathloss_db,
         fitted_db=fitted,
-        residual_db=residual,
     )
 
 

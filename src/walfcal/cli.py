@@ -23,12 +23,12 @@ import io
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .basis import RANK_TOL_DEFAULT, BasisSet, build_basis, effective_rank
+from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, effective_rank
 from .calib import (
     Calibration,
     MeasurementSet,
@@ -38,7 +38,7 @@ from .calib import (
 )
 from .errors import DomainError, ParseError, WalfcalError
 from .metrics import MetricsReport
-from .models import ModelKind, Terrain, predict_basic, wb_max_distance_km
+from .models import ModelKind, Terrain, _inside_wb_limit, predict_basic, wb_max_distance_km
 
 __all__ = [
     "CampaignConfig",
@@ -74,8 +74,6 @@ class CampaignConfig:
     d_max_km: float
     d_step_km: float
     rank_tol: float = RANK_TOL_DEFAULT
-    measurements_path: Path | None = None
-    output_dir: Path | None = None
 
     def __post_init__(self):
         if not self.models:
@@ -88,8 +86,7 @@ class CampaignConfig:
             raise DomainError(
                 f"d_max_km ({self.d_max_km!r}) must not be below d_min_km ({self.d_min_km!r})"
             )
-        if not (math.isfinite(self.rank_tol) and self.rank_tol > 0.0):
-            raise DomainError(f"rank_tol must be positive and finite, got {self.rank_tol!r}")
+        _check_rank_tol(self.rank_tol, "rank_tol")
 
 
 def load_config(path) -> CampaignConfig:
@@ -310,28 +307,22 @@ def _write_table(out, header: str, columns) -> None:
         out.write((row * len(block) % tuple(block.ravel().tolist())).replace("-0.0000", "0.0000"))
 
 
-def _inside_wb_limit(d: np.ndarray, dh_tx_m: float) -> np.ndarray:
-    return d * d < 17.0 * dh_tx_m
+def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
+    """The distances a model covers, and a warning if any were dropped.
 
-
-def _truncate_wb_grid(grid: np.ndarray, dh_tx_m: float):
-    keep = grid[_inside_wb_limit(grid, dh_tx_m)]
-    dropped = grid.size - keep.size
-    if dropped:
-        warning = (
-            f"grid truncated at the curvature limit {wb_max_distance_km(dh_tx_m):.4f} km "
-            f"({dropped} of {grid.size} points dropped)"
-        )
-        return keep, warning
-    return keep, None
-
-
-def _model_axis(axis: np.ndarray, cal: Calibration) -> np.ndarray:
-    """The report axis points a model covers: all of them, or for W-BERT the
-    prefix inside its limit, which holds every measured distance of a fit."""
-    if cal.kind is ModelKind.W_BERT:
-        return axis[_inside_wb_limit(axis, cal.terrain.dh_tx_m)]
-    return axis
+    All of d, or for W-BERT those inside its curvature limit: on a sorted
+    axis a prefix, which holds every measured distance of a fit.
+    """
+    if kind is not ModelKind.W_BERT:
+        return d, None
+    kept = d[_inside_wb_limit(d, terrain.dh_tx_m)]
+    dropped = d.size - kept.size
+    if not dropped:
+        return kept, None
+    return kept, (
+        f"{kind.value}: grid truncated at the curvature limit "
+        f"{wb_max_distance_km(terrain.dh_tx_m):.4f} km ({dropped} of {d.size} points dropped)"
+    )
 
 
 def _profile_rows(axis: np.ndarray, meas: MeasurementSet, grid: np.ndarray):
@@ -355,10 +346,10 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
     the rows they share.
 
     axis is the report axis, the sorted distinct distances of measured ∪
-    grid.  Each model is evaluated once per point of its _model_axis, and its
-    file ends at the last row on it.  Per chunk, the distance and measured
-    cells are formatted once for all models, and each model's basic and
-    calibrated cells once per distinct distance; rows take their cells by
+    grid.  Each model is evaluated once per point of its _model_distances,
+    and its file ends at the last row on it.  Per chunk, the distance and
+    measured cells are formatted once for all models, and each model's basic
+    and calibrated cells once per distinct distance; rows take their cells by
     axis index.
     """
     header = "distance_km,measured_db,basic_db,calibrated_db\n"
@@ -366,7 +357,7 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
     shown, blank = "%.4f,%.4f,", "%.4f,,"
     tables = []
     for cal in cals:
-        d = _model_axis(axis, cal)
+        d, _ = _model_distances(cal.kind, cal.terrain, axis)
         basic = predict_basic(cal.kind, cal.terrain, d)
         tables.append(np.column_stack([basic, predict_calibrated(cal, d)]))
     axis_rows, axis_sample = _profile_rows(axis, meas, grid)
@@ -420,8 +411,8 @@ def _write_disagg(path, cal, distances_km) -> None:
 def _write_coefficients(path, cal) -> None:
     lines = [f"# model={cal.kind.value} rank={cal.rank} n_functions={len(cal.basis)}"]
     lines.append("index,label,group,coefficient")
-    for fn, a in zip(cal.basis.functions, cal.alpha):
-        lines.append(f"{fn.index},{fn.label},{fn.group},{float(a)!r}")
+    for index, ((label, group, _, _), a) in enumerate(zip(cal.basis.terms, cal.alpha)):
+        lines.append(f"{index},{label},{group},{float(a)!r}")
     _write_text(path, lines)
 
 
@@ -442,32 +433,28 @@ def _write_summary(path, runs) -> None:
 def _run_one(kind, config, meas, grid, axis, out_dir) -> ModelRun:
     """Fit one model and write its disagg and coefficient files; its profile
     is written with the other models' once all are fitted."""
-    warned: list[str] = []
     try:
         cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
         basic_at_meas = predict_basic(kind, config.terrain, meas.distances_km)
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
-        if kind is ModelKind.W_BERT:
-            _, warning = _truncate_wb_grid(grid, config.terrain.dh_tx_m)
-            if warning:
-                warned.append(f"{kind.value}: {warning}")
-        _write_disagg(out_dir / f"disagg_{kind.value}.csv", cal, _model_axis(axis, cal))
+        _, warning = _model_distances(kind, config.terrain, grid)
+        covered, _ = _model_distances(kind, config.terrain, axis)
+        _write_disagg(out_dir / f"disagg_{kind.value}.csv", cal, covered)
         _write_coefficients(out_dir / f"coefficients_{kind.value}.csv", cal)
-        return ModelRun(kind, cal, report, tuple(warned))
+        return ModelRun(kind, cal, report, (warning,) if warning else ())
     except WalfcalError as exc:
-        return ModelRun(kind, None, None, tuple(warned), error=f"{kind.value}: {exc}")
+        return ModelRun(kind, None, None, error=f"{kind.value}: {exc}")
 
 
-def run_calibration(config: CampaignConfig) -> CampaignResult:
-    """Fit every configured variant and write the report files.
+def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> CampaignResult:
+    """Fit every configured variant to the measurements and write the report
+    files into output_dir.
 
     Models fail independently: a domain violation in one is recorded on its
     ModelRun while the remaining variants still produce their files.
     """
-    if config.measurements_path is None or config.output_dir is None:
-        raise DomainError("config needs measurements_path and output_dir for a calibration run")
-    meas = load_measurements(config.measurements_path)
-    out_dir = Path(config.output_dir)
+    meas = load_measurements(measurements_path)
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     # the report axis: the sorted distinct distances of measured ∪ grid
@@ -499,7 +486,10 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
         if stripped.startswith("#"):
             for token in stripped[1:].split():
                 if token.startswith("model="):
-                    kind = ModelKind.from_label(token.removeprefix("model="))
+                    try:
+                        kind = ModelKind.from_label(token.removeprefix("model="))
+                    except DomainError as exc:
+                        raise ParseError(f"{path}:{lineno}: {exc}") from None
             continue
         if stripped.startswith("index,"):
             continue
@@ -547,12 +537,7 @@ def _summary_line(run: ModelRun) -> str:
 
 def _cmd_calibrate(args) -> int:
     config = load_config(args.config)
-    config = replace(
-        config,
-        measurements_path=Path(args.measurements),
-        output_dir=Path(args.output_dir),
-    )
-    result = run_calibration(config)
+    result = run_calibration(config, args.measurements, args.output_dir)
     for run in result.runs:
         for warning in run.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -568,15 +553,14 @@ def _cmd_predict(args) -> int:
     config = load_config(args.config)
     kind = ModelKind.from_label(args.model)
     grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
-    if kind is ModelKind.W_BERT:
-        grid, warning = _truncate_wb_grid(grid, config.terrain.dh_tx_m)
-        if warning:
-            print(f"warning: {kind.value}: {warning}", file=sys.stderr)
-        if grid.size == 0:
-            raise DomainError(
-                f"entire grid lies beyond the curvature limit "
-                f"{wb_max_distance_km(config.terrain.dh_tx_m):.4f} km"
-            )
+    grid, warning = _model_distances(kind, config.terrain, grid)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
+    if grid.size == 0:
+        raise DomainError(
+            f"entire grid lies beyond the curvature limit "
+            f"{wb_max_distance_km(config.terrain.dh_tx_m):.4f} km"
+        )
     if args.coefficients:
         basis = build_basis(kind, config.terrain)
         _, alpha = load_coefficients(args.coefficients, basis)
@@ -595,7 +579,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = load_config(args.config)
-    tol = args.tol if args.tol is not None else config.rank_tol
+    tol = config.rank_tol if args.tol is None else _check_rank_tol(args.tol, "--tol")
     if args.measurements:
         distances = load_measurements(args.measurements).distances_km
         source = "measurement"
@@ -604,18 +588,16 @@ def _cmd_rank(args) -> int:
         source = "grid"
     failed = False
     for kind in config.models:
-        model_d = distances
-        if kind is ModelKind.W_BERT:
-            model_d, warning = _truncate_wb_grid(distances, config.terrain.dh_tx_m)
-            if warning:
-                print(f"warning: {kind.value}: {warning}", file=sys.stderr)
-            if model_d.size == 0:
-                print(
-                    f"error: {kind.value}: no {source} distances inside the curvature domain",
-                    file=sys.stderr,
-                )
-                failed = True
-                continue
+        model_d, warning = _model_distances(kind, config.terrain, distances)
+        if warning:
+            print(f"warning: {warning}", file=sys.stderr)
+        if model_d.size == 0:
+            print(
+                f"error: {kind.value}: no {source} distances inside the curvature domain",
+                file=sys.stderr,
+            )
+            failed = True
+            continue
         basis = build_basis(kind, config.terrain)
         # Φ = QR: R·M has the singular values of the design matrix Φ·M
         _, r = np.linalg.qr(basis.features(model_d))

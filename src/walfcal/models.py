@@ -136,10 +136,15 @@ def wb_max_distance_km(dh_tx_m: float) -> float:
     return math.sqrt(17.0 * dh_tx_m)
 
 
+def _inside_wb_limit(d: np.ndarray, dh_tx_m: float) -> np.ndarray:
+    """True where d^2 < 17 * dh_tx: the one test of the Walfisch-Bertoni domain."""
+    return d * d < 17.0 * dh_tx_m
+
+
 def _check_wb_domain(d: np.ndarray, dh_tx_m: float) -> None:
-    """Reject distances with d^2 >= 17 * dh_tx (curvature term undefined)."""
+    """Reject distances outside _inside_wb_limit (curvature term undefined)."""
     flat = np.atleast_1d(d)
-    bad = flat[flat * flat >= 17.0 * dh_tx_m]
+    bad = flat[~_inside_wb_limit(flat, dh_tx_m)]
     if bad.size:
         listed = ", ".join(f"{value:g}" for value in bad[:8])
         if bad.size > 8:

@@ -75,23 +75,24 @@ class TestBuildBasis:
     def test_wb_leading_terms(self):
         t = make_terrain()
         basis = build_basis(ModelKind.W_BERT, t)
-        assert basis.functions[0].evaluate(1.0) == pytest.approx(89.5)
-        assert basis.functions[0].evaluate(7.3) == pytest.approx(89.5)
-        assert basis.functions[1].evaluate(10.0) == pytest.approx(38.0)
-        assert basis.functions[2].evaluate(1.0) == pytest.approx(-18.0 * math.log10(t.dh_tx_m))
-        assert basis.labels()[:3] == ("89.5", "38 log10 d", "-18 log10 dh_tx")
+        terms = design_matrix(basis, [1.0, 7.3, 10.0]).matrix
+        assert terms[0, 0] == pytest.approx(89.5)
+        assert terms[1, 0] == pytest.approx(89.5)
+        assert terms[2, 1] == pytest.approx(38.0)
+        assert terms[0, 2] == pytest.approx(-18.0 * math.log10(t.dh_tx_m))
+        assert [row[0] for row in basis.terms[:3]] == ["89.5", "38 log10 d", "-18 log10 dh_tx"]
 
     def test_wi_frequency_coefficient_includes_offset(self):
         # at the pivot frequency the rate factor is zero, leaving -4 log10 f
         t = make_terrain(f_mhz=925.0)
         basis = build_basis(ModelKind.CWI_M, t)
-        kf_fn = basis.functions[11]
-        assert kf_fn.evaluate(2.0) == pytest.approx(-4.0 * math.log10(925.0))
+        kf_term = design_matrix(basis, [2.0]).matrix[0, 11]
+        assert kf_term == pytest.approx(-4.0 * math.log10(925.0))
 
     def test_rts_lead_reflects_family(self):
         t = make_terrain()
-        assert build_basis(ModelKind.CWI_M, t).functions[3].evaluate(1.0) == pytest.approx(-16.9)
-        assert build_basis(ModelKind.ITWI_M, t).functions[3].evaluate(1.0) == pytest.approx(-8.2)
+        for kind, lead in ((ModelKind.CWI_M, -16.9), (ModelKind.ITWI_M, -8.2)):
+            assert design_matrix(build_basis(kind, t), [1.0]).matrix[0, 3] == pytest.approx(lead)
 
     def test_reconstruction_identity_randomized(self):
         rng = np.random.default_rng(31)
@@ -99,7 +100,7 @@ class TestBuildBasis:
             kind = ALL_KINDS[rng.integers(len(ALL_KINDS))]
             t = random_terrain(rng)
             d = float(random_distances(rng, t, 1)[0])
-            total = sum(fn.evaluate(d) for fn in build_basis(kind, t))
+            total = float(design_matrix(build_basis(kind, t), [d]).matrix[0].sum())
             assert total == pytest.approx(predict_basic(kind, t, d), abs=1e-9)
 
     def test_terrain_snapshot_retained(self):
@@ -116,8 +117,9 @@ class TestDesignMatrix:
         d = np.array([0.3, 1.0, 4.2])
         dm = design_matrix(basis, d)
         assert dm.shape == (3, 13)
-        for n, fn in enumerate(basis):
-            assert dm.matrix[:, n] == pytest.approx(fn.evaluate(d))
+        for n in range(len(basis)):
+            term = basis.evaluate(d, np.eye(len(basis))[n])
+            assert dm.matrix[:, n] == pytest.approx(term)
 
     def test_distance_log_column_zero_at_one_km(self):
         dm = design_matrix(build_basis(ModelKind.CWI_M, make_terrain()), [1.0])
@@ -196,3 +198,8 @@ class TestEffectiveRank:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(DomainError):
             effective_rank(np.eye(2), tol=-1e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, math.inf, math.nan])
+    def test_rejects_tolerance_outside_unit_interval(self, tol):
+        with pytest.raises(DomainError, match=r"tol must lie in \(0, 1\)"):
+            effective_rank(np.eye(2), tol=tol)

@@ -101,6 +101,12 @@ class TestMinimumNormLstsq:
         with pytest.raises(DomainError):
             minimum_norm_lstsq(np.eye(3), np.ones(2))
 
+    @pytest.mark.parametrize("cutoff", [0.0, 1.0, 2.0, math.inf, math.nan, -1.0])
+    def test_rejects_cutoff_outside_unit_interval(self, cutoff):
+        # np.linalg.lstsq would swap such an rcond for machine precision
+        with pytest.raises(DomainError, match=r"cutoff must lie in \(0, 1\)"):
+            minimum_norm_lstsq(np.eye(3), np.ones(3), cutoff)
+
 
 class TestCalibrate:
     def test_in_span_measurements_fit_exactly(self):
@@ -185,6 +191,21 @@ class TestCalibrate:
             again = calibrate(kind, t, MeasurementSet(meas.distances_km, first.fitted_db))
             assert rmse(again.fitted_db, first.fitted_db) <= 1e-9
 
+    @pytest.mark.parametrize("cutoff", [0.0, 1.0, 2.0, math.inf, math.nan, -1.0])
+    def test_rejects_cutoff_outside_unit_interval(self, cutoff):
+        meas = MeasurementSet([0.5, 1.0, 2.0], [95.0, 105.0, 112.0])
+        for kind in ALL_KINDS:
+            with pytest.raises(DomainError, match="cutoff"):
+                calibrate(kind, make_terrain(), meas, cutoff=cutoff)
+
+    def test_residual_is_fitted_minus_measured(self):
+        rng = np.random.default_rng(113)
+        t, meas = random_campaign(rng, n_lo=20, n_hi=30)
+        cal = calibrate(ModelKind.ITWI_SU, t, meas)
+        assert np.array_equal(cal.residual_db, cal.fitted_db - meas.pathloss_db)
+        assert cal.kind is ModelKind.ITWI_SU and cal.kind is cal.basis.kind
+        assert cal.terrain == t and cal.terrain is cal.basis.terrain
+
     def test_wb_domain_violation_names_distance(self):
         t = make_terrain(dh_tx_m=10.0)
         meas = MeasurementSet([1.0, 13.5], [100.0, 140.0])
@@ -216,15 +237,12 @@ class TestPredictCalibrated:
         for kind in ALL_KINDS:
             basis = build_basis(kind, t)
             cal = Calibration(
-                kind=kind,
-                terrain=t,
                 basis=basis,
                 alpha=np.ones(len(basis)),
                 rank=len(basis),
                 distances_km=d,
                 measured_db=np.zeros(3),
                 fitted_db=np.zeros(3),
-                residual_db=np.zeros(3),
             )
             assert predict_calibrated(cal, d) == pytest.approx(
                 predict_basic(kind, t, d), abs=1e-9
@@ -271,15 +289,12 @@ class TestDisaggregate:
         d = np.array([0.3, 1.0, 3.0])
         basis = build_basis(ModelKind.W_BERT, t)
         cal = Calibration(
-            kind=ModelKind.W_BERT,
-            terrain=t,
             basis=basis,
             alpha=np.ones(len(basis)),
             rank=len(basis),
             distances_km=d,
             measured_db=np.zeros(3),
             fitted_db=np.zeros(3),
-            residual_db=np.zeros(3),
         )
         profile = disaggregate(cal, d)
         for group in profile.groups:

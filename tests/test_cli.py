@@ -1,7 +1,6 @@
 """Config parsing, measurement IO, report files, and the command line."""
 
 import argparse
-import dataclasses
 import gc
 from pathlib import Path
 
@@ -10,11 +9,14 @@ import pytest
 
 from helpers import WI_KINDS
 from walfcal import (
+    CurvatureDomainError,
     DomainError,
     MeasurementSet,
     ModelKind,
     ParseError,
     Terrain,
+    WalfcalError,
+    calibrate,
     predict_basic,
     predict_calibrated,
     rmse,
@@ -232,6 +234,13 @@ class TestLoadConfig:
         path.write_text(CONFIG_TEXT.format(models="CWI-M", d_max=2.0) + "rank_tol = 1e-8\n")
         assert load_config(path).rank_tol == 1e-8
 
+    @pytest.mark.parametrize("rank_tol", ["1.5", "1", "0"])
+    def test_rank_tol_outside_unit_interval_rejected(self, tmp_path, rank_tol):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONFIG_TEXT.format(models="CWI-M", d_max=2.0) + f"rank_tol = {rank_tol}\n")
+        with pytest.raises(WalfcalError, match=r"rank_tol must lie in \(0, 1\)"):
+            load_config(path)
+
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("frequency = 900\n")
@@ -345,12 +354,7 @@ class TestCampaignConfigValidation:
 
 def run_campaign(tmp_path, out_name="out", **kwargs):
     config_path, meas_path = write_campaign(tmp_path, **kwargs)
-    config = dataclasses.replace(
-        load_config(config_path),
-        measurements_path=meas_path,
-        output_dir=tmp_path / out_name,
-    )
-    return run_calibration(config)
+    return run_calibration(load_config(config_path), meas_path, tmp_path / out_name)
 
 
 class TestRunCalibration:
@@ -440,10 +444,7 @@ class TestRunCalibration:
         meas = MeasurementSet(d, predict_basic(ModelKind.CWI_M, config.terrain, d))
         meas_path = tmp_path / "span.csv"
         save_measurements(meas, meas_path)
-        config = dataclasses.replace(
-            config, measurements_path=meas_path, output_dir=tmp_path / "out"
-        )
-        result = run_calibration(config)
+        result = run_calibration(config, meas_path, tmp_path / "out")
         _, rows = read_rows(result.output_dir / "summary.csv")
         assert {row[3] for row in rows} == {"0.0000"}
 
@@ -476,10 +477,7 @@ class TestRunCalibration:
         meas = MeasurementSet([0.5, 1.0, 2.0, 11.0], [95.0, 105.0, 115.0, 140.0])
         meas_path = tmp_path / "bad.csv"
         save_measurements(meas, meas_path)
-        config = dataclasses.replace(
-            config, measurements_path=meas_path, output_dir=tmp_path / "out"
-        )
-        result = run_calibration(config)
+        result = run_calibration(config, meas_path, tmp_path / "out")
         assert not result.ok
         by_kind = {run.kind: run for run in result.runs}
         assert by_kind[ModelKind.W_BERT].error is not None
@@ -525,6 +523,16 @@ class TestCoefficientsFile:
         path.write_text(f"index,label,group,coefficient\n0,a,G,1.0\n1,b,G,{cell}\n")
         with pytest.raises(ParseError, match=r"c\.csv:3: coefficient must be finite"):
             load_coefficients(path)
+
+    def test_unknown_model_in_header_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text("# model=XYZ rank=2 n_functions=2\n0,a,G,1.0\n1,b,G,2.0\n")
+        with pytest.raises(ParseError, match=r"c\.csv:1: unknown model kind 'XYZ'"):
+            load_coefficients(path)
+        config_path, _ = write_campaign(tmp_path, models="CWI-M")
+        argv = ["predict", "--config", str(config_path), "--model", "CWI-M"]
+        assert main([*argv, "--coefficients", str(path)]) == 1
+        assert f"error: {path}:1: unknown model kind 'XYZ'" in capsys.readouterr().err
 
     def test_predict_checks_labels_against_the_model(self, tmp_path, capsys):
         result = run_campaign(tmp_path, models="CWI-M")
@@ -696,6 +704,25 @@ class TestMainCommand:
         assert "rank=2" in captured.out
         assert "tol=1e-06" in captured.out
 
+    @pytest.mark.parametrize("tol", ["0", "1"])
+    def test_rank_rejects_tol_outside_unit_interval(self, tmp_path, capsys, tol):
+        config_path, _ = write_campaign(tmp_path)
+        code = main(["rank", "--config", str(config_path), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must lie in (0, 1), got {float(tol)!r}\n"
+
+    def test_calibrate_rejects_rank_tol_outside_unit_interval(self, tmp_path, capsys):
+        config_path, meas_path = write_campaign(tmp_path)
+        with config_path.open("a") as cfg:
+            cfg.write("rank_tol = 1.5\n")
+        out_dir = tmp_path / "out"
+        argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
+        assert main([*argv, "--output-dir", str(out_dir)]) == 1
+        assert "error: rank_tol must lie in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_error_surfaces_as_exit_code(self, tmp_path, capsys):
         code = main(
             [
@@ -757,3 +784,76 @@ class TestMainCommand:
         finally:
             gc.enable()
         assert after == before
+
+
+class TestWbLimitBoundary:
+    """d = 2 km with dh_tx = 4/17 m, where 17 * dh_tx == d * d holds exactly:
+    the point sits on the curvature limit, outside the W-BERT domain."""
+
+    DH_TX = 4.0 / 17.0
+
+    def write_config(self, tmp_path, models=ALL_LABELS):
+        text = CONFIG_TEXT.format(models=models, d_max=2.0)
+        text = text.replace("dh_tx_m = 6", f"dh_tx_m = {self.DH_TX!r}")
+        text = text.replace("d_min_km = 0.1", "d_min_km = 1.0")
+        text = text.replace("d_step_km = 0.1", "d_step_km = 0.5")
+        config_path = tmp_path / "edge.cfg"
+        config_path.write_text(text)
+        return config_path
+
+    def test_limit_is_exact(self, tmp_path):
+        config = load_config(self.write_config(tmp_path))
+        assert 17.0 * config.terrain.dh_tx_m == 2.0 * 2.0
+        assert prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)[-1] == 2.0
+
+    def test_predict_drops_the_point_with_a_warning(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        assert main(["predict", "--config", str(config_path), "--model", "W-BERT"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: W-BERT: grid truncated at the curvature limit 2.0000 km "
+            "(1 of 3 points dropped)\n"
+        )
+        assert [row.split(",")[0] for row in captured.out.splitlines()[1:]] == ["1.0000", "1.5000"]
+
+    def test_rank_drops_the_point_with_a_warning(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path, models="CWI-M, W-BERT")
+        assert main(["rank", "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        assert "W-BERT: grid truncated at the curvature limit 2.0000 km" in captured.err
+        assert "CWI-M: rank=2 (rows=3," in captured.out
+        assert "W-BERT: rank=2 (rows=2," in captured.out
+
+    def test_calibration_axes_end_before_the_point(self, tmp_path):
+        config = load_config(self.write_config(tmp_path))
+        d = np.array([0.4, 0.9, 1.3, 1.75, 1.9])
+        meas_path = tmp_path / "m.csv"
+        save_measurements(MeasurementSet(d, 100.0 + 30.0 * np.log10(d)), meas_path)
+        result = run_calibration(config, meas_path, tmp_path / "out")
+        assert result.ok
+        wb_run = next(run for run in result.runs if run.kind is ModelKind.W_BERT)
+        assert wb_run.warnings == (
+            "W-BERT: grid truncated at the curvature limit 2.0000 km (1 of 3 points dropped)",
+        )
+        for name in ("profile", "disagg"):
+            _, rows = read_rows(result.output_dir / f"{name}_W-BERT.csv")
+            assert rows[-1][0] == "1.9000"
+            _, rows = read_rows(result.output_dir / f"{name}_CWI-M.csv")
+            assert rows[-1][0] == "2.0000"
+
+    def test_sample_on_the_limit_fails_only_wb(self, tmp_path):
+        config = load_config(self.write_config(tmp_path))
+        meas = MeasurementSet([0.5, 1.0, 2.0], [95.0, 105.0, 112.0])
+        with pytest.raises(CurvatureDomainError, match="requires d\\^2 < 17"):
+            calibrate(ModelKind.W_BERT, config.terrain, meas)
+        meas_path = tmp_path / "m.csv"
+        save_measurements(meas, meas_path)
+        result = run_calibration(config, meas_path, tmp_path / "out")
+        by_kind = {run.kind: run for run in result.runs}
+        assert "at or beyond the curvature limit 2.0000 km" in by_kind[ModelKind.W_BERT].error
+        names = {p.name for p in result.output_dir.iterdir()}
+        for kind in WI_KINDS:
+            assert by_kind[kind].ok
+            for stem in ("profile", "disagg", "coefficients"):
+                assert f"{stem}_{kind.value}.csv" in names
+        assert not any("W-BERT" in name for name in names)

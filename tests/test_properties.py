@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import ALL_KINDS, WI_KINDS
 from walfcal import (
-    SVD_CUTOFF_DEFAULT,
+    RANK_TOL_DEFAULT,
     MeasurementSet,
     ModelKind,
     Terrain,
@@ -99,7 +99,7 @@ def test_reduced_solve_matches_full_lstsq(campaign, kind):
     _assume_clear_rank(terrain, meas, [kind])
     cal = calibrate(kind, terrain, meas)
     full = design_matrix(cal.basis, meas.distances_km).matrix
-    alpha, _, rank, _ = np.linalg.lstsq(full, meas.pathloss_db, rcond=SVD_CUTOFF_DEFAULT)
+    alpha, _, rank, _ = np.linalg.lstsq(full, meas.pathloss_db, rcond=RANK_TOL_DEFAULT)
     assert cal.rank == rank
     assert np.max(np.abs(cal.fitted_db - full @ alpha)) <= TOL_DB
     # both are the minimum-norm solution, not just any least-squares one

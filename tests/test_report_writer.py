@@ -1,6 +1,5 @@
 """The chunked report writers against a per-cell f"{v:.4f}" reference."""
 
-import dataclasses
 import io
 
 import numpy as np
@@ -61,10 +60,7 @@ def profile_rows(tmp_path, meas, grid, kinds=(ModelKind.CWI_M,)):
     profile file against the reference, and return the first one's rows."""
     save_measurements(meas, tmp_path / "meas.csv")
     config = CampaignConfig(TERRAIN, tuple(kinds), *grid)
-    config = dataclasses.replace(
-        config, measurements_path=tmp_path / "meas.csv", output_dir=tmp_path / "out"
-    )
-    assert run_calibration(config).ok
+    assert run_calibration(config, tmp_path / "meas.csv", tmp_path / "out").ok
     points = prediction_grid(*grid)
     found = []
     for kind in kinds:
