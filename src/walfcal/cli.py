@@ -5,13 +5,20 @@ grid, rank tolerance) and a two-column CSV of measurements.  The calibrate
 subcommand fits every configured variant and writes summary.csv plus
 per-model profile, disaggregation, and coefficient files into the output
 directory; predict evaluates a basic or saved calibrated model over the
-grid; rank prints the numeric rank of each design matrix.
+grid; rank prints the numeric rank of each design matrix.  Measured
+distances face the same domain check in rank as in calibrate; only a grid
+is truncated at the Walfisch-Bertoni curvature limit, with a warning.
 
-All numeric report cells use 4 decimal places (negative zero prints as
-0.0000), and identical inputs produce byte-identical output files.  One
-model's failure (for example measurement distances beyond the
-Walfisch-Bertoni curvature limit) is reported on stderr and reflected in the
-exit status without aborting the other models.
+All numeric report cells use 4 decimals (negative zero prints as 0.0000),
+and identical inputs produce byte-identical output files.  Report tables are
+encoded by numpy a chunk of rows at a time, into fixed-width byte slots; a
+cell numpy cannot round with certainty (not finite, 1e7 or more, or next to
+a .5 tie) takes its text from _db, so every cell reads as f"{v:.4f}" does.
+Only a chunk holding a cell too long for its slot (|v| of about 1e7 or more,
+at least 14 characters) is formatted cell by cell.  One model's failure
+(for example measurement distances beyond the Walfisch-Bertoni curvature
+limit) is reported on stderr and reflected in the exit status without
+aborting the other models.
 """
 
 from __future__ import annotations
@@ -286,6 +293,7 @@ class CampaignResult:
 
 
 def _db(value: float) -> str:
+    """A report cell: value to 4 decimals, with negative zero as 0.0000."""
     cell = f"{value:.4f}"
     return "0.0000" if cell == "-0.0000" else cell
 
@@ -294,17 +302,123 @@ def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _write_table(out, header: str, columns) -> None:
-    """Write a header line, then rows of %.4f cells as _db formats them.
+# A report cell is encoded in a 16-byte slot: integer digits right-aligned at
+# bytes 0..7 with the sign in the byte before the leading one, "." at 8, four
+# decimals at 9..12 and the separator at _SEP.  The cell's text is the slot
+# from its start byte through _SEP, picked by _KEEP[start]; a blank cell is
+# its separator alone.
+_SLOT = np.dtype("V16")
+_SEP = 13
+_KEEP = (np.arange(16) >= np.arange(16)[:, None]) & (np.arange(16) <= _SEP)
+_KEEP = _KEEP.view(_SLOT).ravel()
+# _MINUS[lead] turns the "0" at byte lead - 1 of a slot's first word into
+# "-"; _MINUS[0] changes nothing
+_MINUS = np.array([0] + [(ord("0") - ord("-")) << 8 * byte for byte in range(7)], dtype="<u8")
+# below this magnitude q = rint(v·1e4) < 1e11: at most 7 integer digits, so a
+# minus sign always has a byte in front of them
+_SLOT_MAX = 9_999_999.9999
 
-    columns are equal-length float arrays.  With 4 decimals a minus sign only
-    leads a cell, so one replace per chunk fixes exactly the negative zeros.
+
+@functools.cache
+def _digit_tables():
+    """By 4-digit group k, built on first use: k's ASCII digits as a
+    little-endian word, and the digit count of an integer part whose low or
+    whose high group k is.
+
+    These are 40 kB and 10 kB.  An 80 kB table, made once the fits had grown
+    the heap, raised the peak RSS of a 100 000-row run by 2.5 MB.
     """
-    row = ",".join(["%.4f"] * len(columns)) + "\n"
+    k = np.arange(10_000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    quad = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+    low_count = (1 + (k >= 10) + (k >= 100) + (k >= 1000)).astype(np.uint8)
+    high_count = np.where(k > 0, low_count + 4, 0).astype(np.uint8)
+    return quad, low_count, high_count
+
+
+def _encode(block: np.ndarray):
+    """Slots and keep masks, both (n, c) of _SLOT, of an (n, c) float block's
+    cells as _db prints them; None when a cell's text is too long for a slot.
+
+    numpy rounds a cell with |v| < _SLOT_MAX whose v·1e4 lies more than a few
+    ulp off a .5 tie: v·1e4 is computed to within |v·1e4|·2^-53, so there
+    rint rounds it as the exact decimal value of v rounds.  Any other cell
+    (a tie, not finite, or larger) takes its text from _db.  Each temporary
+    is freed once spent: a chunk of 8192 × 11 cells takes 0.7 MB per float
+    array.
+    """
+    scaled = np.abs(block)
+    odd = ~(scaled < _SLOT_MAX)
+    if odd.any():
+        scaled[odd] = 0.0
+    scaled *= 1e4
+    q = np.rint(scaled)
+    margin = scaled * 2.0**-50
+    scaled -= q
+    np.abs(scaled, out=scaled)
+    scaled += margin
+    odd |= scaled >= 0.5
+    del scaled, margin
+    # a cell that rounds to zero has no sign
+    negative = (block < 0.0) & (q > 0.0)
+    # q < 1e11 is an integer, so a quotient below is off the next integer
+    # by 1e-4 or more and its floor is exact
+    whole = q / 1e4
+    np.floor(whole, out=whole)
+    q -= whole * 1e4
+    frac = q.astype(np.intp)
+    del q
+    high = whole / 1e4
+    np.floor(high, out=high)
+    whole -= high * 1e4
+    hi, lo = high.astype(np.intp), whole.astype(np.intp)
+    del whole, high
+    quad, low_count, high_count = _digit_tables()
+    words = np.empty(block.shape + (2,), dtype="<u8")
+    decimals = quad[frac].astype("<u8")
+    del frac
+    decimals <<= 8
+    decimals |= ord(".") | ord(",") << 40
+    words[..., 1] = decimals
+    del decimals
+    halves = words.view("<u4")
+    halves[..., 0] = quad[hi]
+    halves[..., 1] = quad[lo]
+    lead = 8 - np.maximum(high_count[hi], low_count[lo])
+    del hi, lo
+    words[..., 0] -= _MINUS[lead * negative]
+    slots, keep = words.view(_SLOT)[..., 0], _KEEP[lead - negative]
+    if odd.any():
+        texts = [_db(v) for v in block[odd].tolist()]
+        if max(map(len, texts)) > _SEP:
+            return None
+        # right-aligned before the separator, whatever the layout of the text
+        slots[odd] = np.array([f"{t:>{_SEP}}," for t in texts], dtype="S16").view(_SLOT)
+        keep[odd] = _KEEP[[_SEP - len(t) for t in texts]]
+    return slots, keep
+
+
+def _row_bytes(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept bytes of (n, c) cell slots, each row ending in a newline."""
+    data = slots.view(np.uint8).reshape(*slots.shape, _SLOT.itemsize)
+    data[:, -1, _SEP] = ord("\n")
+    return data[keep.view(bool).reshape(data.shape)]
+
+
+def _write_table(out, header: str, columns) -> None:
+    """Write a header line, then rows of cells as _db formats them.
+
+    columns are equal-length float arrays, written _CHUNK_ROWS rows at a time.
+    """
     out.write(header + "\n")
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         block = np.column_stack([column[start : start + _CHUNK_ROWS] for column in columns])
-        out.write((row * len(block) % tuple(block.ravel().tolist())).replace("-0.0000", "0.0000"))
+        cells = _encode(block)
+        if cells is None:
+            out.write("".join(",".join(map(_db, row)) + "\n" for row in block.tolist()))
+            continue
+        del block  # not needed past the encoder; freed before the rows are packed
+        out.write(str(_row_bytes(*cells), "ascii"))
 
 
 def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
@@ -332,13 +446,25 @@ def _profile_rows(axis: np.ndarray, meas: MeasurementSet, grid: np.ndarray):
     input order, and a grid point equal to a measured distance is not
     repeated.
     """
-    n = len(meas)
-    index = np.searchsorted(axis, np.concatenate([meas.distances_km, grid]))
-    measured = np.zeros(axis.size, dtype=bool)
-    measured[index[:n]] = True
-    rows = np.concatenate([index[:n], index[n:][~measured[index[n:]]]])
-    order = np.argsort(rows, kind="stable")
-    return rows[order], np.where(order < n, order, -1)
+    order = np.argsort(meas.distances_km, kind="stable")
+    counts = np.bincount(np.searchsorted(axis, meas.distances_km[order]), minlength=axis.size)
+    sampled = counts > 0
+    # the other axis points are grid points, one row per grid entry
+    on_grid = np.searchsorted(axis, grid)
+    np.add.at(counts, on_grid[~sampled[on_grid]], 1)
+    rows = np.repeat(np.arange(axis.size), counts)
+    del counts
+    sample = np.full(rows.size, -1)
+    sample[sampled[rows]] = order
+    return rows, sample
+
+
+def _profile_text(prefix: np.ndarray, has: np.ndarray, values: np.ndarray) -> bytes:
+    """Profile rows formatted cell by cell through _db."""
+    return "".join(
+        f"{_db(d)},{_db(m) if shown else ''},{_db(b)},{_db(c)}\n"
+        for (d, m), shown, (b, c) in zip(prefix.tolist(), has.tolist(), values.tolist())
+    ).encode("ascii")
 
 
 def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid, cals) -> None:
@@ -348,13 +474,10 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
     axis is the report axis, the sorted distinct distances of measured ∪
     grid.  Each model is evaluated once per point of its _model_distances,
     and its file ends at the last row on it.  Per chunk, the distance and
-    measured cells are formatted once for all models, and each model's basic
-    and calibrated cells once per distinct distance; rows take their cells by
-    axis index.
+    measured cells are encoded once for all models, and each model's basic
+    and calibrated cells once per axis point of the chunk's window; rows
+    gather them by axis index into one chunk buffer.
     """
-    header = "distance_km,measured_db,basic_db,calibrated_db\n"
-    # measured values are positive, so these cells are never negative zero
-    shown, blank = "%.4f,%.4f,", "%.4f,,"
     tables = []
     for cal in cals:
         d, _ = _model_distances(cal.kind, cal.terrain, axis)
@@ -364,35 +487,37 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
     ends = [int(np.searchsorted(axis_rows, len(values))) for values in tables]
     with contextlib.ExitStack() as stack:
         files = [
-            stack.enter_context(open(out_dir / f"profile_{cal.kind.value}.csv", "w", newline="\n"))
+            stack.enter_context(open(out_dir / f"profile_{cal.kind.value}.csv", "wb"))
             for cal in cals
         ]
         for out in files:
-            out.write(header)
+            out.write(b"distance_km,measured_db,basic_db,calibrated_db\n")
         for start in range(0, max(ends, default=0), _CHUNK_ROWS):
             rows = axis_rows[start : start + _CHUNK_ROWS]
             sample = axis_sample[start : start + _CHUNK_ROWS]
             has = sample >= 0
-            template = "\n".join([shown if row else blank for row in has.tolist()])
-            # grid rows (sample -1) pick a measured value that keep drops
-            cells = np.column_stack([axis[rows], meas.pathloss_db[sample]])
-            keep = np.ones(cells.shape, dtype=bool)
-            keep[:, 1] = has
-            # even slots: the shared row prefixes; odd slots: one model's cells
-            parts = [None] * (2 * len(rows))
-            parts[0::2] = (template % tuple(cells[keep].tolist())).split("\n")
+            prefix = np.column_stack([axis[rows], np.where(has, meas.pathloss_db[sample], 0.0)])
+            shared = _encode(prefix)
+            slots = np.empty((rows.size, 4), dtype=_SLOT)
+            keep = np.empty_like(slots)
+            if shared is not None:
+                slots[:, :2], keep[:, :2] = shared
+                # a grid row's measured cell is blank
+                keep[~has, 1] = _KEEP[_SEP]
             low = int(rows[0])
             for values, end, out in zip(tables, ends, files):
-                count = min(end - start, len(rows))
+                count = min(end - start, rows.size)
                 if count <= 0:
                     continue
                 local = rows[:count] - low
-                values = values[low : low + int(local[-1]) + 1]
-                text = "%.4f,%.4f\n" * len(values) % tuple(values.ravel().tolist())
-                text = text.replace("-0.0000", "0.0000")
-                cells_at = np.array(text.splitlines(keepends=True), dtype=object)
-                parts[1 : 2 * count : 2] = cells_at[local].tolist()
-                out.write("".join(parts[: 2 * count]))
+                window = values[low : low + int(local[-1]) + 1]
+                cells = None if shared is None else _encode(window)
+                if cells is None:
+                    out.write(_profile_text(prefix[:count], has[:count], window[local]))
+                    continue
+                slots[:count, 2:] = np.take(cells[0], local, axis=0)
+                keep[:count, 2:] = np.take(cells[1], local, axis=0)
+                out.write(_row_bytes(slots[:count], keep[:count]))
 
 
 def _write_disagg(path, cal, distances_km) -> None:
@@ -581,26 +706,33 @@ def _cmd_rank(args) -> int:
     config = load_config(args.config)
     tol = config.rank_tol if args.tol is None else _check_rank_tol(args.tol, "--tol")
     if args.measurements:
+        # measured distances face calibrate's domain check; only a grid is truncated
         distances = load_measurements(args.measurements).distances_km
-        source = "measurement"
     else:
         distances = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
-        source = "grid"
     failed = False
     for kind in config.models:
-        model_d, warning = _model_distances(kind, config.terrain, distances)
-        if warning:
-            print(f"warning: {warning}", file=sys.stderr)
-        if model_d.size == 0:
-            print(
-                f"error: {kind.value}: no {source} distances inside the curvature domain",
-                file=sys.stderr,
-            )
+        model_d = distances
+        if not args.measurements:
+            model_d, warning = _model_distances(kind, config.terrain, distances)
+            if warning:
+                print(f"warning: {warning}", file=sys.stderr)
+            if model_d.size == 0:
+                print(
+                    f"error: {kind.value}: no grid distances inside the curvature domain",
+                    file=sys.stderr,
+                )
+                failed = True
+                continue
+        basis = build_basis(kind, config.terrain)
+        try:
+            features = basis.features(model_d)
+        except WalfcalError as exc:
+            print(f"error: {kind.value}: {exc}", file=sys.stderr)
             failed = True
             continue
-        basis = build_basis(kind, config.terrain)
         # Φ = QR: R·M has the singular values of the design matrix Φ·M
-        _, r = np.linalg.qr(basis.features(model_d))
+        _, r = np.linalg.qr(features)
         rank = effective_rank(r @ basis.weights, tol)
         print(
             f"{kind.value}: rank={rank} (rows={model_d.size}, functions={len(basis)}, tol={tol:g})"

@@ -677,6 +677,37 @@ class TestMainCommand:
             assert "rank=2" in line
         assert "W-BERT: rank=3" in lines[4]
 
+    def test_rank_over_measurements_past_the_wb_limit_fails_like_calibrate(
+        self, tmp_path, capsys
+    ):
+        config_path, meas_path = write_campaign(tmp_path)
+        meas = load_measurements(meas_path)
+        beyond = wb_max_distance_km(6.0) + 0.4
+        save_measurements(
+            MeasurementSet(np.append(meas.distances_km, beyond), np.append(meas.pathloss_db, 130.0)),
+            meas_path,
+        )
+        argv = ["--config", str(config_path), "--measurements", str(meas_path)]
+        assert main(["rank", *argv]) == 1
+        ranked = capsys.readouterr()
+        assert main(["calibrate", *argv, "--output-dir", str(tmp_path / "out")]) == 1
+        calibrated = capsys.readouterr()
+        wb_errors = [line for line in calibrated.err.splitlines() if line.startswith("error: W-BERT: ")]
+        assert len(wb_errors) == 1 and "curvature limit" in wb_errors[0]
+        assert ranked.err.splitlines() == wb_errors
+        lines = ranked.out.splitlines()
+        assert len(lines) == 4 and all("rank=2 (rows=61," in line for line in lines)
+
+    def test_rank_over_a_grid_past_the_wb_limit_truncates_it(self, tmp_path, capsys):
+        config_path, _ = write_campaign(tmp_path, d_max=12.0)
+        assert main(["rank", "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: W-BERT: grid truncated at the curvature limit 10.0995 km "
+            "(20 of 120 points dropped)\n"
+        )
+        assert "W-BERT: rank=3 (rows=100," in captured.out
+
     @pytest.mark.parametrize("rank_tol", [None, 0.9])
     def test_config_rank_tol_reaches_the_fit(self, tmp_path, capsys, rank_tol):
         config_path, meas_path = write_campaign(tmp_path)

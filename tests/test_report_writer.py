@@ -1,13 +1,23 @@
-"""The chunked report writers against a per-cell f"{v:.4f}" reference."""
+"""The chunked report writers against a per-cell f"{v:.4f}" reference, and
+the numpy cell encoder against an exact decimal oracle."""
 
 import io
+import math
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walfcal import MeasurementSet, ModelKind, Terrain, calibrate, predict_basic, predict_calibrated
 from walfcal.cli import (
     _CHUNK_ROWS,
     CampaignConfig,
+    _db,
+    _encode,
+    _profile_rows,
+    _row_bytes,
     _write_table,
     prediction_grid,
     run_calibration,
@@ -170,3 +180,158 @@ def test_chunk_of_only_grid_rows(tmp_path):
     assert len(rows) > _CHUNK_ROWS
     assert all(row[1] == "" for row in rows[:_CHUNK_ROWS])
     assert [row[1] for row in rows if row[1]] == ["120.0000", "121.0000", "122.5000"]
+
+
+def encoded(values) -> str | None:
+    """One cell per row through the numpy encoder, or None where a cell is too
+    long for its slot and the whole block goes cell by cell through _db."""
+    cells = _encode(np.asarray(values, dtype=float).reshape(-1, 1))
+    return None if cells is None else str(_row_bytes(*cells), "ascii")
+
+
+EXACT = Context(prec=2000)
+# the longest cell text a 16-byte slot holds before its separator
+SLOT_TEXT_MAX = 13
+
+
+def exact_cell(value: float) -> str:
+    """The exact binary value of value rounded half to even at 4 decimals."""
+    cell = str(Decimal(value).quantize(Decimal("0.0001"), ROUND_HALF_EVEN, EXACT))
+    return "0.0000" if cell == "-0.0000" else cell
+
+
+cell_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-2e7, max_value=2e7),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+    # exact decimals at 4 places, the values reports mostly hold
+    st.integers(-(10**11), 10**11).map(lambda k: k / 1e4),
+    # ties: inexact ones at 5 places and dyadic ones at 5 binary places
+    st.integers(-(10**11), 10**11).map(lambda k: (k + 0.5) / 1e4),
+    st.integers(-(2**40), 2**40).map(lambda k: k / 32),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(cell_values, min_size=1, max_size=40))
+@example([1.03125, 0.00005, -0.00005, -0.00004, -0.0, 9999999.99995, -9999999.99997])
+@example([1e7, 1e8, math.nan, math.inf, -math.inf])
+@example([5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308])
+def test_encoder_matches_the_exact_decimal_rounding(values):
+    for value in values:
+        cell = encoded([value])
+        if math.isfinite(value):
+            assert _db(value) == exact_cell(value)
+        if cell is None:
+            assert len(_db(value)) > SLOT_TEXT_MAX
+        else:
+            assert cell == _db(value) + "\n"
+    text = encoded(values)
+    if text is None:
+        assert any(encoded([value]) is None for value in values)
+    else:
+        assert text == "".join(_db(value) + "\n" for value in values)
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (1.03125, "1.0312"),
+        (1.09375, "1.0938"),
+        (0.00005, "0.0001"),
+        (-0.00005, "-0.0001"),
+        (-0.00004, "0.0000"),
+        (-0.0, "0.0000"),
+        (9999999.99995, "9999999.9999"),
+        (-9999999.99997, "-10000000.0000"),
+        (1e7, "10000000.0000"),
+        (1e8, "100000000.0000"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (5e-324, "0.0000"),
+        (-5e-324, "0.0000"),
+    ],
+)
+def test_edge_cells(value, cell):
+    assert _db(value) == cell
+    text = table("v", [np.array([value, 2.5, -3.25])])
+    assert text == f"v\n{cell}\n2.5000\n-3.2500\n"
+    assert encoded([value]) == (None if len(cell) > SLOT_TEXT_MAX else cell + "\n")
+
+
+@pytest.mark.parametrize("value", [80.03125, 0.00005, math.nan, -9999999.99997, 1e8])
+@pytest.mark.parametrize("row", [0, _CHUNK_ROWS - 1, _CHUNK_ROWS + 5, 2 * _CHUNK_ROWS + 2])
+def test_one_fallback_cell_among_encoded_rows(value, row):
+    rng = np.random.default_rng(row)
+    n = 2 * _CHUNK_ROWS + 3
+    columns = [rng.uniform(-300.0, 300.0, n), rng.normal(0.0, 1e-3, n)]
+    columns[1][row] = value
+    starts = range(0, n, _CHUNK_ROWS)
+    blocks = [np.column_stack([c[s : s + _CHUNK_ROWS] for c in columns]) for s in starts]
+    # only a cell too long for its slot sends its chunk cell by cell through _db
+    too_long = len(_db(value)) > SLOT_TEXT_MAX
+    assert [_encode(block) is None for block in blocks] == [
+        too_long and s <= row < s + _CHUNK_ROWS for s in starts
+    ]
+    assert table("a,b", columns) == reference_table("a,b", columns)
+
+
+def test_blank_measured_cells_at_chunk_edges(tmp_path):
+    # rows: grid 0.1, then _CHUNK_ROWS - 2 samples below 0.2, so the grid
+    # points 0.2 and 0.3 end the first chunk and start the second; the last
+    # row is the grid point 3.0
+    rng = np.random.default_rng(21)
+    d = np.concatenate([rng.uniform(0.1001, 0.1999, _CHUNK_ROWS - 2), rng.uniform(0.31, 2.9, 300)])
+    meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
+    rows = profile_rows(tmp_path, meas, (0.1, 3.0, 0.1), kinds=list(ModelKind))
+    for index in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, len(rows) - 1):
+        assert rows[index][1] == ""
+    assert rows[1][1] != "" and rows[_CHUNK_ROWS + 1][1] != ""
+
+
+@pytest.mark.parametrize("value", [125.03125, 1e8])
+def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, value):
+    # the second chunk, where the W-BERT file ends, holds a measured dyadic
+    # tie, which takes its slot's text from _db, or a cell too long for a
+    # slot, which sends that chunk cell by cell through _db for every model
+    rng = np.random.default_rng(17)
+    n = _CHUNK_ROWS + 500
+    d = np.round(rng.uniform(0.1, 9.5, n), 4)
+    p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n), 3)
+    p[np.argmax(d)] = value
+    meas = MeasurementSet(d, p)
+    kinds = [ModelKind.W_BERT, ModelKind.CWI_M]
+    wb_rows = profile_rows(tmp_path, meas, (0.1, 12.0, 0.01), kinds=kinds)
+    wi_rows = (tmp_path / "out" / "profile_CWI-M.csv").read_text().splitlines()[1:]
+    assert _CHUNK_ROWS < len(wb_rows) < len(wi_rows) < 2 * _CHUNK_ROWS
+    assert [row[1] for row in wb_rows].index(_db(value)) >= _CHUNK_ROWS
+
+
+def reference_profile_rows(axis, meas, grid):
+    """Profile rows from a stable sort of the measured and then grid keys."""
+    n = len(meas)
+    index = np.searchsorted(axis, np.concatenate([meas.distances_km, grid]))
+    measured = np.zeros(axis.size, dtype=bool)
+    measured[index[:n]] = True
+    rows = np.concatenate([index[:n], index[n:][~measured[index[n:]]]])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], np.where(order < n, order, -1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_profile_rows_match_a_sort_of_all_keys(seed):
+    rng = np.random.default_rng(seed)
+    d = np.round(rng.uniform(0.1, 2.0, int(rng.integers(1, 400))), int(rng.integers(1, 4)))
+    grid = prediction_grid(0.1, 2.0, float(rng.choice([0.05, 0.1, 0.25])))
+    if seed == 5:
+        # a step too fine to move d_min: the grid repeats its points
+        grid = prediction_grid(1.0, 1.0 + 4.5e-16, 1e-16)
+        assert np.unique(grid).size < grid.size
+    meas = MeasurementSet(d, np.full(d.size, 90.0))
+    axis = np.unique(np.concatenate([d, grid]))
+    rows, sample = _profile_rows(axis, meas, grid)
+    expected_rows, expected_sample = reference_profile_rows(axis, meas, grid)
+    np.testing.assert_array_equal(rows, expected_rows)
+    np.testing.assert_array_equal(sample, expected_sample)
