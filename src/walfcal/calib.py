@@ -20,6 +20,7 @@ residuals are the stable quantities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,9 @@ from .models import ModelKind, Terrain
 
 __all__ = [
     "Calibration",
-    "DisaggregationProfile",
     "MeasurementSet",
     "calibrate",
-    "disaggregate",
+    "group_losses",
     "minimum_norm_lstsq",
     "predict_calibrated",
 ]
@@ -49,7 +49,6 @@ class MeasurementSet:
 
     distances_km: np.ndarray
     pathloss_db: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.distances_km, dtype=float))
@@ -119,6 +118,13 @@ def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK
     return x, int(rank)
 
 
+def _reduced_system(basis: BasisSet, d_km):
+    """Φ(d), the Q of its thin QR Φ = QR, and R·M, which has the rank of Φ·M."""
+    phi = basis.features(d_km)
+    q, r = np.linalg.qr(phi)
+    return phi, q, r @ basis.weights
+
+
 def calibrate(
     kind: ModelKind,
     terrain: Terrain,
@@ -131,9 +137,8 @@ def calibrate(
     column; in particular its mean is zero because constants lie in the span.
     """
     basis = build_basis(kind, terrain)
-    phi = basis.features(meas.distances_km)
-    q, r = np.linalg.qr(phi)
-    alpha, rank = minimum_norm_lstsq(r @ basis.weights, q.T @ meas.pathloss_db, cutoff)
+    phi, q, reduced = _reduced_system(basis, meas.distances_km)
+    alpha, rank = minimum_norm_lstsq(reduced, q.T @ meas.pathloss_db, cutoff)
     fitted = phi @ (basis.weights @ alpha)
     for arr in (alpha, fitted):
         arr.setflags(write=False)
@@ -152,42 +157,27 @@ def predict_calibrated(c: Calibration, d_km):
     return c.basis.evaluate(d_km, c.alpha)
 
 
-@dataclass(frozen=True)
-class DisaggregationProfile:
-    """Per-group contributions to net pathloss over a distance axis.
+def group_losses(c: Calibration, distances_km) -> np.ndarray:
+    """Per-group contributions to the basic and the calibrated prediction.
 
-    basic uses unit weights, calibrated uses the fitted coefficients; each
-    mapping's values sum per distance to the corresponding net prediction.
+    One row per distance; columns are each group's basic contribution, in
+    c.basis.groups order, then their total, then the same for the calibrated
+    contributions: the layout of a disagg file after its distance column.
+    Each group's column is Φ(d) times a column of the features×groups table C
+    of summed term weights (unit weights for basic, α for calibrated).
     """
-
-    kind: ModelKind
-    distances_km: np.ndarray
-    groups: tuple[str, ...]
-    basic: dict[str, np.ndarray]
-    calibrated: dict[str, np.ndarray]
-
-    def net_basic(self) -> np.ndarray:
-        return np.sum([self.basic[g] for g in self.groups], axis=0)
-
-    def net_calibrated(self) -> np.ndarray:
-        return np.sum([self.calibrated[g] for g in self.groups], axis=0)
-
-
-def disaggregate(c: Calibration, distances_km) -> DisaggregationProfile:
-    """Split basic and calibrated predictions into per-group contributions."""
-    d = np.array(distances_km, dtype=float, ndmin=1)
-    phi = c.basis.features(d)
-    basic: dict[str, np.ndarray] = {}
-    calibrated: dict[str, np.ndarray] = {}
-    for group in c.basis.groups:
-        idx = list(c.basis.group_indices(group))
-        weights = c.basis.weights[:, idx]
-        basic[group] = phi @ weights.sum(axis=1)
-        calibrated[group] = phi @ (weights @ c.alpha[idx])
-    return DisaggregationProfile(
-        kind=c.kind,
-        distances_km=d,
-        groups=c.basis.groups,
-        basic=basic,
-        calibrated=calibrated,
-    )
+    basis = c.basis
+    basic, calibrated = [], []
+    for group in basis.groups:
+        idx = list(basis.group_indices(group))
+        weights = basis.weights[:, idx]
+        basic.append(weights.sum(axis=1))
+        calibrated.append(weights @ c.alpha[idx])
+    # a zero column of C holds each total's place in the product; a total
+    # then adds its side's group columns one by one, in group order
+    zero = np.zeros(len(basis.weights))
+    values = basis.features(distances_km) @ np.column_stack([*basic, zero, *calibrated, zero])
+    g = len(basis.groups)
+    for total in (g, 2 * g + 1):
+        values[:, total] = functools.reduce(np.add, values[:, total - g : total].T)
+    return values

@@ -11,9 +11,10 @@ is truncated at the Walfisch-Bertoni curvature limit, with a warning.
 
 All numeric report cells use 4 decimals (negative zero prints as 0.0000),
 and identical inputs produce byte-identical output files.  Report tables are
-encoded by numpy a chunk of rows at a time, into fixed-width byte slots; a
-cell numpy cannot round with certainty (not finite, 1e7 or more, or next to
-a .5 tie) takes its text from _db, so every cell reads as f"{v:.4f}" does.
+encoded (disagg and predict tables also evaluated) by numpy a chunk of rows
+at a time, into fixed-width byte slots; a cell numpy cannot round with
+certainty (not finite, 1e7 or more, or next to a .5 tie) takes its text from
+_db, so every cell reads as f"{v:.4f}" does.
 Only a chunk holding a cell too long for its slot (|v| of about 1e7 or more,
 at least 14 characters) is formatted cell by cell.  One model's failure
 (for example measurement distances beyond the Walfisch-Bertoni curvature
@@ -39,8 +40,9 @@ from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, eff
 from .calib import (
     Calibration,
     MeasurementSet,
+    _reduced_system,
     calibrate,
-    disaggregate,
+    group_losses,
     predict_calibrated,
 )
 from .errors import DomainError, ParseError, WalfcalError
@@ -171,7 +173,7 @@ def load_measurements(path) -> MeasurementSet:
         distances, losses = _read_measurements_by_line(path)
     else:
         distances, losses = table.T.copy()
-    return MeasurementSet(distances, losses, label=path.stem)
+    return MeasurementSet(distances, losses)
 
 
 # Line boundaries of str.splitlines beyond \n and \r, UTF-8 encoded.  numpy
@@ -252,15 +254,20 @@ def save_measurements(meas: MeasurementSet, path) -> None:
 
 
 def prediction_grid(d_min_km: float, d_max_km: float, d_step_km: float) -> np.ndarray:
-    """Inclusive arithmetic grid from d_min to d_max in steps of d_step."""
+    """Inclusive arithmetic grid from d_min to d_max in steps of d_step, with no repeated point."""
     if d_step_km <= 0.0 or d_min_km <= 0.0 or d_max_km < d_min_km:
         raise DomainError("grid must satisfy 0 < d_min <= d_max with positive step")
     steps = (d_max_km - d_min_km) / d_step_km + 1e-9
     # checked before floor(), which fails on the inf a subnormal step gives
     if steps >= _GRID_POINTS_MAX:
         raise DomainError(f"d_step_km = {d_step_km!r} gives over {_GRID_POINTS_MAX} grid points")
-    count = int(math.floor(steps)) + 1
-    return d_min_km + d_step_km * np.arange(count)
+    grid = d_min_km + d_step_km * np.arange(int(math.floor(steps)) + 1)
+    if not (np.diff(grid) > 0.0).all():
+        raise DomainError(
+            f"d_step_km = {d_step_km!r} is below the spacing of doubles near "
+            f"d_min_km = {d_min_km!r}: the grid would repeat points"
+        )
+    return grid
 
 
 @dataclass(frozen=True)
@@ -405,14 +412,17 @@ def _row_bytes(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return data[keep.view(bool).reshape(data.shape)]
 
 
-def _write_table(out, header: str, columns) -> None:
-    """Write a header line, then rows of cells as _db formats them.
+def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
+    """Write a header line, then one row per distance in d, its cells as _db
+    formats them: the distance, then that row of columns_of(d).
 
-    columns are equal-length float arrays, written _CHUNK_ROWS rows at a time.
+    columns_of is evaluated on one _CHUNK_ROWS chunk of d at a time, so no
+    value array over all of d is built.
     """
     out.write(header + "\n")
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        block = np.column_stack([column[start : start + _CHUNK_ROWS] for column in columns])
+    for start in range(0, d.size, _CHUNK_ROWS):
+        chunk = d[start : start + _CHUNK_ROWS]
+        block = np.column_stack([chunk, columns_of(chunk)])
         cells = _encode(block)
         if cells is None:
             out.write("".join(",".join(map(_db, row)) + "\n" for row in block.tolist()))
@@ -521,16 +531,12 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
 
 
 def _write_disagg(path, cal, distances_km) -> None:
-    profile = disaggregate(cal, distances_km)
-    groups = profile.groups
+    groups = cal.basis.groups
     header = ["distance_km"]
     header += [f"basic_{g}_db" for g in groups] + ["basic_total_db"]
     header += [f"calibrated_{g}_db" for g in groups] + ["calibrated_total_db"]
-    columns = [profile.distances_km]
-    columns += [profile.basic[g] for g in groups] + [profile.net_basic()]
-    columns += [profile.calibrated[g] for g in groups] + [profile.net_calibrated()]
     with open(path, "w", newline="\n") as out:
-        _write_table(out, ",".join(header), columns)
+        _write_table(out, ",".join(header), distances_km, lambda d: group_losses(cal, d))
 
 
 def _write_coefficients(path, cal) -> None:
@@ -579,9 +585,9 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
     ModelRun while the remaining variants still produce their files.
     """
     meas = load_measurements(measurements_path)
+    grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     # the report axis: the sorted distinct distances of measured ∪ grid
     axis = np.unique(np.concatenate([meas.distances_km, grid]))
     runs = tuple(_run_one(kind, config, meas, grid, axis, out_dir) for kind in config.models)
@@ -689,16 +695,16 @@ def _cmd_predict(args) -> int:
     if args.coefficients:
         basis = build_basis(kind, config.terrain)
         _, alpha = load_coefficients(args.coefficients, basis)
-        values = basis.evaluate(grid, alpha)
+        values_of = functools.partial(basis.evaluate, weights=alpha)
     else:
-        values = np.atleast_1d(predict_basic(kind, config.terrain, grid))
+        values_of = functools.partial(predict_basic, kind, config.terrain)
     header = "distance_km,pathloss_db"
     if args.output:
         with open(args.output, "w", newline="\n") as out:
-            _write_table(out, header, [grid, values])
+            _write_table(out, header, grid, values_of)
         print(f"predictions written to {args.output}")
     else:
-        _write_table(sys.stdout, header, [grid, values])
+        _write_table(sys.stdout, header, grid, values_of)
     return 0
 
 
@@ -726,14 +732,12 @@ def _cmd_rank(args) -> int:
                 continue
         basis = build_basis(kind, config.terrain)
         try:
-            features = basis.features(model_d)
+            _, _, reduced = _reduced_system(basis, model_d)
         except WalfcalError as exc:
             print(f"error: {kind.value}: {exc}", file=sys.stderr)
             failed = True
             continue
-        # Φ = QR: R·M has the singular values of the design matrix Φ·M
-        _, r = np.linalg.qr(features)
-        rank = effective_rank(r @ basis.weights, tol)
+        rank = effective_rank(reduced, tol)
         print(
             f"{kind.value}: rank={rank} (rows={model_d.size}, functions={len(basis)}, tol={tol:g})"
         )

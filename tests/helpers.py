@@ -1,4 +1,4 @@
-"""Randomized-input builders shared by the test modules."""
+"""Randomized-input builders and a text comparison shared by the test modules."""
 
 import math
 
@@ -35,3 +35,24 @@ def random_campaign(rng, n_lo=30, n_hi=300):
     trend = rng.uniform(100.0, 140.0) + rng.uniform(20.0, 40.0) * np.log10(d)
     noisy = trend + rng.normal(0.0, rng.uniform(0.5, 6.0), size=n)
     return terrain, MeasurementSet(d, np.maximum(noisy, 1.0))
+
+
+def assert_same_text(actual, expected) -> None:
+    """Exact equality of two texts or byte strings.
+
+    A difference is reported by its first differing line, with both versions
+    of that line, rather than by a diff of the whole texts, which takes
+    minutes on a report of some 10 000 lines.
+    """
+    if actual == expected:
+        return
+    ours, theirs = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    line = next(
+        (n for n, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs))
+    )
+    found = ours[line] if line < len(ours) else "<end of text>"
+    wanted = theirs[line] if line < len(theirs) else "<end of text>"
+    raise AssertionError(
+        f"texts differ first at line {line + 1} of {len(ours)} (expected {len(theirs)}): "
+        f"{found!r} != {wanted!r}"
+    )

@@ -10,7 +10,6 @@ PACKAGE_NAMES = [
     "CurvatureDomainError",
     "Density",
     "DesignMatrix",
-    "DisaggregationProfile",
     "DomainError",
     "Family",
     "MeasurementSet",
@@ -26,9 +25,9 @@ PACKAGE_NAMES = [
     "building_geometry_term",
     "calibrate",
     "design_matrix",
-    "disaggregate",
     "effective_rank",
     "free_space_loss",
+    "group_losses",
     "improvement_pct",
     "minimum_norm_lstsq",
     "mpe",

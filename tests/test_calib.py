@@ -16,8 +16,8 @@ from walfcal import (
     build_basis,
     calibrate,
     design_matrix,
-    disaggregate,
     free_space_loss,
+    group_losses,
     minimum_norm_lstsq,
     predict_basic,
     predict_calibrated,
@@ -40,11 +40,10 @@ def brute_force_fit(columns: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 class TestMeasurementSet:
     def test_holds_samples_in_order(self):
-        m = MeasurementSet([2.0, 0.5, 0.5], [110.0, 90.0, 91.0], label="site-a")
+        m = MeasurementSet([2.0, 0.5, 0.5], [110.0, 90.0, 91.0])
         assert len(m) == 3
         assert m.distances_km == pytest.approx([2.0, 0.5, 0.5])
         assert m.pathloss_db == pytest.approx([110.0, 90.0, 91.0])
-        assert m.label == "site-a"
 
     def test_arrays_are_read_only(self):
         m = MeasurementSet([1.0], [100.0])
@@ -264,25 +263,27 @@ class TestPredictCalibrated:
 
 
 class TestDisaggregate:
+    """group_losses columns: basic per group, basic total, calibrated per
+    group, calibrated total."""
+
     def test_groups_sum_to_net(self):
         rng = np.random.default_rng(107)
         t, meas = random_campaign(rng, n_lo=30, n_hi=60)
         d = random_distances(rng, t, 15)
         for kind in ALL_KINDS:
             cal = calibrate(kind, t, meas)
-            profile = disaggregate(cal, d)
-            assert profile.net_calibrated() == pytest.approx(
-                predict_calibrated(cal, d), abs=1e-9
-            )
-            assert profile.net_basic() == pytest.approx(predict_basic(kind, t, d), abs=1e-9)
+            values = group_losses(cal, d)
+            g = len(cal.basis.groups)
+            assert values[:, 2 * g + 1] == pytest.approx(predict_calibrated(cal, d), abs=1e-9)
+            assert values[:, g] == pytest.approx(predict_basic(kind, t, d), abs=1e-9)
 
     def test_basic_free_space_group(self):
         t = make_terrain()
         meas = MeasurementSet([0.5, 1.0, 2.0], [95.0, 105.0, 112.0])
         cal = calibrate(ModelKind.CWI_M, t, meas)
-        profile = disaggregate(cal, [1.0])
-        assert profile.basic["FSP"][0] == pytest.approx(91.4848501887865, abs=1e-4)
-        assert profile.basic["FSP"][0] == pytest.approx(free_space_loss(1.0, t.f_mhz), abs=1e-12)
+        fsp = group_losses(cal, [1.0])[0, cal.basis.groups.index("FSP")]
+        assert fsp == pytest.approx(91.4848501887865, abs=1e-4)
+        assert fsp == pytest.approx(free_space_loss(1.0, t.f_mhz), abs=1e-12)
 
     def test_unit_weights_collapse_profiles(self):
         t = make_terrain()
@@ -296,14 +297,13 @@ class TestDisaggregate:
             measured_db=np.zeros(3),
             fitted_db=np.zeros(3),
         )
-        profile = disaggregate(cal, d)
-        for group in profile.groups:
-            assert profile.calibrated[group] == pytest.approx(profile.basic[group], abs=1e-12)
+        basic, calibrated = np.hsplit(group_losses(cal, d), 2)
+        assert calibrated == pytest.approx(basic, abs=1e-12)
 
     def test_group_keys_match_basis(self):
         rng = np.random.default_rng(109)
         t, meas = random_campaign(rng, n_lo=30, n_hi=40)
-        cal = calibrate(ModelKind.W_BERT, t, meas)
-        profile = disaggregate(cal, meas.distances_km[:4])
-        assert set(profile.basic) == set(profile.groups)
-        assert set(profile.calibrated) == set(profile.groups)
+        for kind in (ModelKind.W_BERT, ModelKind.CWI_M):
+            cal = calibrate(kind, t, meas)
+            values = group_losses(cal, meas.distances_km[:4])
+            assert values.shape == (4, 2 * len(cal.basis.groups) + 2)

@@ -323,6 +323,12 @@ class TestPredictionGrid:
         with pytest.raises(DomainError, match="d_step_km"):
             prediction_grid(0.1, 4.6, 0.1)
 
+    def test_step_too_fine_to_move_d_min_is_rejected(self):
+        # 1 + k·1e-16 rounds to 1 or to its neighbours: 5 points, 3 distinct
+        with pytest.raises(DomainError, match="d_step_km = 1e-16"):
+            prediction_grid(1.0, 1.0000000000000004, 1e-16)
+        assert prediction_grid(1.0, 1.0000000000000004, 2.220446049250313e-16).size == 3
+
 
 class TestCampaignConfigValidation:
     def base(self, **overrides):
@@ -752,6 +758,24 @@ class TestMainCommand:
         argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
         assert main([*argv, "--output-dir", str(out_dir)]) == 1
         assert "error: rank_tol must lie in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "predict", "rank"])
+    def test_grid_with_repeated_points_fails(self, tmp_path, capsys, command):
+        config_path, meas_path = write_campaign(tmp_path, d_max="1.0000000000000004")
+        text = config_path.read_text().replace("d_min_km = 0.1", "d_min_km = 1")
+        config_path.write_text(text.replace("d_step_km = 0.1", "d_step_km = 1e-16"))
+        out_dir = tmp_path / "out"
+        argv = {
+            "calibrate": ["--measurements", str(meas_path), "--output-dir", str(out_dir)],
+            "predict": ["--model", "CWI-M"],
+            "rank": [],
+        }[command]
+        assert main([command, "--config", str(config_path), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: d_step_km = 1e-16 ")
+        assert captured.err.count("\n") == 1
         assert not out_dir.exists()
 
     def test_error_surfaces_as_exit_code(self, tmp_path, capsys):

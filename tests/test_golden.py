@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import assert_same_text
 from walfcal.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,14 +41,14 @@ def test_golden_set_is_complete():
 
 @pytest.mark.parametrize("name", REPORT_NAMES)
 def test_calibrate_report_bytes(sample_run, name):
-    assert (sample_run / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert_same_text((sample_run / name).read_bytes(), (GOLDEN / name).read_bytes())
 
 
 @pytest.mark.parametrize("model", PREDICT_MODELS)
 def test_predict_basic_stdout_bytes(capsys, model):
     assert main(["predict", "--config", str(CONFIG), "--model", model]) == 0
     golden = (GOLDEN / f"predict_basic_{model}.csv").read_text()
-    assert capsys.readouterr().out == golden
+    assert_same_text(capsys.readouterr().out, golden)
 
 
 @pytest.mark.parametrize("model", PREDICT_MODELS)
@@ -55,7 +56,7 @@ def test_predict_basic_file_bytes(tmp_path, model):
     out = tmp_path / "pred.csv"
     argv = ["predict", "--config", str(CONFIG), "--model", model, "--output", str(out)]
     assert main(argv) == 0
-    assert out.read_bytes() == (GOLDEN / f"predict_basic_{model}.csv").read_bytes()
+    assert_same_text(out.read_bytes(), (GOLDEN / f"predict_basic_{model}.csv").read_bytes())
 
 
 @pytest.mark.parametrize("model", PREDICT_MODELS)
@@ -64,4 +65,4 @@ def test_predict_replayed_coefficients_bytes(sample_run, tmp_path, model):
     coefficients = sample_run / f"coefficients_{model}.csv"
     argv = ["predict", "--config", str(CONFIG), "--model", model]
     assert main([*argv, "--coefficients", str(coefficients), "--output", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"predict_calibrated_{model}.csv").read_bytes()
+    assert_same_text(out.read_bytes(), (GOLDEN / f"predict_calibrated_{model}.csv").read_bytes())

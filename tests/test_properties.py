@@ -28,7 +28,7 @@ from walfcal import (
     build_basis,
     calibrate,
     design_matrix,
-    disaggregate,
+    group_losses,
     mpe,
     predict_basic,
     predict_calibrated,
@@ -128,7 +128,27 @@ def test_evaluation_paths_agree(campaign, kind):
     cal = calibrate(kind, terrain, meas)
     basic = predict_basic(kind, terrain, d)
     assert np.max(np.abs(cal.basis.evaluate(d, np.ones(len(cal.basis))) - basic)) <= TOL_DB
-    profile = disaggregate(cal, d)
-    assert np.max(np.abs(profile.net_basic() - basic)) <= TOL_DB
-    assert np.max(np.abs(profile.net_calibrated() - predict_calibrated(cal, d))) <= TOL_DB
     assert np.array_equal(predict_calibrated(cal, d), cal.fitted_db)
+
+
+@PROPERTY_SETTINGS
+@given(campaign=campaigns(), kind=st.sampled_from(ALL_KINDS))
+def test_group_losses_add_up_to_both_predictions(campaign, kind):
+    terrain, meas = campaign
+    _assume_clear_rank(terrain, meas, [kind])
+    d = meas.distances_km
+    cal = calibrate(kind, terrain, meas)
+    values = group_losses(cal, d)
+    groups = cal.basis.groups
+    g = len(groups)
+    assert values.shape == (d.size, 2 * g + 2)
+    basic, calibrated = values[:, : g + 1], values[:, g + 1 :]
+    for side, net in ((basic, predict_basic(kind, terrain, d)), (calibrated, cal.fitted_db)):
+        assert np.max(np.abs(side[:, :g].sum(axis=1) - side[:, g])) <= TOL_DB
+        assert np.max(np.abs(side[:, g] - net)) <= TOL_DB
+    # each group column is the sum of its terms' design-matrix columns
+    terms = design_matrix(cal.basis, d).matrix
+    for n, group in enumerate(groups):
+        idx = list(cal.basis.group_indices(group))
+        assert np.max(np.abs(basic[:, n] - terms[:, idx].sum(axis=1))) <= TOL_DB
+        assert np.max(np.abs(calibrated[:, n] - terms[:, idx] @ cal.alpha[idx])) <= TOL_DB

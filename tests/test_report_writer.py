@@ -10,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walfcal import MeasurementSet, ModelKind, Terrain, calibrate, predict_basic, predict_calibrated
+from helpers import assert_same_text
+from walfcal import (
+    MeasurementSet,
+    ModelKind,
+    Terrain,
+    calibrate,
+    group_losses,
+    predict_basic,
+    predict_calibrated,
+)
 from walfcal.cli import (
     _CHUNK_ROWS,
     CampaignConfig,
@@ -18,6 +27,7 @@ from walfcal.cli import (
     _encode,
     _profile_rows,
     _row_bytes,
+    _write_disagg,
     _write_table,
     prediction_grid,
     run_calibration,
@@ -60,8 +70,21 @@ def reference_profile(kind, meas, grid) -> str:
 
 
 def table(header, columns) -> str:
+    """_write_table's text for the given columns: the first is the distance
+    axis, and the others are served chunk by chunk as the axis reaches them."""
+    d = columns[0]
+    rest = np.column_stack([*columns[1:], np.empty((d.size, 0))])
+    served = 0
+
+    def columns_of(chunk):
+        nonlocal served
+        np.testing.assert_array_equal(chunk, d[served : served + chunk.size])
+        served += chunk.size
+        return rest[served - chunk.size : served]
+
     out = io.StringIO()
-    _write_table(out, header, columns)
+    _write_table(out, header, d, columns_of)
+    assert served == d.size
     return out.getvalue()
 
 
@@ -75,7 +98,7 @@ def profile_rows(tmp_path, meas, grid, kinds=(ModelKind.CWI_M,)):
     found = []
     for kind in kinds:
         text = (tmp_path / "out" / f"profile_{kind.value}.csv").read_text()
-        assert text == reference_profile(kind, meas, points)
+        assert_same_text(text, reference_profile(kind, meas, points))
         found.append([line.split(",") for line in text.splitlines()[1:]])
     return found[0]
 
@@ -103,7 +126,7 @@ def test_chunk_boundaries_match_reference():
     columns = [rng.normal(0.0, 1e-3, n), rng.uniform(-200.0, 200.0, n), rng.normal(0.0, 1e-4, n)]
     text = table("x,y,z", columns)
     assert text.count("\n") == n + 1
-    assert text == reference_table("x,y,z", columns)
+    assert_same_text(text, reference_table("x,y,z", columns))
 
 
 def test_grid_only_rows_have_empty_measured_cell(tmp_path):
@@ -275,7 +298,7 @@ def test_one_fallback_cell_among_encoded_rows(value, row):
     assert [_encode(block) is None for block in blocks] == [
         too_long and s <= row < s + _CHUNK_ROWS for s in starts
     ]
-    assert table("a,b", columns) == reference_table("a,b", columns)
+    assert_same_text(table("a,b", columns), reference_table("a,b", columns))
 
 
 def test_blank_measured_cells_at_chunk_edges(tmp_path):
@@ -326,8 +349,9 @@ def test_profile_rows_match_a_sort_of_all_keys(seed):
     d = np.round(rng.uniform(0.1, 2.0, int(rng.integers(1, 400))), int(rng.integers(1, 4)))
     grid = prediction_grid(0.1, 2.0, float(rng.choice([0.05, 0.1, 0.25])))
     if seed == 5:
-        # a step too fine to move d_min: the grid repeats its points
-        grid = prediction_grid(1.0, 1.0 + 4.5e-16, 1e-16)
+        # a grid that repeats its points, as a step too fine to move d_min
+        # would give if prediction_grid did not reject it
+        grid = 1.0 + 1e-16 * np.arange(5)
         assert np.unique(grid).size < grid.size
     meas = MeasurementSet(d, np.full(d.size, 90.0))
     axis = np.unique(np.concatenate([d, grid]))
@@ -335,3 +359,25 @@ def test_profile_rows_match_a_sort_of_all_keys(seed):
     expected_rows, expected_sample = reference_profile_rows(axis, meas, grid)
     np.testing.assert_array_equal(rows, expected_rows)
     np.testing.assert_array_equal(sample, expected_sample)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_disagg_chunks_equal_whole_axis_evaluation(tmp_path, kind):
+    # group_losses of each chunk equals that of the whole axis bit for bit,
+    # so the file reads as the whole-axis values formatted cell by cell
+    rng = np.random.default_rng(23)
+    t = Terrain(f_mhz=1800.0, w_m=15.0, b_m=40.0, phi_deg=50.0, dh_rx_m=9.0, dh_tx_m=20.0)
+    d = np.sort(rng.uniform(0.02, 18.0, 2 * _CHUNK_ROWS + 3))
+    sampled = d[::50]
+    noise = rng.normal(0.0, 3.0, sampled.size)
+    meas = MeasurementSet(sampled, 110.0 + 35.0 * np.log10(sampled) + noise)
+    cal = calibrate(kind, t, meas)
+    whole = group_losses(cal, d)
+    chunks = [group_losses(cal, d[s : s + _CHUNK_ROWS]) for s in range(0, d.size, _CHUNK_ROWS)]
+    assert len(chunks) == 3
+    assert np.array_equal(np.vstack(chunks), whole)
+    _write_disagg(tmp_path / "disagg.csv", cal, d)
+    text = (tmp_path / "disagg.csv").read_text()
+    header = text.split("\n", 1)[0]
+    assert header.count(",") == whole.shape[1]
+    assert_same_text(text, reference_table(header, [d, *whole.T]))
