@@ -49,6 +49,9 @@ __all__ = [
 WI_GROUPS = ("FSP", "RTS", "MSD")
 WB_GROUPS = ("CORE", "HEIGHT", "GEOMETRY", "CURVATURE")
 RANK_TOL_DEFAULT = 1e-10
+# rows per block wherever Φ is evaluated in blocks: a fit's QR fold, its
+# fitted values and each report table's chunks
+_CHUNK_ROWS = 8192
 
 # feature columns of Φ
 _ONE, _LOG_D, _CURVATURE = 0, 1, 2
@@ -96,18 +99,43 @@ class BasisSet:
 
     def features(self, d_km) -> np.ndarray:
         """Φ(d), one row per distance; validates d and the W-BERT domain once."""
+        d = self._checked(d_km)
+        return self._fill(d, np.empty((d.size, len(self.weights))))
+
+    def _checked(self, d_km) -> np.ndarray:
+        """d as a flat float array, once it passed the distance and, for
+        W-BERT, the curvature-domain checks that Φ's columns need."""
         d = _as_distance(d_km)[0].ravel()
-        columns = [np.ones_like(d), np.log10(d)]
         if self.kind is ModelKind.W_BERT:
             _check_wb_domain(d, self.terrain.dh_tx_m)
-            columns.append(np.log10(1.0 - d * d / (17.0 * self.terrain.dh_tx_m)))
-        return np.column_stack(columns)
+        return d
+
+    def _fill(self, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write Φ(d) into the first columns of out, a block of d.size rows,
+        and return that part; d must have passed _checked."""
+        out[:, _ONE] = 1.0
+        out[:, _LOG_D] = np.log10(d)
+        if self.kind is ModelKind.W_BERT:
+            out[:, _CURVATURE] = np.log10(1.0 - d * d / (17.0 * self.terrain.dh_tx_m))
+        return out[:, : len(self.weights)]
 
     def evaluate(self, d_km, weights):
         """Weighted sum of the terms in dB, Φ(d) @ (M @ weights); a float for a scalar d."""
         d = np.asarray(d_km, dtype=float)
-        values = self.features(d) @ (self.weights @ weights)
+        values = self._evaluate(self._checked(d), weights)
         return float(values[0]) if d.ndim == 0 else values.reshape(d.shape)
+
+    def _evaluate(self, d: np.ndarray, weights) -> np.ndarray:
+        """Φ(d) @ (M @ weights) for d that passed _checked, one _CHUNK_ROWS
+        block of Φ at a time."""
+        coef = self.weights @ weights
+        values = np.empty(d.size)
+        block = np.empty((min(d.size, _CHUNK_ROWS), len(self.weights)))
+        for start in range(0, d.size, _CHUNK_ROWS):
+            chunk = d[start : start + _CHUNK_ROWS]
+            phi = self._fill(chunk, block[: chunk.size])
+            np.matmul(phi, coef, out=values[start : start + chunk.size])
+        return values
 
 
 @dataclass(frozen=True)

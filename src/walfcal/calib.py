@@ -8,9 +8,14 @@ minimum-norm least-squares solution via SVD with a relative cutoff, which
 coincides with the Gram-system solve whenever that system is well posed and
 leaves the fitted values dependent only on the column space.
 
-The n×k design matrix Φ·M is never formed: after a thin QR Φ = QR, the tiny
-system (R·M) α ~ Qᵀp has the same minimum-norm solution and singular values,
-as Q has orthonormal columns whatever the rank of Φ.
+Neither the design matrix Φ·M nor Φ itself is formed.  The R of a QR of
+[Φ | p] is folded one _CHUNK_ROWS block at a time, as in a sequential
+tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
+34(1), 2012): R ← R of [R; Φ(d_c) | p_c].  No Q is formed either.  R's
+leading columns, one per feature, are the R of Φ = QR, and its last column
+above the diagonal is Qᵀp, so the tiny system (R·M) α ~ Qᵀp has the
+minimum-norm solution and the singular values of the full one, as Q has
+orthonormal columns whatever the rank of Φ.
 
 Consequences worth knowing before comparing runs: coefficient vectors are
 unique only modulo the null space, so per-coefficient (and per-group) values
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis
+from .basis import _CHUNK_ROWS, RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis
 from .errors import DomainError
 from .models import ModelKind, Terrain
 
@@ -44,7 +49,8 @@ class MeasurementSet:
     """Ordered (distance, measured pathloss) samples from one campaign.
 
     Distances need not be unique or sorted; duplicates act as natural
-    weights in the fit.  Pathloss values must be positive and finite.
+    weights in the fit.  Pathloss values must be positive and finite.  The
+    set holds read-only views of the arrays it is given, not copies.
     """
 
     distances_km: np.ndarray
@@ -63,6 +69,8 @@ class MeasurementSet:
             raise DomainError("measurement distances must be positive and finite")
         if not (np.all(np.isfinite(p)) and np.all(p > 0.0)):
             raise DomainError("measured pathloss values must be positive and finite")
+        # read-only views, so the caller's own arrays stay writeable
+        d, p = d.view(), p.view()
         d.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "distances_km", d)
@@ -118,11 +126,31 @@ def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK
     return x, int(rank)
 
 
-def _reduced_system(basis: BasisSet, d_km):
-    """Φ(d), the Q of its thin QR Φ = QR, and R·M, which has the rank of Φ·M."""
-    phi = basis.features(d_km)
-    q, r = np.linalg.qr(phi)
-    return phi, q, r @ basis.weights
+def _reduced_system(basis: BasisSet, d_km, p: np.ndarray | None = None):
+    """R·M, which has the rank and singular values of Φ(d)·M, and, given p,
+    Qᵀp: the least-squares system (R·M) α ~ Qᵀp of Φ(d)·M α ~ p.
+
+    R is the R of a QR of [Φ(d) | p], or of Φ(d) when p is None, folded one
+    _CHUNK_ROWS block at a time: each block is written under the R so far,
+    and R becomes the R of both.  Its first min(n, k) rows give R·M from
+    their leading k columns and Qᵀp from their last.  d and the W-BERT
+    domain are checked once over all of d.
+    """
+    d = basis._checked(d_km)
+    k = len(basis.weights)
+    width = k if p is None else k + 1
+    stack = np.empty((width + min(d.size, _CHUNK_ROWS), width))
+    r = stack[:0]
+    for start in range(0, d.size, _CHUNK_ROWS):
+        chunk = d[start : start + _CHUNK_ROWS]
+        top, rows = len(r), len(r) + chunk.size
+        stack[:top] = r
+        basis._fill(chunk, stack[top:rows])
+        if p is not None:
+            stack[top:rows, k] = p[start : start + chunk.size]
+        r = np.linalg.qr(stack[:rows], mode="r")
+    r = r[:k]
+    return r[:, :k] @ basis.weights, None if p is None else r[:, k]
 
 
 def calibrate(
@@ -137,9 +165,11 @@ def calibrate(
     column; in particular its mean is zero because constants lie in the span.
     """
     basis = build_basis(kind, terrain)
-    phi, q, reduced = _reduced_system(basis, meas.distances_km)
-    alpha, rank = minimum_norm_lstsq(reduced, q.T @ meas.pathloss_db, cutoff)
-    fitted = phi @ (basis.weights @ alpha)
+    reduced, rhs = _reduced_system(basis, meas.distances_km, meas.pathloss_db)
+    alpha, rank = minimum_norm_lstsq(reduced, rhs, cutoff)
+    # the distances passed _reduced_system's checks; predict_calibrated
+    # evaluates the same way, so the two agree bitwise
+    fitted = basis._evaluate(meas.distances_km, alpha)
     for arr in (alpha, fitted):
         arr.setflags(write=False)
     return Calibration(

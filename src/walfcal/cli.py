@@ -11,10 +11,10 @@ is truncated at the Walfisch-Bertoni curvature limit, with a warning.
 
 All numeric report cells use 4 decimals (negative zero prints as 0.0000),
 and identical inputs produce byte-identical output files.  Report tables are
-encoded (disagg and predict tables also evaluated) by numpy a chunk of rows
-at a time, into fixed-width byte slots; a cell numpy cannot round with
-certainty (not finite, 1e7 or more, or next to a .5 tie) takes its text from
-_db, so every cell reads as f"{v:.4f}" does.
+evaluated and encoded by numpy a chunk of rows at a time, into fixed-width
+byte slots; a cell numpy cannot round with certainty (not finite, 1e7 or
+more, or next to a .5 tie) takes its text from _db, so every cell reads as
+f"{v:.4f}" does.
 Only a chunk holding a cell too long for its slot (|v| of about 1e7 or more,
 at least 14 characters) is formatted cell by cell.  One model's failure
 (for example measurement distances beyond the Walfisch-Bertoni curvature
@@ -36,7 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, effective_rank
+from .basis import (
+    _CHUNK_ROWS,
+    RANK_TOL_DEFAULT,
+    BasisSet,
+    _check_rank_tol,
+    build_basis,
+    effective_rank,
+)
 from .calib import (
     Calibration,
     MeasurementSet,
@@ -70,7 +77,6 @@ _GRID_KEYS = ("d_min_km", "d_max_km", "d_step_km")
 _CONFIG_KEYS = frozenset(_TERRAIN_KEYS) | frozenset(_GRID_KEYS) | {"models", "rank_tol"}
 _REQUIRED_KEYS = _CONFIG_KEYS - {"rank_tol"}
 _GRID_POINTS_MAX = 10_000_000
-_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -482,19 +488,17 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
     the rows they share.
 
     axis is the report axis, the sorted distinct distances of measured ∪
-    grid.  Each model is evaluated once per point of its _model_distances,
-    and its file ends at the last row on it.  Per chunk, the distance and
-    measured cells are encoded once for all models, and each model's basic
-    and calibrated cells once per axis point of the chunk's window; rows
-    gather them by axis index into one chunk buffer.
+    grid.  Each model's file ends at the last row on its _model_distances.
+    Per chunk, the distance and measured cells are encoded once for all
+    models, and each model is evaluated and its basic and calibrated cells
+    encoded once per axis point of the chunk's window; rows gather them by
+    axis index into one chunk buffer.
     """
-    tables = []
-    for cal in cals:
-        d, _ = _model_distances(cal.kind, cal.terrain, axis)
-        basic = predict_basic(cal.kind, cal.terrain, d)
-        tables.append(np.column_stack([basic, predict_calibrated(cal, d)]))
     axis_rows, axis_sample = _profile_rows(axis, meas, grid)
-    ends = [int(np.searchsorted(axis_rows, len(values))) for values in tables]
+    ends = [
+        int(np.searchsorted(axis_rows, _model_distances(cal.kind, cal.terrain, axis)[0].size))
+        for cal in cals
+    ]
     with contextlib.ExitStack() as stack:
         files = [
             stack.enter_context(open(out_dir / f"profile_{cal.kind.value}.csv", "wb"))
@@ -515,12 +519,15 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
                 # a grid row's measured cell is blank
                 keep[~has, 1] = _KEEP[_SEP]
             low = int(rows[0])
-            for values, end, out in zip(tables, ends, files):
+            for cal, end, out in zip(cals, ends, files):
                 count = min(end - start, rows.size)
                 if count <= 0:
                     continue
                 local = rows[:count] - low
-                window = values[low : low + int(local[-1]) + 1]
+                d = axis[low : low + int(local[-1]) + 1]
+                window = np.column_stack(
+                    [predict_basic(cal.kind, cal.terrain, d), predict_calibrated(cal, d)]
+                )
                 cells = None if shared is None else _encode(window)
                 if cells is None:
                     out.write(_profile_text(prefix[:count], has[:count], window[local]))
@@ -732,7 +739,7 @@ def _cmd_rank(args) -> int:
                 continue
         basis = build_basis(kind, config.terrain)
         try:
-            _, _, reduced = _reduced_system(basis, model_d)
+            reduced, _ = _reduced_system(basis, model_d)
         except WalfcalError as exc:
             print(f"error: {kind.value}: {exc}", file=sys.stderr)
             failed = True

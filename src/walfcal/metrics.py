@@ -12,23 +12,29 @@ from .errors import DomainError
 __all__ = ["MetricsReport", "improvement_pct", "mpe", "rmse"]
 
 
-def _paired(predicted, measured):
-    p = np.atleast_1d(np.asarray(predicted, dtype=float))
-    m = np.atleast_1d(np.asarray(measured, dtype=float))
+def _series(values) -> np.ndarray:
+    return np.atleast_1d(np.asarray(values, dtype=float))
+
+
+def _residual(p: np.ndarray, m: np.ndarray, m_checked: bool = False) -> np.ndarray:
+    """p - m for two _series, which must be 1-d, equal length, nonempty and
+    finite; m_checked skips the scan of m an earlier call has passed."""
     if p.ndim != 1 or m.ndim != 1 or p.size != m.size:
         raise DomainError(f"series must be 1-d and equal length, got {p.shape} vs {m.shape}")
     if p.size == 0:
         raise DomainError("series must be nonempty")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(m))):
+    if not (np.all(np.isfinite(p)) and (m_checked or np.all(np.isfinite(m)))):
         raise DomainError("series must be finite")
-    return p, m
+    return p - m
+
+
+def _rmse(diff: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def rmse(predicted, measured) -> float:
     """Root-mean-square error sqrt(mean((predicted - measured)^2)), dB."""
-    p, m = _paired(predicted, measured)
-    diff = p - m
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _rmse(_residual(_series(predicted), _series(measured)))
 
 
 def mpe(predicted, measured) -> float:
@@ -36,8 +42,7 @@ def mpe(predicted, measured) -> float:
 
     Sign convention: positive when the model over-predicts the measurements.
     """
-    p, m = _paired(predicted, measured)
-    return float(np.mean(p - m))
+    return float(np.mean(_residual(_series(predicted), _series(measured))))
 
 
 def improvement_pct(rmse_basic: float, rmse_calibrated: float) -> float:
@@ -77,13 +82,17 @@ class MetricsReport:
 
     @classmethod
     def from_series(cls, measured, calibrated, basic=None) -> "MetricsReport":
-        """Build a report from raw series; basic series is optional."""
-        rmse_cal = rmse(calibrated, measured)
-        mpe_cal = mpe(calibrated, measured)
+        """Build a report from raw series; basic series is optional.
+
+        Each series is checked once, and each residual computed once.
+        """
+        m = _series(measured)
+        diff = _residual(_series(calibrated), m)
+        rmse_cal, mpe_cal = _rmse(diff), float(np.mean(diff))
         if basic is None:
             return cls(rmse_db=rmse_cal, mpe_db=mpe_cal)
-        rmse_bas = rmse(basic, measured)
-        mpe_bas = mpe(basic, measured)
+        diff = _residual(_series(basic), m, m_checked=True)
+        rmse_bas, mpe_bas = _rmse(diff), float(np.mean(diff))
         gain = improvement_pct(rmse_bas, rmse_cal) if rmse_bas > 0.0 else None
         return cls(
             rmse_db=rmse_cal,

@@ -1,6 +1,8 @@
-"""Randomized-input builders and a text comparison shared by the test modules."""
+"""Randomized-input builders, a text comparison and a memory probe shared by
+the test modules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -8,6 +10,8 @@ from walfcal import MeasurementSet, ModelKind, Terrain
 
 ALL_KINDS = tuple(ModelKind)
 WI_KINDS = tuple(kind for kind in ModelKind if kind is not ModelKind.W_BERT)
+# agreement in dB between two evaluations of one fit
+TOL_DB = 1e-9
 
 
 def random_terrain(rng, f_lo=150.0, f_hi=2000.0) -> Terrain:
@@ -56,3 +60,22 @@ def assert_same_text(actual, expected) -> None:
         f"texts differ first at line {line + 1} of {len(ours)} (expected {len(theirs)}): "
         f"{found!r} != {wanted!r}"
     )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the peak of the memory traced while it ran, in bytes).
+
+    tracemalloc sees every Python allocation, numpy's array buffers included,
+    but not memory that native code such as LAPACK allocates for itself.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ALL_KINDS, WI_KINDS, random_campaign, random_distances, random_terrain
+from helpers import (
+    ALL_KINDS,
+    TOL_DB,
+    WI_KINDS,
+    random_campaign,
+    random_distances,
+    random_terrain,
+    traced_peak,
+)
 from walfcal import (
+    RANK_TOL_DEFAULT,
     Calibration,
     CurvatureDomainError,
     DomainError,
@@ -23,6 +32,7 @@ from walfcal import (
     predict_calibrated,
     rmse,
 )
+from walfcal.basis import _CHUNK_ROWS
 
 
 def make_terrain(**overrides) -> Terrain:
@@ -49,6 +59,15 @@ class TestMeasurementSet:
         m = MeasurementSet([1.0], [100.0])
         with pytest.raises(ValueError):
             m.distances_km[0] = 2.0
+
+    def test_caller_arrays_stay_writeable(self):
+        d, p = np.array([0.5, 1.0]), np.array([90.0, 100.0])
+        m = MeasurementSet(d, p)
+        assert d.flags.writeable and p.flags.writeable
+        # held as views, not copies
+        assert np.shares_memory(m.distances_km, d) and np.shares_memory(m.pathloss_db, p)
+        with pytest.raises(ValueError):
+            m.pathloss_db[0] = 1.0
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
@@ -218,6 +237,62 @@ class TestCalibrate:
         cal = calibrate(ModelKind.CWI_M, t, meas)
         assert predict_calibrated(cal, 1.0) == pytest.approx(102.0, abs=1e-9)
         assert predict_calibrated(cal, 3.0) == pytest.approx(120.0, abs=1e-9)
+
+
+class TestChunkedFit:
+    """The R-only fold over _CHUNK_ROWS blocks against a full lstsq of Φ·M."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
+    )
+    def test_matches_full_lstsq_across_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        t = random_terrain(rng)
+        d = random_distances(rng, t, n)
+        p = 110.0 + 35.0 * np.log10(d) + rng.normal(0.0, 4.0, n)
+        self.check_against_lstsq(t, MeasurementSet(d, p))
+
+    def test_single_distance_has_rank_one(self):
+        meas = MeasurementSet(np.full(7, 0.8), np.linspace(95.0, 101.0, 7))
+        ranks = self.check_against_lstsq(make_terrain(), meas)
+        assert ranks == [1] * len(ALL_KINDS)
+
+    @staticmethod
+    def check_against_lstsq(t, meas):
+        ranks = []
+        for kind in ALL_KINDS:
+            cal = calibrate(kind, t, meas)
+            full = design_matrix(cal.basis, meas.distances_km).matrix
+            alpha, _, rank, _ = np.linalg.lstsq(full, meas.pathloss_db, rcond=RANK_TOL_DEFAULT)
+            assert cal.rank == rank
+            assert np.max(np.abs(cal.fitted_db - full @ alpha)) <= TOL_DB
+            assert np.array_equal(cal.fitted_db, predict_calibrated(cal, meas.distances_km))
+            ranks.append(cal.rank)
+        return ranks
+
+    def test_wb_sample_beyond_limit_in_last_chunk(self):
+        t = make_terrain(dh_tx_m=10.0)
+        d = np.linspace(0.1, 12.0, 2 * _CHUNK_ROWS + 3)
+        d[-1] = 13.5
+        meas = MeasurementSet(d, np.full(d.size, 120.0))
+        with pytest.raises(CurvatureDomainError) as caught:
+            calibrate(ModelKind.W_BERT, t, meas)
+        assert str(caught.value) == (
+            "distance(s) 13.5 km at or beyond the curvature limit 13.0384 km "
+            "(requires d^2 < 17 * dh_tx)"
+        )
+
+    @pytest.mark.parametrize("kind", [ModelKind.CWI_M, ModelKind.W_BERT])
+    def test_peak_memory_below_three_vectors(self, kind):
+        # fitted_db is the one n-long array a fit keeps; neither Φ nor a Q is formed
+        rng = np.random.default_rng(211)
+        t = make_terrain(dh_tx_m=10.0)
+        n = 200_000
+        d = rng.uniform(0.05, 12.0, n)
+        meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 5.0, n))
+        cal, peak = traced_peak(calibrate, kind, t, meas)
+        assert cal.fitted_db.size == n
+        assert peak < 3 * n * 8
 
 
 class TestPredictCalibrated:

@@ -5,6 +5,8 @@ import pytest
 
 from walfcal import DomainError, MetricsReport, improvement_pct, mpe, rmse
 
+MISMATCH = "series must be 1-d and equal length, got"
+
 
 class TestRmse:
     def test_identical_series(self):
@@ -122,3 +124,28 @@ class TestMetricsReport:
     def test_rejects_negative_rmse(self):
         with pytest.raises(DomainError):
             MetricsReport(rmse_db=-0.5, mpe_db=0.0)
+
+    def test_from_series_equals_the_standalone_statistics(self):
+        rng = np.random.default_rng(5)
+        measured, calibrated, basic = rng.normal(100.0, 5.0, (3, 257))
+        report = MetricsReport.from_series(measured, calibrated, basic)
+        assert report.rmse_db == rmse(calibrated, measured)
+        assert report.mpe_db == mpe(calibrated, measured)
+        assert report.rmse_basic_db == rmse(basic, measured)
+        assert report.mpe_basic_db == mpe(basic, measured)
+
+    @pytest.mark.parametrize(
+        "measured, calibrated, basic, message",
+        [
+            ([1.0, 2.0], [1.0], None, f"{MISMATCH} (1,) vs (2,)"),
+            ([[1.0, 2.0]], [1.0, 2.0], None, f"{MISMATCH} (2,) vs (1, 2)"),
+            ([], [], None, "series must be nonempty"),
+            ([1.0, np.inf], [1.0, 2.0], [1.0, 2.0], "series must be finite"),
+            ([1.0, 2.0], [1.0, 2.0], [1.0, 2.0, 3.0], f"{MISMATCH} (3,) vs (2,)"),
+            ([1.0, 2.0], [1.0, 2.0], [np.nan, 2.0], "series must be finite"),
+        ],
+    )
+    def test_from_series_error_texts(self, measured, calibrated, basic, message):
+        with pytest.raises(DomainError) as caught:
+            MetricsReport.from_series(measured, calibrated, basic)
+        assert str(caught.value) == message

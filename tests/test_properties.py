@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_KINDS, WI_KINDS
+from helpers import ALL_KINDS, TOL_DB, WI_KINDS
 from walfcal import (
     RANK_TOL_DEFAULT,
     MeasurementSet,
@@ -35,7 +35,6 @@ from walfcal import (
     rmse,
 )
 
-TOL_DB = 1e-9
 FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 19))  # of the curvature limit
 NEAR_LIMIT_GAPS = tuple(10.0**-k for k in range(2, 10))  # 1 - d^2 / (17 dh_tx)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_text
+from helpers import assert_same_text, traced_peak
 from walfcal import (
     MeasurementSet,
     ModelKind,
@@ -28,6 +28,7 @@ from walfcal.cli import (
     _profile_rows,
     _row_bytes,
     _write_disagg,
+    _write_profiles,
     _write_table,
     prediction_grid,
     run_calibration,
@@ -381,3 +382,17 @@ def test_disagg_chunks_equal_whole_axis_evaluation(tmp_path, kind):
     header = text.split("\n", 1)[0]
     assert header.count(",") == whole.shape[1]
     assert_same_text(text, reference_table(header, [d, *whole.T]))
+
+
+def test_profiles_peak_below_six_axis_vectors(tmp_path):
+    # models are evaluated on one chunk's axis window at a time: whole-axis
+    # basic and calibrated tables of 5 models alone would take 10 vectors
+    rng = np.random.default_rng(29)
+    d = rng.uniform(0.05, 4.0, 200_000)
+    meas = MeasurementSet(d, 110.0 + 35.0 * np.log10(d) + rng.normal(0.0, 3.0, d.size))
+    grid = prediction_grid(0.1, 12.0, 0.1)
+    axis = np.unique(np.concatenate([d, grid]))
+    cals = [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
+    _, peak = traced_peak(_write_profiles, tmp_path, axis, meas, grid, cals)
+    assert peak < 6 * axis.size * 8
+    assert len(list(tmp_path.glob("profile_*.csv"))) == len(cals)
