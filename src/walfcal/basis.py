@@ -49,8 +49,7 @@ __all__ = [
 WI_GROUPS = ("FSP", "RTS", "MSD")
 WB_GROUPS = ("CORE", "HEIGHT", "GEOMETRY", "CURVATURE")
 RANK_TOL_DEFAULT = 1e-10
-# rows per block wherever Φ is evaluated in blocks: a fit's QR fold, its
-# fitted values and each report table's chunks
+# rows per block of a fit's QR fold and of Φ(d) @ (M @ weights)
 _CHUNK_ROWS = 8192
 
 # feature columns of Φ

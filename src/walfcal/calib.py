@@ -126,15 +126,15 @@ def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK
     return x, int(rank)
 
 
-def _reduced_system(basis: BasisSet, d_km, p: np.ndarray | None = None):
-    """R·M, which has the rank and singular values of Φ(d)·M, and, given p,
-    Qᵀp: the least-squares system (R·M) α ~ Qᵀp of Φ(d)·M α ~ p.
+def _fold(basis: BasisSet, d_km, p: np.ndarray | None = None) -> np.ndarray:
+    """The first min(n, k) rows of the R of a QR of [Φ(d) | p], or of Φ(d)
+    when p is None: R·M from its leading k columns, which has the rank and
+    singular values of Φ(d)·M, and Qᵀp from its last.
 
-    R is the R of a QR of [Φ(d) | p], or of Φ(d) when p is None, folded one
-    _CHUNK_ROWS block at a time: each block is written under the R so far,
-    and R becomes the R of both.  Its first min(n, k) rows give R·M from
-    their leading k columns and Qᵀp from their last.  d and the W-BERT
-    domain are checked once over all of d.
+    R is folded one _CHUNK_ROWS block at a time: each block is written under
+    the R so far, and R becomes the R of both.  It depends on the basis only
+    through Φ, so every Walfisch-Ikegami variant folds the same R.  d and
+    the W-BERT domain are checked once over all of d.
     """
     d = basis._checked(d_km)
     k = len(basis.weights)
@@ -149,8 +149,26 @@ def _reduced_system(basis: BasisSet, d_km, p: np.ndarray | None = None):
         if p is not None:
             stack[top:rows, k] = p[start : start + chunk.size]
         r = np.linalg.qr(stack[:rows], mode="r")
-    r = r[:k]
-    return r[:, :k] @ basis.weights, None if p is None else r[:, k]
+    return r[:k]
+
+
+def _fit(basis: BasisSet, r: np.ndarray, meas: MeasurementSet, cutoff: float) -> Calibration:
+    """The fit of basis to meas from r, the _fold of [Φ | p] over meas."""
+    k = len(basis.weights)
+    alpha, rank = minimum_norm_lstsq(r[:, :k] @ basis.weights, r[:, k], cutoff)
+    # the distances passed _fold's checks; predict_calibrated evaluates the
+    # same way, so the two agree bitwise
+    fitted = basis._evaluate(meas.distances_km, alpha)
+    for arr in (alpha, fitted):
+        arr.setflags(write=False)
+    return Calibration(
+        basis=basis,
+        alpha=alpha,
+        rank=rank,
+        distances_km=meas.distances_km,
+        measured_db=meas.pathloss_db,
+        fitted_db=fitted,
+    )
 
 
 def calibrate(
@@ -165,26 +183,38 @@ def calibrate(
     column; in particular its mean is zero because constants lie in the span.
     """
     basis = build_basis(kind, terrain)
-    reduced, rhs = _reduced_system(basis, meas.distances_km, meas.pathloss_db)
-    alpha, rank = minimum_norm_lstsq(reduced, rhs, cutoff)
-    # the distances passed _reduced_system's checks; predict_calibrated
-    # evaluates the same way, so the two agree bitwise
-    fitted = basis._evaluate(meas.distances_km, alpha)
-    for arr in (alpha, fitted):
-        arr.setflags(write=False)
-    return Calibration(
-        basis=basis,
-        alpha=alpha,
-        rank=rank,
-        distances_km=meas.distances_km,
-        measured_db=meas.pathloss_db,
-        fitted_db=fitted,
-    )
+    return _fit(basis, _fold(basis, meas.distances_km, meas.pathloss_db), meas, cutoff)
 
 
 def predict_calibrated(c: Calibration, d_km):
     """Calibrated pathloss: the coefficient-weighted sum of component terms."""
     return c.basis.evaluate(d_km, c.alpha)
+
+
+def _loss_table(c: Calibration) -> np.ndarray:
+    """The features×(2·groups + 2) table C with Φ(d) @ C the value columns of
+    a disagg file: each group's summed term weights (unit weights for basic,
+    α for calibrated), in c.basis.groups order, then a zero column in each
+    total's place, basic side first."""
+    basis = c.basis
+    basic, calibrated = [], []
+    for group in basis.groups:
+        idx = list(basis.group_indices(group))
+        weights = basis.weights[:, idx]
+        basic.append(weights.sum(axis=1))
+        calibrated.append(weights @ c.alpha[idx])
+    zero = np.zeros(len(basis.weights))
+    return np.column_stack([*basic, zero, *calibrated, zero])
+
+
+def _group_values(phi: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """phi @ table, with each total then the sum of its side's group columns,
+    added one by one in group order."""
+    values = phi @ table
+    g = table.shape[1] // 2 - 1
+    for total in (g, 2 * g + 1):
+        values[:, total] = functools.reduce(np.add, values[:, total - g : total].T)
+    return values
 
 
 def group_losses(c: Calibration, distances_km) -> np.ndarray:
@@ -193,21 +223,6 @@ def group_losses(c: Calibration, distances_km) -> np.ndarray:
     One row per distance; columns are each group's basic contribution, in
     c.basis.groups order, then their total, then the same for the calibrated
     contributions: the layout of a disagg file after its distance column.
-    Each group's column is Φ(d) times a column of the features×groups table C
-    of summed term weights (unit weights for basic, α for calibrated).
+    Each group's column is Φ(d) times a column of the table C of _loss_table.
     """
-    basis = c.basis
-    basic, calibrated = [], []
-    for group in basis.groups:
-        idx = list(basis.group_indices(group))
-        weights = basis.weights[:, idx]
-        basic.append(weights.sum(axis=1))
-        calibrated.append(weights @ c.alpha[idx])
-    # a zero column of C holds each total's place in the product; a total
-    # then adds its side's group columns one by one, in group order
-    zero = np.zeros(len(basis.weights))
-    values = basis.features(distances_km) @ np.column_stack([*basic, zero, *calibrated, zero])
-    g = len(basis.groups)
-    for total in (g, 2 * g + 1):
-        values[:, total] = functools.reduce(np.add, values[:, total - g : total].T)
-    return values
+    return _group_values(c.basis.features(distances_km), _loss_table(c))

@@ -11,15 +11,19 @@ is truncated at the Walfisch-Bertoni curvature limit, with a warning.
 
 All numeric report cells use 4 decimals (negative zero prints as 0.0000),
 and identical inputs produce byte-identical output files.  Report tables are
-evaluated and encoded by numpy a chunk of rows at a time, into fixed-width
+evaluated and encoded by numpy a block of rows at a time, into fixed-width
 byte slots; a cell numpy cannot round with certainty (not finite, 1e7 or
 more, or next to a .5 tie) takes its text from _db, so every cell reads as
-f"{v:.4f}" does.
-Only a chunk holding a cell too long for its slot (|v| of about 1e7 or more,
-at least 14 characters) is formatted cell by cell.  One model's failure
-(for example measurement distances beyond the Walfisch-Bertoni curvature
-limit) is reported on stderr and reflected in the exit status without
-aborting the other models.
+f"{v:.4f}" does.  Blocks are sized by cells, not rows, so the encoder's
+temporaries stay in cache, and are shared across models: calibrate fits
+every model first, then writes all disagg files from one block of every
+model's cells at a time, and all profile files likewise.  The four
+Walfisch-Ikegami fits share one fold of their common features.
+Only a block holding a cell too long for its slot (|v| of about 1e7 or more,
+at least 14 characters) is formatted cell by cell, in every file with rows
+in it.  One model's failure (for example measurement distances beyond the
+Walfisch-Bertoni curvature limit) is reported on stderr and reflected in the
+exit status without aborting the other models.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from .basis import (
-    _CHUNK_ROWS,
     RANK_TOL_DEFAULT,
     BasisSet,
     _check_rank_tol,
@@ -47,9 +50,11 @@ from .basis import (
 from .calib import (
     Calibration,
     MeasurementSet,
-    _reduced_system,
+    _fit,
+    _fold,
+    _group_values,
+    _loss_table,
     calibrate,
-    group_losses,
     predict_calibrated,
 )
 from .errors import DomainError, ParseError, WalfcalError
@@ -330,6 +335,15 @@ _MINUS = np.array([0] + [(ord("0") - ord("-")) << 8 * byte for byte in range(7)]
 # below this magnitude q = rint(v·1e4) < 1e11: at most 7 integer digits, so a
 # minus sign always has a byte in front of them
 _SLOT_MAX = 9_999_999.9999
+# cells per encoded block: _encode's per-cell cost about doubles once its
+# temporaries outgrow a core's L2 cache, as an 8192 × 11 block's do
+_BLOCK_CELLS = 32_768
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a table width cells wide: at most _BLOCK_CELLS
+    cells, and at least one row."""
+    return max(1, _BLOCK_CELLS // width)
 
 
 @functools.cache
@@ -418,20 +432,26 @@ def _row_bytes(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return data[keep.view(bool).reshape(data.shape)]
 
 
+def _db_rows(values: np.ndarray) -> str:
+    """Rows of values formatted cell by cell through _db."""
+    return "".join(",".join(map(_db, row)) + "\n" for row in values.tolist())
+
+
 def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
     """Write a header line, then one row per distance in d, its cells as _db
     formats them: the distance, then that row of columns_of(d).
 
-    columns_of is evaluated on one _CHUNK_ROWS chunk of d at a time, so no
+    columns_of is evaluated on one _block_rows block of d at a time, so no
     value array over all of d is built.
     """
     out.write(header + "\n")
-    for start in range(0, d.size, _CHUNK_ROWS):
-        chunk = d[start : start + _CHUNK_ROWS]
+    step = _block_rows(header.count(",") + 1)
+    for start in range(0, d.size, step):
+        chunk = d[start : start + step]
         block = np.column_stack([chunk, columns_of(chunk)])
         cells = _encode(block)
         if cells is None:
-            out.write("".join(",".join(map(_db, row)) + "\n" for row in block.tolist()))
+            out.write(_db_rows(block))
             continue
         del block  # not needed past the encoder; freed before the rows are packed
         out.write(str(_row_bytes(*cells), "ascii"))
@@ -455,21 +475,28 @@ def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
     )
 
 
-def _profile_rows(axis: np.ndarray, meas: MeasurementSet, grid: np.ndarray):
+def _profile_rows(axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet):
     """Axis index and measured sample (-1 for none) of each profile row.
 
     Rows are sorted by distance, duplicate measured distances keep their
     input order, and a grid point equal to a measured distance is not
-    repeated.
+    repeated.  axis and inverse are what np.unique returns, with
+    return_inverse, for the measured distances followed by the grid.
     """
-    order = np.argsort(meas.distances_km, kind="stable")
-    counts = np.bincount(np.searchsorted(axis, meas.distances_km[order]), minlength=axis.size)
+    n = len(meas)
+    counts = np.bincount(inverse[:n], minlength=axis.size)
     sampled = counts > 0
     # the other axis points are grid points, one row per grid entry
-    on_grid = np.searchsorted(axis, grid)
+    on_grid = inverse[n:]
     np.add.at(counts, on_grid[~sampled[on_grid]], 1)
     rows = np.repeat(np.arange(axis.size), counts)
     del counts
+    # axis index · n + sample is unique, so a plain sort orders the samples
+    # by axis index and, within one, by input order
+    order = inverse[:n] * n
+    order += np.arange(n)
+    order.sort()
+    np.remainder(order, n, out=order)
     sample = np.full(rows.size, -1)
     sample[sampled[rows]] = order
     return rows, sample
@@ -483,18 +510,21 @@ def _profile_text(prefix: np.ndarray, has: np.ndarray, values: np.ndarray) -> by
     ).encode("ascii")
 
 
-def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid, cals) -> None:
+def _write_profiles(
+    out_dir: Path, axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet, cals
+) -> None:
     """Write the profile files of the fitted models in one pass over chunks of
     the rows they share.
 
     axis is the report axis, the sorted distinct distances of measured ∪
-    grid.  Each model's file ends at the last row on its _model_distances.
-    Per chunk, the distance and measured cells are encoded once for all
-    models, and each model is evaluated and its basic and calibrated cells
-    encoded once per axis point of the chunk's window; rows gather them by
-    axis index into one chunk buffer.
+    grid, with inverse as _profile_rows takes it.  Each model's file ends at
+    the last row on its _model_distances.  A chunk holds _block_rows rows.
+    Per chunk, one _encode takes the distance and measured cells of all
+    models, and one more the basic and calibrated cells of every model on
+    the chunk's axis window, each axis point once; rows gather them by axis
+    index into one chunk buffer.
     """
-    axis_rows, axis_sample = _profile_rows(axis, meas, grid)
+    axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
     ends = [
         int(np.searchsorted(axis_rows, _model_distances(cal.kind, cal.terrain, axis)[0].size))
         for cal in cals
@@ -506,9 +536,11 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
         ]
         for out in files:
             out.write(b"distance_km,measured_db,basic_db,calibrated_db\n")
-        for start in range(0, max(ends, default=0), _CHUNK_ROWS):
-            rows = axis_rows[start : start + _CHUNK_ROWS]
-            sample = axis_sample[start : start + _CHUNK_ROWS]
+        # the prefix and the windows encode at most this many cells per row
+        step = _block_rows(2 + 2 * len(cals))
+        for start in range(0, max(ends, default=0), step):
+            rows = axis_rows[start : start + step]
+            sample = axis_sample[start : start + step]
             has = sample >= 0
             prefix = np.column_stack([axis[rows], np.where(has, meas.pathloss_db[sample], 0.0)])
             shared = _encode(prefix)
@@ -519,31 +551,88 @@ def _write_profiles(out_dir: Path, axis: np.ndarray, meas: MeasurementSet, grid,
                 # a grid row's measured cell is blank
                 keep[~has, 1] = _KEEP[_SEP]
             low = int(rows[0])
-            for cal, end, out in zip(cals, ends, files):
-                count = min(end - start, rows.size)
-                if count <= 0:
+            counts = [min(max(end - start, 0), rows.size) for end in ends]
+            # each model's basic and calibrated cells on its axis window, in
+            # columns 2m and 2m + 1; a shorter window leaves zeros below it
+            spans = [int(rows[count - 1]) - low + 1 if count else 0 for count in counts]
+            window = np.zeros((max(spans), 2 * len(cals)))
+            for m, (cal, span) in enumerate(zip(cals, spans)):
+                if span:
+                    d = axis[low : low + span]
+                    window[:span, 2 * m] = predict_basic(cal.kind, cal.terrain, d)
+                    window[:span, 2 * m + 1] = predict_calibrated(cal, d)
+            cells = None if shared is None else _encode(window)
+            for m, (count, out) in enumerate(zip(counts, files)):
+                if not count:
                     continue
                 local = rows[:count] - low
-                d = axis[low : low + int(local[-1]) + 1]
-                window = np.column_stack(
-                    [predict_basic(cal.kind, cal.terrain, d), predict_calibrated(cal, d)]
-                )
-                cells = None if shared is None else _encode(window)
                 if cells is None:
-                    out.write(_profile_text(prefix[:count], has[:count], window[local]))
+                    values = window[local, 2 * m : 2 * m + 2]
+                    out.write(_profile_text(prefix[:count], has[:count], values))
                     continue
-                slots[:count, 2:] = np.take(cells[0], local, axis=0)
-                keep[:count, 2:] = np.take(cells[1], local, axis=0)
+                slots[:count, 2:] = np.take(cells[0][:, 2 * m : 2 * m + 2], local, axis=0)
+                keep[:count, 2:] = np.take(cells[1][:, 2 * m : 2 * m + 2], local, axis=0)
                 out.write(_row_bytes(slots[:count], keep[:count]))
 
 
-def _write_disagg(path, cal, distances_km) -> None:
-    groups = cal.basis.groups
-    header = ["distance_km"]
-    header += [f"basic_{g}_db" for g in groups] + ["basic_total_db"]
-    header += [f"calibrated_{g}_db" for g in groups] + ["calibrated_total_db"]
-    with open(path, "w", newline="\n") as out:
-        _write_table(out, ",".join(header), distances_km, lambda d: group_losses(cal, d))
+def _write_disaggs(out_dir: Path, axis: np.ndarray, cals) -> None:
+    """Write the disagg files of the fitted models in one pass over blocks of
+    the report axis.
+
+    Each model's file covers the rows of its _model_distances.  A block
+    evaluates Φ once, each row by the widest basis that covers it, and each
+    model's value columns as Φ @ C, with C its _loss_table, as group_losses
+    does.  One _encode serves the whole block, laid out as [d | model 1's
+    columns | d | model 2's columns | ...], and each file packs its rows from
+    its own column range.  A block _encode cannot take goes cell by cell
+    through _db, in every file with rows in it.
+    """
+    if not cals:
+        return
+    tables = [_loss_table(cal) for cal in cals]
+    bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
+    ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
+    # rows up to the widest basis's end need its features, the rest only the
+    # leading ones, which every basis writes alike
+    by_width = sorted(range(len(cals)), key=lambda m: len(cals[m].basis.weights))
+    narrow, wide = cals[by_width[0]].basis, cals[by_width[-1]].basis
+    wide_end = ends[by_width[-1]]
+    step = _block_rows(bounds[-1])
+    total = max(ends)
+    phi = np.empty((min(total, step), len(wide.weights)))
+    block = np.empty((len(phi), bounds[-1]))
+    with contextlib.ExitStack() as stack:
+        files = []
+        for cal in cals:
+            out = stack.enter_context(open(out_dir / f"disagg_{cal.kind.value}.csv", "wb"))
+            groups = cal.basis.groups
+            header = ["distance_km", *(f"basic_{g}_db" for g in groups), "basic_total_db"]
+            header += [*(f"calibrated_{g}_db" for g in groups), "calibrated_total_db"]
+            out.write((",".join(header) + "\n").encode("ascii"))
+            files.append(out)
+        for start in range(0, total, step):
+            chunk = axis[start : min(start + step, total)]
+            size = chunk.size
+            split = min(max(wide_end - start, 0), size)
+            wide._fill(chunk[:split], phi[:split])
+            narrow._fill(chunk[split:], phi[split:size])
+            counts = [min(max(end - start, 0), size) for end in ends]
+            for cal, table, lo, hi, count in zip(cals, tables, bounds, bounds[1:], counts):
+                block[:count, lo] = chunk[:count]
+                block[:count, lo + 1 : hi] = _group_values(
+                    phi[:count, : len(cal.basis.weights)], table
+                )
+                # rows past a model's end are encoded but written to no file;
+                # zeros there keep a stale cell from failing the block's encode
+                block[count:size, lo:hi] = 0.0
+            cells = _encode(block[:size])
+            for out, lo, hi, count in zip(files, bounds, bounds[1:], counts):
+                if not count:
+                    continue
+                if cells is None:
+                    out.write(_db_rows(block[:count, lo:hi]).encode("ascii"))
+                else:
+                    out.write(_row_bytes(cells[0][:count, lo:hi], cells[1][:count, lo:hi]))
 
 
 def _write_coefficients(path, cal) -> None:
@@ -568,16 +657,22 @@ def _write_summary(path, runs) -> None:
     _write_text(path, lines)
 
 
-def _run_one(kind, config, meas, grid, axis, out_dir) -> ModelRun:
-    """Fit one model and write its disagg and coefficient files; its profile
-    is written with the other models' once all are fitted."""
+def _run_one(kind, config, meas, grid, out_dir, wi_fold) -> ModelRun:
+    """Fit one model and write its coefficient file; its profile and disagg
+    files are written with the other models' once all are fitted.
+
+    The Walfisch-Ikegami variants share Φ, so wi_fold() returns the one fold
+    of [Φ | p] they all solve from.  W-BERT, alone with its Φ, is fitted by
+    calibrate.
+    """
     try:
-        cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
+        if kind is ModelKind.W_BERT:
+            cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
+        else:
+            cal = _fit(build_basis(kind, config.terrain), wi_fold(), meas, config.rank_tol)
         basic_at_meas = predict_basic(kind, config.terrain, meas.distances_km)
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
         _, warning = _model_distances(kind, config.terrain, grid)
-        covered, _ = _model_distances(kind, config.terrain, axis)
-        _write_disagg(out_dir / f"disagg_{kind.value}.csv", cal, covered)
         _write_coefficients(out_dir / f"coefficients_{kind.value}.csv", cal)
         return ModelRun(kind, cal, report, (warning,) if warning else ())
     except WalfcalError as exc:
@@ -596,9 +691,16 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the report axis: the sorted distinct distances of measured ∪ grid
-    axis = np.unique(np.concatenate([meas.distances_km, grid]))
-    runs = tuple(_run_one(kind, config, meas, grid, axis, out_dir) for kind in config.models)
-    _write_profiles(out_dir, axis, meas, grid, [run.calibration for run in runs if run.ok])
+    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
+    # every WI variant has the Φ of CWI-M, so its fold serves all four
+    wi_basis = build_basis(ModelKind.CWI_M, config.terrain)
+    wi_fold = functools.cache(
+        functools.partial(_fold, wi_basis, meas.distances_km, meas.pathloss_db)
+    )
+    runs = tuple(_run_one(kind, config, meas, grid, out_dir, wi_fold) for kind in config.models)
+    cals = [run.calibration for run in runs if run.ok]
+    _write_disaggs(out_dir, axis, cals)
+    _write_profiles(out_dir, axis, inverse, meas, cals)
     _write_summary(out_dir / "summary.csv", runs)
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
 
@@ -739,7 +841,8 @@ def _cmd_rank(args) -> int:
                 continue
         basis = build_basis(kind, config.terrain)
         try:
-            reduced, _ = _reduced_system(basis, model_d)
+            # R·M has the rank and singular values of Φ·M
+            reduced = _fold(basis, model_d) @ basis.weights
         except WalfcalError as exc:
             print(f"error: {kind.value}: {exc}", file=sys.stderr)
             failed = True

@@ -160,8 +160,12 @@ def free_space_loss(d_km, f_mhz: float):
     if not (math.isfinite(f_mhz) and f_mhz > 0.0):
         raise DomainError(f"f_mhz must be positive and finite, got {f_mhz!r}")
     d, scalar = _as_distance(d_km)
-    loss = 32.4 + 20.0 * np.log10(d) + 20.0 * np.log10(f_mhz)
-    return float(loss) if scalar else loss
+    # 32.4 + 20 log10(d) + 20 log10(f), in that order, in one array
+    loss = np.log10(np.atleast_1d(d))
+    loss *= 20.0
+    loss += 32.4
+    loss += 20.0 * np.log10(f_mhz)
+    return float(loss[0]) if scalar else loss
 
 
 def street_orientation_term(phi_deg: float) -> float:
@@ -249,15 +253,21 @@ def wb_excess_loss(terrain: Terrain, d_km):
     """
     d, scalar = _as_distance(d_km)
     _check_wb_domain(d, terrain.dh_tx_m)
-    loss = (
-        57.1
-        + math.log10(terrain.f_mhz)
-        + 18.0 * np.log10(d)
-        - 18.0 * math.log10(terrain.dh_tx_m)
-        - 18.0 * np.log10(1.0 - d * d / (17.0 * terrain.dh_tx_m))
-        + building_geometry_term(terrain)
-    )
-    return float(loss) if scalar else loss
+    d = np.atleast_1d(d)
+    # the terms in the order above, in two arrays: the sum and the curvature
+    loss = np.log10(d)
+    loss *= 18.0
+    loss += 57.1 + math.log10(terrain.f_mhz)
+    loss -= 18.0 * math.log10(terrain.dh_tx_m)
+    curvature = d * d
+    curvature /= 17.0 * terrain.dh_tx_m
+    np.subtract(1.0, curvature, out=curvature)
+    np.log10(curvature, out=curvature)
+    curvature *= 18.0
+    loss -= curvature
+    del curvature
+    loss += building_geometry_term(terrain)
+    return float(loss[0]) if scalar else loss
 
 
 def predict_basic(kind: ModelKind, terrain: Terrain, d_km):
@@ -267,7 +277,10 @@ def predict_basic(kind: ModelKind, terrain: Terrain, d_km):
     multiscreen losses; W-BERT sums free-space and excess losses.
     """
     if kind is ModelKind.W_BERT:
-        return free_space_loss(d_km, terrain.f_mhz) + wb_excess_loss(terrain, d_km)
+        # free space added into the excess, so two arrays at the most
+        loss = wb_excess_loss(terrain, d_km)
+        loss += free_space_loss(d_km, terrain.f_mhz)
+        return loss
     return (
         free_space_loss(d_km, terrain.f_mhz)
         + rooftop_to_street_loss(terrain, kind.family)

@@ -33,6 +33,7 @@ from walfcal import (
     rmse,
 )
 from walfcal.basis import _CHUNK_ROWS
+from walfcal.cli import CampaignConfig, run_calibration, save_measurements
 
 
 def make_terrain(**overrides) -> Terrain:
@@ -293,6 +294,53 @@ class TestChunkedFit:
         cal, peak = traced_peak(calibrate, kind, t, meas)
         assert cal.fitted_db.size == n
         assert peak < 3 * n * 8
+
+
+class TestSharedFold:
+    """run_calibration fits the four WI variants from one fold of [Φ | p]."""
+
+    @pytest.mark.parametrize("n", [1, 2, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3, "one distance"])
+    def test_fits_equal_standalone_calibrate_bitwise(self, tmp_path, n):
+        rng = np.random.default_rng(17)
+        t = random_terrain(rng)
+        if n == "one distance":
+            d = np.full(9, 0.8)
+        else:
+            d = random_distances(rng, t, n)
+        p = 110.0 + 35.0 * np.log10(d) + rng.normal(0.0, 4.0, d.size)
+        meas = MeasurementSet(d, p)
+        save_measurements(meas, tmp_path / "meas.csv")
+        config = CampaignConfig(t, ALL_KINDS, 0.1, 1.0, 0.3)
+        result = run_calibration(config, tmp_path / "meas.csv", tmp_path / "out")
+        assert result.ok
+        for run in result.runs:
+            alone = calibrate(run.kind, t, meas)
+            shared = run.calibration
+            assert shared.rank == alone.rank
+            assert np.array_equal(shared.alpha, alone.alpha)
+            assert np.array_equal(shared.fitted_db, alone.fitted_db)
+        if n == "one distance":
+            assert [run.calibration.rank for run in result.runs] == [1] * len(ALL_KINDS)
+
+    def test_one_fold_per_feature_set(self, tmp_path, monkeypatch):
+        import walfcal.calib
+        import walfcal.cli
+
+        folded = []
+        fold = walfcal.calib._fold
+
+        def counted(basis, *args):
+            folded.append(basis.kind)
+            return fold(basis, *args)
+
+        monkeypatch.setattr(walfcal.calib, "_fold", counted)
+        monkeypatch.setattr(walfcal.cli, "_fold", counted)
+        rng = np.random.default_rng(19)
+        t, meas = random_campaign(rng)
+        save_measurements(meas, tmp_path / "meas.csv")
+        config = CampaignConfig(t, ALL_KINDS, 0.1, 1.0, 0.3)
+        assert run_calibration(config, tmp_path / "meas.csv", tmp_path / "out").ok
+        assert len(folded) == 2 and folded.count(ModelKind.W_BERT) == 1
 
 
 class TestPredictCalibrated:

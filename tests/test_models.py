@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import WI_KINDS, random_terrain
+from helpers import WI_KINDS, random_terrain, traced_peak
 from walfcal import (
     CurvatureDomainError,
     Density,
@@ -308,3 +308,33 @@ class TestPredictBasic:
         t = make_terrain(dh_tx_m=10.0)
         with pytest.raises(CurvatureDomainError):
             predict_basic(ModelKind.W_BERT, t, 13.5)
+
+    def test_wb_equals_its_closed_form_bitwise(self):
+        # evaluated in place, in the operation order of the closed form
+        t = make_terrain(dh_tx_m=10.0)
+        d = np.random.default_rng(31).uniform(0.01, 13.0, 1000)
+        free_space = 32.4 + 20.0 * np.log10(d) + 20.0 * np.log10(t.f_mhz)
+        excess = (
+            57.1
+            + math.log10(t.f_mhz)
+            + 18.0 * np.log10(d)
+            - 18.0 * math.log10(t.dh_tx_m)
+            - 18.0 * np.log10(1.0 - d * d / (17.0 * t.dh_tx_m))
+            + building_geometry_term(t)
+        )
+        values = predict_basic(ModelKind.W_BERT, t, d)
+        assert np.array_equal(values, free_space + excess)
+        assert np.array_equal(free_space_loss(d, t.f_mhz), free_space)
+        assert np.array_equal(wb_excess_loss(t, d), excess)
+        scalar = predict_basic(ModelKind.W_BERT, t, float(d[0]))
+        assert type(scalar) is float and scalar == values[0]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_peak_memory_at_most_two_vectors(self, kind):
+        t = make_terrain(dh_tx_m=10.0)
+        n = 200_000
+        d = np.random.default_rng(37).uniform(0.05, 13.0, n)
+        values, peak = traced_peak(predict_basic, kind, t, d)
+        assert values.shape == (n,)
+        # two n-long float arrays, plus a few array headers
+        assert peak < 2 * n * 8 + 4096

@@ -10,24 +10,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import walfcal.cli as cli
 from helpers import assert_same_text, traced_peak
 from walfcal import (
+    Calibration,
     MeasurementSet,
     ModelKind,
     Terrain,
+    build_basis,
     calibrate,
     group_losses,
     predict_basic,
     predict_calibrated,
 )
+from walfcal.basis import _CHUNK_ROWS
 from walfcal.cli import (
-    _CHUNK_ROWS,
     CampaignConfig,
+    _block_rows,
     _db,
+    _db_rows,
     _encode,
     _profile_rows,
     _row_bytes,
-    _write_disagg,
+    _write_disaggs,
     _write_profiles,
     _write_table,
     prediction_grid,
@@ -89,6 +94,11 @@ def table(header, columns) -> str:
     return out.getvalue()
 
 
+def profile_step(kinds) -> int:
+    """Rows per chunk of the profile pass over the given models."""
+    return _block_rows(2 + 2 * len(kinds))
+
+
 def profile_rows(tmp_path, meas, grid, kinds=(ModelKind.CWI_M,)):
     """Run a calibration over the grid (d_min, d_max, d_step), check every
     profile file against the reference, and return the first one's rows."""
@@ -123,7 +133,7 @@ def test_non_finite_cells():
 
 def test_chunk_boundaries_match_reference():
     rng = np.random.default_rng(11)
-    n = 2 * _CHUNK_ROWS + 3
+    n = 2 * _block_rows(3) + 3
     columns = [rng.normal(0.0, 1e-3, n), rng.uniform(-200.0, 200.0, n), rng.normal(0.0, 1e-4, n)]
     text = table("x,y,z", columns)
     assert text.count("\n") == n + 1
@@ -167,9 +177,10 @@ def test_profile_across_chunk_boundaries(tmp_path):
 
 
 def test_duplicate_run_across_a_chunk_boundary(tmp_path):
-    # rows: the grid point 0.25, 0.5 x (_CHUNK_ROWS - 3), the grid point 0.75,
-    # so the run at 1.0 starts in the last row of the first chunk
-    d = np.array([0.5] * (_CHUNK_ROWS - 3) + [1.0] * 10 + [1.5] * 5)
+    # rows: the grid point 0.25, 0.5 x (step - 3), the grid point 0.75, so
+    # the run at 1.0 starts in the last row of the first chunk
+    step = profile_step(ModelKind)
+    d = np.array([0.5] * (step - 3) + [1.0] * 10 + [1.5] * 5)
     order = np.random.default_rng(3).permutation(d.size)
     p = 90.0 + 0.001 * np.arange(d.size)
     meas = MeasurementSet(d[order], p[order])
@@ -177,22 +188,23 @@ def test_duplicate_run_across_a_chunk_boundary(tmp_path):
     run = [(row[0], row[1]) for row in rows if row[0] == "1.0000" and row[1]]
     assert len(run) == 10
     assert [cell for _, cell in run] == [reference_cell(v) for v in p[order][d[order] == 1.0]]
-    assert rows[_CHUNK_ROWS - 1][0] == rows[_CHUNK_ROWS][0] == "1.0000"
+    assert rows[step - 1][0] == rows[step][0] == "1.0000"
 
 
 def test_wb_profile_loses_grid_rows_past_its_limit(tmp_path):
     # the grid runs to 30 km, far past the W-BERT limit of about 10.1 km; the
     # grid-only rows beyond it fill whole chunks that only the WI files get
     rng = np.random.default_rng(9)
-    n = _CHUNK_ROWS + 100
+    kinds = [ModelKind.W_BERT, ModelKind.CWI_M, ModelKind.ITWI_SU]
+    step = profile_step(kinds)
+    n = step + 100
     d = np.round(rng.uniform(0.1, 9.0, n), 3)
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n))
-    kinds = [ModelKind.W_BERT, ModelKind.CWI_M, ModelKind.ITWI_SU]
     wb_rows = profile_rows(tmp_path, meas, (0.1, 30.0, 0.002), kinds=kinds)
     wi_rows = (tmp_path / "out" / "profile_CWI-M.csv").read_text().splitlines()[1:]
     # W-BERT stops inside a chunk, and a later chunk is written for WI alone
-    assert len(wb_rows) % _CHUNK_ROWS != 0
-    assert len(wb_rows) // _CHUNK_ROWS < (len(wi_rows) - 1) // _CHUNK_ROWS
+    assert len(wb_rows) % step != 0
+    assert len(wb_rows) // step < (len(wi_rows) - 1) // step
     limit = 17.0 * TERRAIN.dh_tx_m
     assert float(wb_rows[-1][0]) ** 2 < limit < float(wi_rows[-1].split(",")[0]) ** 2
 
@@ -201,8 +213,9 @@ def test_chunk_of_only_grid_rows(tmp_path):
     # three samples past 5 km leave the first chunk to grid points alone
     meas = MeasurementSet([5.5, 6.0, 6.0], [120.0, 121.0, 122.5])
     rows = profile_rows(tmp_path, meas, (0.001, 6.5, 0.0005), kinds=list(ModelKind))
-    assert len(rows) > _CHUNK_ROWS
-    assert all(row[1] == "" for row in rows[:_CHUNK_ROWS])
+    step = profile_step(ModelKind)
+    assert len(rows) > step
+    assert all(row[1] == "" for row in rows[:step])
     assert [row[1] for row in rows if row[1]] == ["120.0000", "121.0000", "122.5000"]
 
 
@@ -285,34 +298,46 @@ def test_edge_cells(value, cell):
     assert encoded([value]) == (None if len(cell) > SLOT_TEXT_MAX else cell + "\n")
 
 
+# rows per _write_table block of a 4-column table
+TABLE_STEP = _block_rows(4)
+
+
 @pytest.mark.parametrize("value", [80.03125, 0.00005, math.nan, -9999999.99997, 1e8])
-@pytest.mark.parametrize("row", [0, _CHUNK_ROWS - 1, _CHUNK_ROWS + 5, 2 * _CHUNK_ROWS + 2])
-def test_one_fallback_cell_among_encoded_rows(value, row):
+@pytest.mark.parametrize("row", [0, TABLE_STEP - 1, TABLE_STEP + 5, 2 * TABLE_STEP + 2])
+def test_one_fallback_cell_among_encoded_rows(monkeypatch, value, row):
     rng = np.random.default_rng(row)
-    n = 2 * _CHUNK_ROWS + 3
+    n = 2 * TABLE_STEP + 3
     columns = [rng.uniform(-300.0, 300.0, n), rng.normal(0.0, 1e-3, n)]
+    columns += [rng.uniform(0.0, 20.0, n), rng.normal(0.0, 1e-4, n)]
     columns[1][row] = value
-    starts = range(0, n, _CHUNK_ROWS)
-    blocks = [np.column_stack([c[s : s + _CHUNK_ROWS] for c in columns]) for s in starts]
-    # only a cell too long for its slot sends its chunk cell by cell through _db
+    starts = range(0, n, TABLE_STEP)
+    blocks = [np.column_stack([c[s : s + TABLE_STEP] for c in columns]) for s in starts]
+    # only a cell too long for its slot sends its block cell by cell through _db
     too_long = len(_db(value)) > SLOT_TEXT_MAX
     assert [_encode(block) is None for block in blocks] == [
-        too_long and s <= row < s + _CHUNK_ROWS for s in starts
+        too_long and s <= row < s + TABLE_STEP for s in starts
     ]
-    assert_same_text(table("a,b", columns), reference_table("a,b", columns))
+    slow_blocks = []
+    monkeypatch.setattr(
+        cli, "_db_rows", lambda values: slow_blocks.append(values[0, 0]) or _db_rows(values)
+    )
+    text = table("a,b,c,d", columns)
+    assert_same_text(text, reference_table("a,b,c,d", columns))
+    assert slow_blocks == ([columns[0][row - row % TABLE_STEP]] if too_long else [])
 
 
 def test_blank_measured_cells_at_chunk_edges(tmp_path):
-    # rows: grid 0.1, then _CHUNK_ROWS - 2 samples below 0.2, so the grid
-    # points 0.2 and 0.3 end the first chunk and start the second; the last
-    # row is the grid point 3.0
+    # rows: grid 0.1, then step - 2 samples below 0.2, so the grid points
+    # 0.2 and 0.3 end the first chunk and start the second; the last row is
+    # the grid point 3.0
     rng = np.random.default_rng(21)
-    d = np.concatenate([rng.uniform(0.1001, 0.1999, _CHUNK_ROWS - 2), rng.uniform(0.31, 2.9, 300)])
+    step = profile_step(ModelKind)
+    d = np.concatenate([rng.uniform(0.1001, 0.1999, step - 2), rng.uniform(0.31, 2.9, 300)])
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
     rows = profile_rows(tmp_path, meas, (0.1, 3.0, 0.1), kinds=list(ModelKind))
-    for index in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, len(rows) - 1):
+    for index in (0, step - 1, step, len(rows) - 1):
         assert rows[index][1] == ""
-    assert rows[1][1] != "" and rows[_CHUNK_ROWS + 1][1] != ""
+    assert rows[1][1] != "" and rows[step + 1][1] != ""
 
 
 @pytest.mark.parametrize("value", [125.03125, 1e8])
@@ -321,16 +346,17 @@ def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, value):
     # tie, which takes its slot's text from _db, or a cell too long for a
     # slot, which sends that chunk cell by cell through _db for every model
     rng = np.random.default_rng(17)
-    n = _CHUNK_ROWS + 500
+    kinds = [ModelKind.W_BERT, ModelKind.CWI_M]
+    step = profile_step(kinds)
+    n = step + 500
     d = np.round(rng.uniform(0.1, 9.5, n), 4)
     p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n), 3)
     p[np.argmax(d)] = value
     meas = MeasurementSet(d, p)
-    kinds = [ModelKind.W_BERT, ModelKind.CWI_M]
     wb_rows = profile_rows(tmp_path, meas, (0.1, 12.0, 0.01), kinds=kinds)
     wi_rows = (tmp_path / "out" / "profile_CWI-M.csv").read_text().splitlines()[1:]
-    assert _CHUNK_ROWS < len(wb_rows) < len(wi_rows) < 2 * _CHUNK_ROWS
-    assert [row[1] for row in wb_rows].index(_db(value)) >= _CHUNK_ROWS
+    assert step < len(wb_rows) < len(wi_rows) < 2 * step
+    assert [row[1] for row in wb_rows].index(_db(value)) >= step
 
 
 def reference_profile_rows(axis, meas, grid):
@@ -355,8 +381,8 @@ def test_profile_rows_match_a_sort_of_all_keys(seed):
         grid = 1.0 + 1e-16 * np.arange(5)
         assert np.unique(grid).size < grid.size
     meas = MeasurementSet(d, np.full(d.size, 90.0))
-    axis = np.unique(np.concatenate([d, grid]))
-    rows, sample = _profile_rows(axis, meas, grid)
+    axis, inverse = np.unique(np.concatenate([d, grid]), return_inverse=True)
+    rows, sample = _profile_rows(axis, inverse, meas)
     expected_rows, expected_sample = reference_profile_rows(axis, meas, grid)
     np.testing.assert_array_equal(rows, expected_rows)
     np.testing.assert_array_equal(sample, expected_sample)
@@ -377,8 +403,8 @@ def test_disagg_chunks_equal_whole_axis_evaluation(tmp_path, kind):
     chunks = [group_losses(cal, d[s : s + _CHUNK_ROWS]) for s in range(0, d.size, _CHUNK_ROWS)]
     assert len(chunks) == 3
     assert np.array_equal(np.vstack(chunks), whole)
-    _write_disagg(tmp_path / "disagg.csv", cal, d)
-    text = (tmp_path / "disagg.csv").read_text()
+    _write_disaggs(tmp_path, d, [cal])
+    text = (tmp_path / f"disagg_{kind.value}.csv").read_text()
     header = text.split("\n", 1)[0]
     assert header.count(",") == whole.shape[1]
     assert_same_text(text, reference_table(header, [d, *whole.T]))
@@ -391,8 +417,183 @@ def test_profiles_peak_below_six_axis_vectors(tmp_path):
     d = rng.uniform(0.05, 4.0, 200_000)
     meas = MeasurementSet(d, 110.0 + 35.0 * np.log10(d) + rng.normal(0.0, 3.0, d.size))
     grid = prediction_grid(0.1, 12.0, 0.1)
-    axis = np.unique(np.concatenate([d, grid]))
+    axis, inverse = np.unique(np.concatenate([d, grid]), return_inverse=True)
     cals = [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
-    _, peak = traced_peak(_write_profiles, tmp_path, axis, meas, grid, cals)
+    _, peak = traced_peak(_write_profiles, tmp_path, axis, inverse, meas, cals)
     assert peak < 6 * axis.size * 8
     assert len(list(tmp_path.glob("profile_*.csv"))) == len(cals)
+
+
+def disagg_header(cal) -> str:
+    groups = cal.basis.groups
+    return ",".join(
+        ["distance_km"]
+        + [f"basic_{g}_db" for g in groups]
+        + ["basic_total_db"]
+        + [f"calibrated_{g}_db" for g in groups]
+        + ["calibrated_total_db"]
+    )
+
+
+def reference_disagg(cal, axis) -> str:
+    """A disagg file from group_losses of the model's distances, cell by cell."""
+    d = axis[axis * axis < 17.0 * cal.terrain.dh_tx_m] if cal.kind is ModelKind.W_BERT else axis
+    return reference_table(disagg_header(cal), [d, *group_losses(cal, d).T])
+
+
+def check_disaggs(out_dir, axis, cals, absent=()):
+    for cal in cals:
+        text = (out_dir / f"disagg_{cal.kind.value}.csv").read_text()
+        assert_same_text(text, reference_disagg(cal, axis))
+    for kind in absent:
+        assert not (out_dir / f"disagg_{kind.value}.csv").exists()
+
+
+def five_fits(n=120):
+    rng = np.random.default_rng(31)
+    d = rng.uniform(0.1, 9.0, n)
+    meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n))
+    return [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
+
+
+# the shared disagg block of all five models: 4 WI files of 1 + 8 cells a row
+# and W-BERT's of 1 + 10
+DISAGG_WIDTH = 4 * 9 + 11
+DISAGG_STEP = _block_rows(DISAGG_WIDTH)
+
+
+@pytest.mark.parametrize(
+    "size", [DISAGG_STEP - 1, DISAGG_STEP, DISAGG_STEP + 1, 2 * DISAGG_STEP + 3]
+)
+def test_shared_disagg_pass_at_block_edges(tmp_path, size):
+    cals = five_fits()
+    assert sum(2 * len(cal.basis.groups) + 3 for cal in cals) == DISAGG_WIDTH
+    axis = np.linspace(0.05, 9.9, size)
+    _write_disaggs(tmp_path, axis, cals)
+    check_disaggs(tmp_path, axis, cals)
+
+
+@pytest.mark.parametrize(
+    "covered", [DISAGG_STEP + DISAGG_STEP // 2, 2 * DISAGG_STEP, DISAGG_STEP - 1, 1]
+)
+def test_shared_disagg_pass_where_wb_coverage_ends(tmp_path, covered):
+    # the W-BERT limit is about 10.1 km: W-BERT's file ends mid-block, on a
+    # block edge, just before one, or after its first row
+    cals = five_fits()
+    axis = np.concatenate([np.linspace(0.05, 10.0, covered), np.linspace(10.2, 30.0, 500)])
+    _write_disaggs(tmp_path, axis, cals)
+    check_disaggs(tmp_path, axis, cals)
+    wb_lines = (tmp_path / "disagg_W-BERT.csv").read_text().count("\n")
+    assert wb_lines == covered + 1
+
+
+def test_shared_disagg_pass_without_wb_rows_in_later_blocks(tmp_path):
+    # WI models alone fill the blocks past W-BERT's last row
+    cals = five_fits()
+    axis = np.concatenate([np.linspace(0.05, 10.0, 10), np.linspace(10.2, 30.0, 3 * DISAGG_STEP)])
+    _write_disaggs(tmp_path, axis, cals)
+    check_disaggs(tmp_path, axis, cals)
+
+
+def test_failed_wb_leaves_the_wi_disagg_files(tmp_path):
+    rng = np.random.default_rng(37)
+    d = np.append(rng.uniform(0.1, 9.0, 80), 11.0)
+    meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
+    save_measurements(meas, tmp_path / "meas.csv")
+    config = CampaignConfig(TERRAIN, tuple(ModelKind), 0.1, 12.0, 0.25)
+    result = run_calibration(config, tmp_path / "meas.csv", tmp_path / "out")
+    assert [run.ok for run in result.runs] == [True] * 4 + [False]
+    axis = np.unique(np.concatenate([d, prediction_grid(0.1, 12.0, 0.25)]))
+    cals = [run.calibration for run in result.runs if run.ok]
+    check_disaggs(tmp_path / "out", axis, cals, absent=[ModelKind.W_BERT])
+
+
+@pytest.mark.parametrize(
+    "kinds, d, grid",
+    [
+        ((ModelKind.W_BERT,), [0.3, 1.7, 1.7, 4.2], (0.25, 14.0, 0.25)),
+        (tuple(ModelKind), [1.0, 1.0], (1.0, 1.0, 0.5)),
+    ],
+    ids=["W-BERT only", "one axis point"],
+)
+def test_shared_disagg_pass_of_a_run(tmp_path, kinds, d, grid):
+    meas = MeasurementSet(d, [100.0 + 10.0 * i for i in range(len(d))])
+    save_measurements(meas, tmp_path / "meas.csv")
+    config = CampaignConfig(TERRAIN, kinds, *grid)
+    result = run_calibration(config, tmp_path / "meas.csv", tmp_path / "out")
+    assert result.ok
+    axis = np.unique(np.concatenate([meas.distances_km, prediction_grid(*grid)]))
+    check_disaggs(tmp_path / "out", axis, [run.calibration for run in result.runs])
+    assert len(list((tmp_path / "out").glob("disagg_*.csv"))) == len(kinds)
+
+
+def steep_fit(kind):
+    """kind's basis with unit weights but for a log10 d weight of -4e7 dB: its
+    calibrated cells reach 1e8 at 1e-5 km, and stay below 1e7 in 1-1.5 km."""
+    basis = build_basis(kind, TERRAIN)
+    alpha = np.ones(len(basis))
+    # term 1 is 20 log10 d for WI, 38 log10 d for W-BERT
+    alpha[1] = -4e7 / basis.weights[1, 1]
+    d = np.array([1.0])
+    return Calibration(basis, alpha, len(basis), d, d, d)
+
+
+def test_a_block_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch):
+    # block 0 holds a 2e8 cell in every file and a tie cell (1.03125); block 1
+    # holds another tie (1.40625), which takes its text from _db in its slot
+    cals = [steep_fit(kind) for kind in ModelKind]
+    axis = np.unique(np.concatenate([[1e-5, 1.03125, 1.40625], np.linspace(1.0, 1.5, 1400)]))
+    assert axis.size < 3 * DISAGG_STEP
+    assert list(np.searchsorted(axis, [1.03125, 1.40625]) // DISAGG_STEP) == [0, 1]
+    slow_blocks = []
+    monkeypatch.setattr(
+        cli, "_db_rows", lambda values: slow_blocks.append(values.shape) or _db_rows(values)
+    )
+    _write_disaggs(tmp_path, axis, cals)
+    check_disaggs(tmp_path, axis, cals)
+    assert slow_blocks == [(DISAGG_STEP, 2 * len(cal.basis.groups) + 3) for cal in cals]
+    text = (tmp_path / "disagg_CWI-M.csv").read_text()
+    assert "\n0.0000," in text and "\n1.0312," in text and "\n1.4062," in text
+    assert any(len(cell) > 13 for cell in text.splitlines()[1].split(","))
+
+
+def counted_encodes(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(cli, "_encode", lambda block: calls.append(block.shape) or _encode(block))
+    return calls
+
+
+def test_disagg_files_of_a_small_campaign_come_from_one_encode(tmp_path, monkeypatch):
+    cals = five_fits(n=150)
+    axis = np.linspace(0.05, 12.0, 200)
+    calls = counted_encodes(monkeypatch)
+    _write_disaggs(tmp_path, axis, cals)
+    assert calls == [(200, DISAGG_WIDTH)]
+    check_disaggs(tmp_path, axis, cals)
+
+
+def test_profiles_of_a_small_campaign_take_two_encodes(tmp_path, monkeypatch):
+    # one for the distance and measured cells of every row, one for every
+    # model's basic and calibrated cells at every axis point
+    rng = np.random.default_rng(41)
+    d = np.round(rng.uniform(0.1, 9.0, 150), 2)
+    meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
+    grid = prediction_grid(0.1, 12.0, 0.5)
+    axis, inverse = np.unique(np.concatenate([d, grid]), return_inverse=True)
+    cals = [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
+    calls = counted_encodes(monkeypatch)
+    _write_profiles(tmp_path, axis, inverse, meas, cals)
+    rows = d.size + np.setdiff1d(grid, d).size
+    assert calls == [(rows, 2), (axis.size, 2 * len(cals))]
+
+
+@pytest.mark.parametrize("width", [2, 3, 11])
+def test_table_blocks_follow_the_cell_budget(width):
+    rng = np.random.default_rng(width)
+    step = _block_rows(width)
+    n = 2 * step + 3
+    columns = [np.sort(rng.uniform(0.1, 20.0, n))]
+    columns += [rng.uniform(-300.0, 300.0, n) for _ in range(width - 1)]
+    header = ",".join(f"c{i}" for i in range(width))
+    text = table(header, columns)
+    assert_same_text(text, reference_table(header, columns))
