@@ -1,29 +1,25 @@
 """Command-line front end: batch calibration runs and report files.
 
 Inputs are a flat key=value campaign config (terrain, model list, prediction
-grid, rank tolerance) and a two-column CSV of measurements.  The calibrate
-subcommand fits every configured variant and writes summary.csv plus
-per-model profile, disaggregation, and coefficient files into the output
-directory; predict evaluates a basic or saved calibrated model over the
-grid; rank prints the numeric rank of each design matrix.  Measured
-distances face the same domain check in rank as in calibrate; only a grid
-is truncated at the Walfisch-Bertoni curvature limit, with a warning.
+grid, rank tolerance) and a two-column CSV of measurements.  calibrate fits
+every configured variant, the four Walfisch-Ikegami ones from one shared
+fold, and writes summary.csv plus per-model profile, disaggregation and
+coefficient files; one model's failure goes to stderr and the exit status
+without stopping the others.  predict evaluates a basic or saved calibrated
+model over the grid; rank prints the numeric rank of each design matrix.
+Only a grid is truncated at the Walfisch-Bertoni curvature limit, with a
+warning; measured distances face calibrate's domain check in rank too.
 
-All numeric report cells use 4 decimals (negative zero prints as 0.0000),
-and identical inputs produce byte-identical output files.  Report tables are
-evaluated and encoded by numpy a block of rows at a time, into fixed-width
-byte slots; a cell numpy cannot round with certainty (not finite, 1e7 or
-more, or next to a .5 tie) takes its text from _db, so every cell reads as
-f"{v:.4f}" does.  Blocks are sized by cells, not rows, so the encoder's
-temporaries stay in cache, and are shared across models: calibrate fits
-every model first, then writes all disagg files from one block of every
-model's cells at a time, and all profile files likewise.  The four
-Walfisch-Ikegami fits share one fold of their common features.
-Only a block holding a cell too long for its slot (|v| of about 1e7 or more,
-at least 14 characters) is formatted cell by cell, in every file with rows
-in it.  One model's failure (for example measurement distances beyond the
-Walfisch-Bertoni curvature limit) is reported on stderr and reflected in the
-exit status without aborting the other models.
+Report cells use 4 decimals (negative zero prints as 0.0000), and identical
+inputs give byte-identical files.  numpy encodes cells a block at a time
+into fixed-width byte slots; a cell it cannot round with certainty (not
+finite, 1e7 or more, or next to a .5 tie) takes its text from _db, so every
+cell reads as f"{v:.4f}" does, and a block with a cell too long for its
+slot goes cell by cell through _db.  Blocks are sized by cells, so the
+encoder's temporaries stay in cache.  Once every model is fitted, one pass
+over blocks of the report axis writes all disagg files and one more all
+profile files, each model's cells encoded once per axis point; a profile
+row's distance and measured cells pack as one byte run.
 """
 
 from __future__ import annotations
@@ -189,6 +185,7 @@ def load_measurements(path) -> MeasurementSet:
 
 # Line boundaries of str.splitlines beyond \n and \r, UTF-8 encoded.  numpy
 # reads them as whitespace inside a cell, where the line parser splits there.
+# The first five are one byte each, the only ones an ASCII file can hold.
 _OTHER_LINE_BREAKS = tuple(ch.encode() for ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
@@ -206,7 +203,7 @@ def _read_measurements_fast(path: Path):
     """
     try:
         data = path.read_bytes()
-        if any(mark in data for mark in _OTHER_LINE_BREAKS):
+        if any(mark in data for mark in _OTHER_LINE_BREAKS[: 5 if data.isascii() else None]):
             return None
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as handle:
             if not _header_ok(handle.readline()):
@@ -323,12 +320,12 @@ def _write_text(path: Path, lines: list[str]) -> None:
 # A report cell is encoded in a 16-byte slot: integer digits right-aligned at
 # bytes 0..7 with the sign in the byte before the leading one, "." at 8, four
 # decimals at 9..12 and the separator at _SEP.  The cell's text is the slot
-# from its start byte through _SEP, picked by _KEEP[start]; a blank cell is
-# its separator alone.
+# from its start byte through _SEP; _KEEP[first, last] is the keep mask of a
+# slot's bytes first..last.
 _SLOT = np.dtype("V16")
 _SEP = 13
-_KEEP = (np.arange(16) >= np.arange(16)[:, None]) & (np.arange(16) <= _SEP)
-_KEEP = _KEEP.view(_SLOT).ravel()
+_BYTE = np.arange(16)
+_KEEP = ((_BYTE >= _BYTE[:, None, None]) & (_BYTE <= _BYTE[:, None])).view(_SLOT)[..., 0]
 # _MINUS[lead] turns the "0" at byte lead - 1 of a slot's first word into
 # "-"; _MINUS[0] changes nothing
 _MINUS = np.array([0] + [(ord("0") - ord("-")) << 8 * byte for byte in range(7)], dtype="<u8")
@@ -341,8 +338,7 @@ _BLOCK_CELLS = 32_768
 
 
 def _block_rows(width: int) -> int:
-    """Rows per block of a table width cells wide: at most _BLOCK_CELLS
-    cells, and at least one row."""
+    """Rows per block of a table width cells wide: at most _BLOCK_CELLS cells, at least 1."""
     return max(1, _BLOCK_CELLS // width)
 
 
@@ -364,15 +360,14 @@ def _digit_tables():
 
 
 def _encode(block: np.ndarray):
-    """Slots and keep masks, both (n, c) of _SLOT, of an (n, c) float block's
-    cells as _db prints them; None when a cell's text is too long for a slot.
+    """Slots, (n, c) of _SLOT, of an (n, c) float block's cells as _db prints
+    them, and each one's text start byte; None if a text is too long for a slot.
 
     numpy rounds a cell with |v| < _SLOT_MAX whose v·1e4 lies more than a few
     ulp off a .5 tie: v·1e4 is computed to within |v·1e4|·2^-53, so there
     rint rounds it as the exact decimal value of v rounds.  Any other cell
     (a tie, not finite, or larger) takes its text from _db.  Each temporary
-    is freed once spent: a chunk of 8192 × 11 cells takes 0.7 MB per float
-    array.
+    is freed once spent.
     """
     scaled = np.abs(block)
     odd = ~(scaled < _SLOT_MAX)
@@ -414,15 +409,15 @@ def _encode(block: np.ndarray):
     lead = 8 - np.maximum(high_count[hi], low_count[lo])
     del hi, lo
     words[..., 0] -= _MINUS[lead * negative]
-    slots, keep = words.view(_SLOT)[..., 0], _KEEP[lead - negative]
+    slots, first = words.view(_SLOT)[..., 0], lead - negative
     if odd.any():
         texts = [_db(v) for v in block[odd].tolist()]
         if max(map(len, texts)) > _SEP:
             return None
         # right-aligned before the separator, whatever the layout of the text
         slots[odd] = np.array([f"{t:>{_SEP}}," for t in texts], dtype="S16").view(_SLOT)
-        keep[odd] = _KEEP[[_SEP - len(t) for t in texts]]
-    return slots, keep
+        first[odd] = [_SEP - len(t) for t in texts]
+    return slots, first
 
 
 def _row_bytes(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -454,7 +449,7 @@ def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
             out.write(_db_rows(block))
             continue
         del block  # not needed past the encoder; freed before the rows are packed
-        out.write(str(_row_bytes(*cells), "ascii"))
+        out.write(str(_row_bytes(cells[0], _KEEP[cells[1], _SEP]), "ascii"))
 
 
 def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
@@ -502,77 +497,81 @@ def _profile_rows(axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet):
     return rows, sample
 
 
-def _profile_text(prefix: np.ndarray, has: np.ndarray, values: np.ndarray) -> bytes:
-    """Profile rows formatted cell by cell through _db."""
+def _joined(d, d_first, m, m_first):
+    """Slots and masks, (n, 2), of distance cells d moved to end at byte 15
+    and measured cells m moved to start at byte 0, so a row packs as one run
+    "d,m,", or "d,," where m_first is _SEP."""
+    (d_lo, d_hi), (m_lo, m_hi) = np.stack([d, m])[..., None].view("<u8").transpose(0, 2, 1)
+    bits = m_first.astype("<u8") << 3
+    # numpy shifts by 64 bits or more to 0, and a count below 0 wraps above 64
+    m_lo = m_lo >> bits | m_hi << (64 - bits) | m_hi >> (bits - 64)
+    words = np.stack([d_lo << 16, d_hi << 16 | d_lo >> 48, m_lo, m_hi >> bits], axis=1)
+    return words.view(_SLOT), np.stack([_KEEP[d_first + 2, 15], _KEEP[0, _SEP - m_first]], axis=1)
+
+
+def _profile_text(rows, col, p, has) -> bytes:
+    """Profile rows through _db: distance, measured p where has, block columns col, col + 1."""
+    cells = zip(rows[:, 0].tolist(), p.tolist(), has.tolist(), rows[:, col : col + 2].tolist())
     return "".join(
-        f"{_db(d)},{_db(m) if shown else ''},{_db(b)},{_db(c)}\n"
-        for (d, m), shown, (b, c) in zip(prefix.tolist(), has.tolist(), values.tolist())
+        f"{_db(d)},{_db(m) if shown else ''},{_db(b)},{_db(c)}\n" for d, m, shown, (b, c) in cells
     ).encode("ascii")
 
 
 def _write_profiles(
     out_dir: Path, axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet, cals
 ) -> None:
-    """Write the profile files of the fitted models in one pass over chunks of
-    the rows they share.
+    """Write the profile files of the fitted models in one pass over blocks
+    of axis, the report axis, with inverse as _profile_rows takes it.
 
-    axis is the report axis, the sorted distinct distances of measured ∪
-    grid, with inverse as _profile_rows takes it.  Each model's file ends at
-    the last row on its _model_distances.  A chunk holds _block_rows rows.
-    Per chunk, one _encode takes the distance and measured cells of all
-    models, and one more the basic and calibrated cells of every model on
-    the chunk's axis window, each axis point once; rows gather them by axis
-    index into one chunk buffer.
+    One _encode takes an axis block, [d | basic, calibrated of model 1 | ...],
+    each model evaluated on the points of its _model_distances, and one more
+    the measured cells of each chunk of the block's rows.  Rows pack "d,m,"
+    as one _joined run; each file takes its basic and calibrated slots and
+    masks by axis index in one take.  A chunk with a cell too long for its
+    slot goes cell by cell through _db.
     """
     axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
-    ends = [
-        int(np.searchsorted(axis_rows, _model_distances(cal.kind, cal.terrain, axis)[0].size))
-        for cal in cals
-    ]
+    ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
+    row_ends = np.searchsorted(axis_rows, ends).tolist()
+    total, width = max(ends, default=0), 1 + 2 * len(cals)
     with contextlib.ExitStack() as stack:
-        files = [
-            stack.enter_context(open(out_dir / f"profile_{cal.kind.value}.csv", "wb"))
-            for cal in cals
-        ]
+        paths = [out_dir / f"profile_{cal.kind.value}.csv" for cal in cals]
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
         for out in files:
             out.write(b"distance_km,measured_db,basic_db,calibrated_db\n")
-        # the prefix and the windows encode at most this many cells per row
-        step = _block_rows(2 + 2 * len(cals))
-        for start in range(0, max(ends, default=0), step):
-            rows = axis_rows[start : start + step]
-            sample = axis_sample[start : start + step]
-            has = sample >= 0
-            prefix = np.column_stack([axis[rows], np.where(has, meas.pathloss_db[sample], 0.0)])
-            shared = _encode(prefix)
-            slots = np.empty((rows.size, 4), dtype=_SLOT)
-            keep = np.empty_like(slots)
-            if shared is not None:
-                slots[:, :2], keep[:, :2] = shared
-                # a grid row's measured cell is blank
-                keep[~has, 1] = _KEEP[_SEP]
-            low = int(rows[0])
-            counts = [min(max(end - start, 0), rows.size) for end in ends]
-            # each model's basic and calibrated cells on its axis window, in
-            # columns 2m and 2m + 1; a shorter window leaves zeros below it
-            spans = [int(rows[count - 1]) - low + 1 if count else 0 for count in counts]
-            window = np.zeros((max(spans), 2 * len(cals)))
-            for m, (cal, span) in enumerate(zip(cals, spans)):
-                if span:
-                    d = axis[low : low + span]
-                    window[:span, 2 * m] = predict_basic(cal.kind, cal.terrain, d)
-                    window[:span, 2 * m + 1] = predict_calibrated(cal, d)
-            cells = None if shared is None else _encode(window)
-            for m, (count, out) in enumerate(zip(counts, files)):
-                if not count:
+        for start in range(0, total, _block_rows(width)):
+            d = axis[start : min(start + _block_rows(width), total)]
+            # points past a model's end are encoded as zeros, for no file
+            block = np.column_stack([d, np.zeros((d.size, width - 1))])
+            for m, (cal, end) in enumerate(zip(cals, ends)):
+                if covered := min(max(end - start, 0), d.size):
+                    block[:covered, 1 + 2 * m] = predict_basic(cal.kind, cal.terrain, d[:covered])
+                    block[:covered, 2 + 2 * m] = predict_calibrated(cal, d[:covered])
+            cells = _encode(block)
+            if cells is not None:
+                slots, first = cells
+                # model m's basic and calibrated slots, then their masks
+                pairs = np.stack([slots[:, 1:], _KEEP[first[:, 1:], _SEP]], axis=1)
+                pairs = pairs.reshape(d.size, 2, -1, 2).transpose(2, 1, 0, 3).copy()
+            lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
+            for a in range(lo_row, hi_row, _block_rows(4)):
+                local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
+                has = axis_sample[a : a + local.size] >= 0
+                measured = np.where(has, meas.pathloss_db[axis_sample[a : a + local.size]], 0.0)
+                counts = [min(max(end - a, 0), local.size) for end in row_ends]
+                shown = None if cells is None else _encode(measured[:, None])
+                if shown is None:
+                    for m, (count, out) in enumerate(zip(counts, files)):
+                        out.write(_profile_text(block[local[:count]], 1 + 2 * m, measured, has))
                     continue
-                local = rows[:count] - low
-                if cells is None:
-                    values = window[local, 2 * m : 2 * m + 2]
-                    out.write(_profile_text(prefix[:count], has[:count], values))
-                    continue
-                slots[:count, 2:] = np.take(cells[0][:, 2 * m : 2 * m + 2], local, axis=0)
-                keep[:count, 2:] = np.take(cells[1][:, 2 * m : 2 * m + 2], local, axis=0)
-                out.write(_row_bytes(slots[:count], keep[:count]))
+                # slots in row[0], masks in row[1]: distance, measured, basic, calibrated
+                row = np.empty((2, local.size, 4), dtype=_SLOT)
+                d_cells = np.take(slots[:, 0], local), first[local, 0]
+                m_first = np.where(has, shown[1][:, 0], _SEP)
+                row[:, :, :2] = _joined(*d_cells, shown[0][:, 0], m_first)
+                for m, (count, out) in enumerate(zip(counts, files)):
+                    row[:, :count, 2:] = np.take(pairs[m], local[:count], axis=1)
+                    out.write(_row_bytes(row[0, :count], row[1, :count]))
 
 
 def _write_disaggs(out_dir: Path, axis: np.ndarray, cals) -> None:
@@ -626,13 +625,14 @@ def _write_disaggs(out_dir: Path, axis: np.ndarray, cals) -> None:
                 # zeros there keep a stale cell from failing the block's encode
                 block[count:size, lo:hi] = 0.0
             cells = _encode(block[:size])
+            keep = None if cells is None else _KEEP[cells[1], _SEP]
             for out, lo, hi, count in zip(files, bounds, bounds[1:], counts):
                 if not count:
                     continue
                 if cells is None:
                     out.write(_db_rows(block[:count, lo:hi]).encode("ascii"))
                 else:
-                    out.write(_row_bytes(cells[0][:count, lo:hi], cells[1][:count, lo:hi]))
+                    out.write(_row_bytes(cells[0][:count, lo:hi], keep[:count, lo:hi]))
 
 
 def _write_coefficients(path, cal) -> None:

@@ -162,8 +162,8 @@ class TestLoadMeasurements:
 
 HEADER = b"distance_km,pathloss_db\n"
 
-# measurement files, each with whether numpy alone must read it (True) or
-# the line parser may decide (None)
+# measurement files, each with whether numpy alone must read it (True), the
+# line parser must (False), or either may (None)
 PARSE_CASES = {
     "plain": (HEADER + b"0.5,80\n1.5,95.25\n", True),
     "bom": (b"\xef\xbb\xbf" + HEADER + b"0.5,80\n1.5,95.25\n", True),
@@ -180,6 +180,11 @@ PARSE_CASES = {
     "underscore": (HEADER + b"1_0,80\n1.5,95.25\n", None),
     "form feed in a line": (HEADER + b"0.5,\x0c80\n1.5,95.25\n", None),
     "line separator in a line": (HEADER + "0.5,\u2028 80\n".encode() + b"1.5,95.25\n", None),
+    # the one-byte marks in an ASCII file, the multi-byte ones in a UTF-8 file
+    "vertical tab between rows": (HEADER + b"0.5,80\x0b1.5,95.25\n", False),
+    "file separator in a line": (HEADER + b"0.5,\x1c80\n1.5,95.25\n", False),
+    "next line in a line": (HEADER + "0.5,\u0085 80\n".encode() + b"1.5,95.25\n", False),
+    "paragraph separator in a line": (HEADER + "0.5,\u2029 80\n".encode(), False),
     "header only": (HEADER, None),
 }
 
@@ -206,8 +211,8 @@ class TestMeasurementFastPath:
         assert meas.pathloss_db.tolist() == losses
         if table is not None:
             assert table.tolist() == [list(row) for row in zip(distances, losses)]
-        if fast:
-            assert table is not None
+        if fast is not None:
+            assert (table is not None) == fast
 
     def test_columns_are_contiguous(self, tmp_path):
         # strided columns could take other BLAS kernels in the fit

@@ -25,11 +25,14 @@ from walfcal import (
 )
 from walfcal.basis import _CHUNK_ROWS
 from walfcal.cli import (
+    _KEEP,
+    _SEP,
     CampaignConfig,
     _block_rows,
     _db,
     _db_rows,
     _encode,
+    _joined,
     _profile_rows,
     _row_bytes,
     _write_disaggs,
@@ -94,9 +97,14 @@ def table(header, columns) -> str:
     return out.getvalue()
 
 
-def profile_step(kinds) -> int:
-    """Rows per chunk of the profile pass over the given models."""
-    return _block_rows(2 + 2 * len(kinds))
+def axis_step(kinds) -> int:
+    """Axis points per block of the profile pass over the given models."""
+    return _block_rows(1 + 2 * len(kinds))
+
+
+# rows per measured-cell chunk of the profile pass, counted from the first
+# row of an axis block
+ROW_STEP = _block_rows(4)
 
 
 def profile_rows(tmp_path, meas, grid, kinds=(ModelKind.CWI_M,)):
@@ -112,6 +120,19 @@ def profile_rows(tmp_path, meas, grid, kinds=(ModelKind.CWI_M,)):
         assert_same_text(text, reference_profile(kind, meas, points))
         found.append([line.split(",") for line in text.splitlines()[1:]])
     return found[0]
+
+
+def written_profiles(tmp_path, meas, grid, kinds):
+    """_write_profiles over measured ∪ grid, a grid of any points, with every
+    file checked against the reference; the rows of each file."""
+    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
+    _write_profiles(tmp_path, axis, inverse, meas, [calibrate(k, TERRAIN, meas) for k in kinds])
+    found = []
+    for kind in kinds:
+        text = (tmp_path / f"profile_{kind.value}.csv").read_text()
+        assert_same_text(text, reference_profile(kind, meas, grid))
+        found.append([line.split(",") for line in text.splitlines()[1:]])
+    return found
 
 
 def test_negative_zero_prints_as_zero():
@@ -177,9 +198,9 @@ def test_profile_across_chunk_boundaries(tmp_path):
 
 
 def test_duplicate_run_across_a_chunk_boundary(tmp_path):
-    # rows: the grid point 0.25, 0.5 x (step - 3), the grid point 0.75, so
-    # the run at 1.0 starts in the last row of the first chunk
-    step = profile_step(ModelKind)
+    # rows: the grid point 0.25, 0.5 x (ROW_STEP - 3), the grid point 0.75,
+    # so the run at 1.0 starts in the last row of the first row chunk
+    step = ROW_STEP
     d = np.array([0.5] * (step - 3) + [1.0] * 10 + [1.5] * 5)
     order = np.random.default_rng(3).permutation(d.size)
     p = 90.0 + 0.001 * np.arange(d.size)
@@ -191,29 +212,75 @@ def test_duplicate_run_across_a_chunk_boundary(tmp_path):
     assert rows[step - 1][0] == rows[step][0] == "1.0000"
 
 
+def test_one_distance_over_several_row_chunks(tmp_path):
+    # 2·ROW_STEP + 7 samples at 0.75 km, after the rows 0.25, 0.3 and 0.5:
+    # the run fills the rest of the first row chunk, the second, and starts
+    # the third, all at one axis point
+    n = 2 * ROW_STEP + 7
+    d = np.concatenate([np.full(n, 0.75), [0.3, 1.2, 2.0]])
+    p = np.round(90.0 + np.random.default_rng(43).uniform(-5.0, 5.0, d.size), 2)
+    rows = profile_rows(tmp_path, MeasurementSet(d, p), (0.25, 2.5, 0.25), kinds=list(ModelKind))
+    assert [row[1] for row in rows if row[0] == "0.7500"] == [reference_cell(v) for v in p[:n]]
+    assert rows[3][0] == rows[ROW_STEP][0] == rows[2 * ROW_STEP][0] == rows[n + 2][0] == "0.7500"
+
+
+def test_axis_block_edge_inside_a_run_of_duplicates(tmp_path):
+    # the axis is the grid; its points step - 4 .. step + 3 are each measured
+    # three times, so duplicate rows run on both sides of the edge between
+    # axis blocks 0 and 1
+    step = axis_step(ModelKind)
+    spec = (0.001, 0.001 * (step + 200), 0.001)
+    grid = prediction_grid(*spec)
+    d = np.concatenate([np.repeat(grid[step - 4 : step + 4], 3), grid[::400]])
+    rng = np.random.default_rng(45)
+    meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
+    rows = profile_rows(tmp_path, meas, spec, kinds=list(ModelKind))
+    # one row per axis point below step - 4, then three per point
+    edge = step - 4 + 3 * 4
+    assert rows[edge - 3][0] == rows[edge - 1][0] == reference_cell(grid[step - 1])
+    assert rows[edge][0] == rows[edge + 2][0] == reference_cell(grid[step])
+
+
+@pytest.mark.parametrize("past_edge", [0, 1])
+def test_wb_profile_ends_at_an_axis_block_edge(tmp_path, past_edge):
+    # the W-BERT limit is about 10.1 km: its last point is the last of axis
+    # block 0, or the first of block 1
+    kinds = list(ModelKind)
+    inside = np.linspace(0.05, 10.0, axis_step(kinds) + past_edge)
+    grid = np.concatenate([inside, np.linspace(10.2, 30.0, 300)])
+    rng = np.random.default_rng(47)
+    d = rng.choice(inside, 400)
+    meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
+    wb_rows = written_profiles(tmp_path, meas, grid, kinds)[kinds.index(ModelKind.W_BERT)]
+    assert wb_rows[-1][0] == reference_cell(inside[-1])
+
+
 def test_wb_profile_loses_grid_rows_past_its_limit(tmp_path):
     # the grid runs to 30 km, far past the W-BERT limit of about 10.1 km; the
-    # grid-only rows beyond it fill whole chunks that only the WI files get
+    # grid points beyond it fill whole axis blocks that only the WI files get
     rng = np.random.default_rng(9)
     kinds = [ModelKind.W_BERT, ModelKind.CWI_M, ModelKind.ITWI_SU]
-    step = profile_step(kinds)
+    step = axis_step(kinds)
     n = step + 100
     d = np.round(rng.uniform(0.1, 9.0, n), 3)
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n))
     wb_rows = profile_rows(tmp_path, meas, (0.1, 30.0, 0.002), kinds=kinds)
     wi_rows = (tmp_path / "out" / "profile_CWI-M.csv").read_text().splitlines()[1:]
-    # W-BERT stops inside a chunk, and a later chunk is written for WI alone
-    assert len(wb_rows) % step != 0
-    assert len(wb_rows) // step < (len(wi_rows) - 1) // step
+    # W-BERT stops inside an axis block, and a later block is for WI alone
+    axis = np.unique(np.concatenate([d, prediction_grid(0.1, 30.0, 0.002)]))
+    covered = np.count_nonzero(axis * axis < 17.0 * TERRAIN.dh_tx_m)
+    assert covered % step != 0
+    assert covered // step < (axis.size - 1) // step
     limit = 17.0 * TERRAIN.dh_tx_m
     assert float(wb_rows[-1][0]) ** 2 < limit < float(wi_rows[-1].split(",")[0]) ** 2
 
 
 def test_chunk_of_only_grid_rows(tmp_path):
-    # three samples past 5 km leave the first chunk to grid points alone
+    # three samples past 5 km leave the first axis block, and so its row
+    # chunks, to grid points alone
     meas = MeasurementSet([5.5, 6.0, 6.0], [120.0, 121.0, 122.5])
     rows = profile_rows(tmp_path, meas, (0.001, 6.5, 0.0005), kinds=list(ModelKind))
-    step = profile_step(ModelKind)
+    step = axis_step(ModelKind)
     assert len(rows) > step
     assert all(row[1] == "" for row in rows[:step])
     assert [row[1] for row in rows if row[1]] == ["120.0000", "121.0000", "122.5000"]
@@ -223,7 +290,10 @@ def encoded(values) -> str | None:
     """One cell per row through the numpy encoder, or None where a cell is too
     long for its slot and the whole block goes cell by cell through _db."""
     cells = _encode(np.asarray(values, dtype=float).reshape(-1, 1))
-    return None if cells is None else str(_row_bytes(*cells), "ascii")
+    if cells is None:
+        return None
+    slots, first = cells
+    return str(_row_bytes(slots, _KEEP[first, _SEP]), "ascii")
 
 
 EXACT = Context(prec=2000)
@@ -298,6 +368,35 @@ def test_edge_cells(value, cell):
     assert encoded([value]) == (None if len(cell) > SLOT_TEXT_MAX else cell + "\n")
 
 
+def oracle_cell(value: float) -> str:
+    return exact_cell(value) if math.isfinite(value) else _db(value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(cell_values, st.none() | cell_values), min_size=1, max_size=40))
+@example([(80.03125, 1e7), (1.0, 80.03125), (-9999999.99997, None), (-0.0, 9999999.99995)])
+@example([(1e8, 1.0)])
+def test_joined_distance_and_measured_run(cells):
+    # the distance moved to end at its slot's last byte, and the measured
+    # cell, or for a blank one its separator, moved to start at byte 0
+    block = np.array([(d, 0.0 if m is None else m) for d, m in cells])
+    encoded_cells = _encode(block)
+    if encoded_cells is None:
+        assert any(len(_db(v)) > SLOT_TEXT_MAX for v in block.ravel().tolist())
+        return
+    slots, first = encoded_cells
+    m_first = np.where([m is None for _, m in cells], _SEP, first[:, 1])
+    joined, masks = _joined(slots[:, 0], first[:, 0], slots[:, 1], m_first)
+    data, keep = joined.view(np.uint8).reshape(-1, 32), masks.view(bool).reshape(-1, 32)
+    for row in keep:
+        kept = np.flatnonzero(row)
+        assert kept[-1] - kept[0] + 1 == kept.size
+    expected = "".join(
+        oracle_cell(d) + "," + ("" if m is None else oracle_cell(m)) + "," for d, m in cells
+    )
+    assert str(data[keep], "ascii") == expected
+
+
 # rows per _write_table block of a 4-column table
 TABLE_STEP = _block_rows(4)
 
@@ -327,36 +426,74 @@ def test_one_fallback_cell_among_encoded_rows(monkeypatch, value, row):
 
 
 def test_blank_measured_cells_at_chunk_edges(tmp_path):
-    # rows: grid 0.1, then step - 2 samples below 0.2, so the grid points
-    # 0.2 and 0.3 end the first chunk and start the second; the last row is
-    # the grid point 3.0
+    # rows: grid 0.1, then ROW_STEP - 2 samples at 50 distances below 0.2,
+    # so the grid points 0.2 and 0.3 end the first row chunk and start the
+    # second; the last row is the grid point 3.0, all in one axis block
     rng = np.random.default_rng(21)
-    step = profile_step(ModelKind)
-    d = np.concatenate([rng.uniform(0.1001, 0.1999, step - 2), rng.uniform(0.31, 2.9, 300)])
+    step = ROW_STEP
+    near = rng.choice(np.round(np.linspace(0.1005, 0.1995, 50), 4), step - 2)
+    d = np.concatenate([near, rng.uniform(0.31, 2.9, 300)])
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
     rows = profile_rows(tmp_path, meas, (0.1, 3.0, 0.1), kinds=list(ModelKind))
+    assert len({row[0] for row in rows}) < axis_step(ModelKind)
     for index in (0, step - 1, step, len(rows) - 1):
         assert rows[index][1] == ""
     assert rows[1][1] != "" and rows[step + 1][1] != ""
 
 
+def counted_fallbacks(monkeypatch) -> list:
+    """The row count of each _profile_text call, as profile rows go cell by
+    cell through _db."""
+    calls = []
+    fallback = cli._profile_text
+    monkeypatch.setattr(
+        cli, "_profile_text", lambda rows, *rest: calls.append(len(rows)) or fallback(rows, *rest)
+    )
+    return calls
+
+
 @pytest.mark.parametrize("value", [125.03125, 1e8])
-def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, value):
-    # the second chunk, where the W-BERT file ends, holds a measured dyadic
-    # tie, which takes its slot's text from _db, or a cell too long for a
-    # slot, which sends that chunk cell by cell through _db for every model
+def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, monkeypatch, value):
+    # the second axis block, where the W-BERT file ends, holds a measured
+    # dyadic tie, which takes its slot's text from _db, or a cell too long
+    # for a slot, which sends its row chunk cell by cell through _db for
+    # every model
     rng = np.random.default_rng(17)
     kinds = [ModelKind.W_BERT, ModelKind.CWI_M]
-    step = profile_step(kinds)
+    step = axis_step(kinds)
     n = step + 500
     d = np.round(rng.uniform(0.1, 9.5, n), 4)
     p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n), 3)
     p[np.argmax(d)] = value
     meas = MeasurementSet(d, p)
+    fallbacks = counted_fallbacks(monkeypatch)
     wb_rows = profile_rows(tmp_path, meas, (0.1, 12.0, 0.01), kinds=kinds)
-    wi_rows = (tmp_path / "out" / "profile_CWI-M.csv").read_text().splitlines()[1:]
-    assert step < len(wb_rows) < len(wi_rows) < 2 * step
-    assert [row[1] for row in wb_rows].index(_db(value)) >= step
+    axis = np.unique(np.concatenate([d, prediction_grid(0.1, 12.0, 0.01)]))
+    covered = np.count_nonzero(axis * axis < 17.0 * TERRAIN.dh_tx_m)
+    assert step < covered < axis.size < 2 * step
+    assert np.searchsorted(axis, d.max()) >= step
+    assert [row[1] for row in wb_rows].count(_db(value)) == 1
+    # block 1's rows, fewer than a row chunk's, in both files
+    assert len(fallbacks) == (2 if len(_db(value)) > SLOT_TEXT_MAX else 0)
+
+
+@pytest.mark.parametrize("value", [80.03125, 1e8])
+@pytest.mark.parametrize("at", [ROW_STEP - 1, ROW_STEP])
+def test_odd_measured_cell_in_the_joined_run(tmp_path, monkeypatch, value, at):
+    # ROW_STEP + 100 samples at 40 distances, the grid after them: the
+    # sample in row `at` ends the first row chunk or starts the second.  A
+    # tie takes its text from _db into the run; a cell too long for its slot
+    # sends that row chunk, and only it, cell by cell through _db
+    rng = np.random.default_rng(53)
+    d = np.sort(rng.choice(np.round(np.linspace(0.2, 3.0, 40), 3), ROW_STEP + 100))
+    p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size), 3)
+    p[at] = value
+    fallbacks = counted_fallbacks(monkeypatch)
+    rows = profile_rows(tmp_path, MeasurementSet(d, p), (3.5, 4.0, 0.5), kinds=list(ModelKind))
+    assert rows[at] == [reference_cell(d[at]), _db(value), *rows[at][2:]]
+    too_long = len(_db(value)) > SLOT_TEXT_MAX
+    chunk_rows = ROW_STEP if at < ROW_STEP else len(rows) - ROW_STEP
+    assert fallbacks == ([chunk_rows] * len(ModelKind) if too_long else [])
 
 
 def reference_profile_rows(axis, meas, grid):
@@ -411,7 +548,7 @@ def test_disagg_chunks_equal_whole_axis_evaluation(tmp_path, kind):
 
 
 def test_profiles_peak_below_six_axis_vectors(tmp_path):
-    # models are evaluated on one chunk's axis window at a time: whole-axis
+    # models are evaluated on one axis block at a time: whole-axis
     # basic and calibrated tables of 5 models alone would take 10 vectors
     rng = np.random.default_rng(29)
     d = rng.uniform(0.05, 4.0, 200_000)
@@ -573,8 +710,8 @@ def test_disagg_files_of_a_small_campaign_come_from_one_encode(tmp_path, monkeyp
 
 
 def test_profiles_of_a_small_campaign_take_two_encodes(tmp_path, monkeypatch):
-    # one for the distance and measured cells of every row, one for every
-    # model's basic and calibrated cells at every axis point
+    # one for the distance and every model's basic and calibrated cells at
+    # every axis point, one for the measured cells of every row
     rng = np.random.default_rng(41)
     d = np.round(rng.uniform(0.1, 9.0, 150), 2)
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
@@ -584,7 +721,7 @@ def test_profiles_of_a_small_campaign_take_two_encodes(tmp_path, monkeypatch):
     calls = counted_encodes(monkeypatch)
     _write_profiles(tmp_path, axis, inverse, meas, cals)
     rows = d.size + np.setdiff1d(grid, d).size
-    assert calls == [(rows, 2), (axis.size, 2 * len(cals))]
+    assert calls == [(axis.size, 1 + 2 * len(cals)), (rows, 1)]
 
 
 @pytest.mark.parametrize("width", [2, 3, 11])
