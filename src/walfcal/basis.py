@@ -37,12 +37,10 @@ from .models import (
 
 __all__ = [
     "BasisSet",
-    "DesignMatrix",
     "RANK_TOL_DEFAULT",
     "WB_GROUPS",
     "WI_GROUPS",
     "build_basis",
-    "design_matrix",
     "effective_rank",
 ]
 
@@ -137,18 +135,6 @@ class BasisSet:
         return values
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Rows of basis-function values, one row per distance."""
-
-    matrix: np.ndarray
-    distances_km: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
 def _wi_terms(terrain: Terrain, kind: ModelKind) -> list[tuple[str, str, int, float]]:
     family, density = kind.family, kind.density
     lead = RTS_LEAD_ITU if family is Family.ITU else RTS_LEAD_COST
@@ -201,22 +187,18 @@ def build_basis(kind: ModelKind, terrain: Terrain) -> BasisSet:
     return BasisSet(kind=kind, terrain=terrain, terms=tuple(terms), weights=weights)
 
 
-def design_matrix(basis: BasisSet, distances_km) -> DesignMatrix:
-    """Tabulate every term at every distance (rows = distances): Φ @ M."""
-    d = np.array(distances_km, dtype=float, ndmin=1)
-    return DesignMatrix(matrix=basis.features(d) @ basis.weights, distances_km=d)
-
-
 def effective_rank(m, tol: float = RANK_TOL_DEFAULT) -> int:
     """Singular values above tol times the largest one.
 
-    Accepts a DesignMatrix or a plain 2-d array; tol must lie in (0, 1).
-    This is the numeric stand-in for the symbolic linear-independence
-    argument: constants collapse into a single dimension no matter how many
-    columns carry them.
+    m must be a finite 2-d array, and tol must lie in (0, 1); anything else
+    raises DomainError.  This is the numeric stand-in for the symbolic
+    linear-independence argument: constants collapse into a single dimension
+    no matter how many columns carry them.
     """
     _check_rank_tol(tol, "tol")
-    matrix = m.matrix if isinstance(m, DesignMatrix) else np.asarray(m, dtype=float)
+    matrix = np.asarray(m, dtype=float)
+    if matrix.ndim != 2 or not np.isfinite(matrix).all():
+        raise DomainError(f"rank needs a finite 2-d matrix, got shape {matrix.shape}")
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular.size == 0 or singular[0] == 0.0:
         return 0

@@ -112,7 +112,8 @@ def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK
     """Minimum-norm least-squares solve of matrix @ x ~ rhs.
 
     Returns (x, rank) where rank counts singular values above cutoff times
-    the largest; cutoff must lie in (0, 1).  Deterministic for given inputs;
+    the largest; cutoff must lie in (0, 1), and both arrays must be finite
+    (DomainError otherwise).  Deterministic for given inputs;
     the unique minimizer of ||x|| among all least-squares solutions.
     """
     _check_rank_tol(cutoff, "cutoff")
@@ -122,6 +123,8 @@ def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK
         raise DomainError(
             f"incompatible system: matrix {matrix.shape}, rhs length {rhs.size}"
         )
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise DomainError("least-squares system has entries that are not finite")
     x, _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=cutoff)
     return x, int(rank)
 

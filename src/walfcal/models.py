@@ -141,6 +141,24 @@ def _inside_wb_limit(d: np.ndarray, dh_tx_m: float) -> np.ndarray:
     return d * d < 17.0 * dh_tx_m
 
 
+def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
+    """The distances a model covers, and a warning if any were dropped.
+
+    All of d, or for W-BERT those inside its curvature limit: on a sorted
+    axis a prefix, which holds every measured distance of a fit.
+    """
+    if kind is not ModelKind.W_BERT:
+        return d, None
+    kept = d[_inside_wb_limit(d, terrain.dh_tx_m)]
+    dropped = d.size - kept.size
+    if not dropped:
+        return kept, None
+    return kept, (
+        f"{kind.value}: grid truncated at the curvature limit "
+        f"{wb_max_distance_km(terrain.dh_tx_m):.4f} km ({dropped} of {d.size} points dropped)"
+    )
+
+
 def _check_wb_domain(d: np.ndarray, dh_tx_m: float) -> None:
     """Reject distances outside _inside_wb_limit (curvature term undefined)."""
     flat = np.atleast_1d(d)

@@ -1,0 +1,360 @@
+"""Report files of a calibration run: per-model profile, disaggregation and
+coefficient files, the summary, and predict's table.
+
+Report cells use 4 decimals (negative zero prints as 0.0000), and identical
+inputs give byte-identical files.  numpy encodes cells a block at a time
+into fixed-width byte slots; a cell it cannot round with certainty (not
+finite, 1e7 or more, or next to a .5 tie) takes its text from _db, so every
+cell reads as f"{v:.4f}" does, and a block with a cell too long for its
+slot goes cell by cell through _db.  Blocks are sized by cells, so the
+encoder's temporaries stay in cache.  Once every model is fitted, one pass
+over blocks of the report axis writes all disagg files and one more all
+profile files, each model's cells encoded once per axis point; a profile
+row's distance and measured cells pack as one byte run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+from pathlib import Path
+
+import numpy as np
+
+from .calib import MeasurementSet, _group_values, _loss_table, predict_calibrated
+from .models import _model_distances, predict_basic
+
+
+def _db(value: float) -> str:
+    """A report cell: value to 4 decimals, with negative zero as 0.0000."""
+    cell = f"{value:.4f}"
+    return "0.0000" if cell == "-0.0000" else cell
+
+
+def _write_text(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+# A report cell is encoded in a 16-byte slot: integer digits right-aligned at
+# bytes 0..7 with the sign in the byte before the leading one, "." at 8, four
+# decimals at 9..12 and the separator at _SEP.  The cell's text is the slot
+# from its start byte through _SEP; _KEEP[first, last] is the keep mask of a
+# slot's bytes first..last.
+_SLOT = np.dtype("V16")
+_SEP = 13
+_BYTE = np.arange(16)
+_KEEP = ((_BYTE >= _BYTE[:, None, None]) & (_BYTE <= _BYTE[:, None])).view(_SLOT)[..., 0]
+# _MINUS[lead] turns the "0" at byte lead - 1 of a slot's first word into
+# "-"; _MINUS[0] changes nothing
+_MINUS = np.array([0] + [(ord("0") - ord("-")) << 8 * byte for byte in range(7)], dtype="<u8")
+# below this magnitude q = rint(v·1e4) < 1e11: at most 7 integer digits, so a
+# minus sign always has a byte in front of them
+_SLOT_MAX = 9_999_999.9999
+# cells per encoded block: _encode's per-cell cost about doubles once its
+# temporaries outgrow a core's L2 cache, as an 8192 × 11 block's do
+_BLOCK_CELLS = 32_768
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a table width cells wide: at most _BLOCK_CELLS cells, at least 1."""
+    return max(1, _BLOCK_CELLS // width)
+
+
+@functools.cache
+def _digit_tables():
+    """By 4-digit group k, built on first use: k's ASCII digits as a
+    little-endian word, and the digit count of an integer part whose low or
+    whose high group k is.
+
+    These are 40 kB and 10 kB.  An 80 kB table, made once the fits had grown
+    the heap, raised the peak RSS of a 100 000-row run by 2.5 MB.
+    """
+    k = np.arange(10_000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    quad = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+    low_count = (1 + (k >= 10) + (k >= 100) + (k >= 1000)).astype(np.uint8)
+    high_count = np.where(k > 0, low_count + 4, 0).astype(np.uint8)
+    return quad, low_count, high_count
+
+
+def _encode(block: np.ndarray):
+    """Slots, (n, c) of _SLOT, of an (n, c) float block's cells as _db prints
+    them, and each one's text start byte; None if a text is too long for a slot.
+
+    numpy rounds a cell with |v| < _SLOT_MAX whose v·1e4 lies more than a few
+    ulp off a .5 tie: v·1e4 is computed to within |v·1e4|·2^-53, so there
+    rint rounds it as the exact decimal value of v rounds.  Any other cell
+    (a tie, not finite, or larger) takes its text from _db.  Each temporary
+    is freed once spent.
+    """
+    scaled = np.abs(block)
+    odd = ~(scaled < _SLOT_MAX)
+    if odd.any():
+        scaled[odd] = 0.0
+    scaled *= 1e4
+    q = np.rint(scaled)
+    margin = scaled * 2.0**-50
+    scaled -= q
+    np.abs(scaled, out=scaled)
+    scaled += margin
+    odd |= scaled >= 0.5
+    del scaled, margin
+    # a cell that rounds to zero has no sign
+    negative = (block < 0.0) & (q > 0.0)
+    # q < 1e11 is an integer, so a quotient below is off the next integer
+    # by 1e-4 or more and its floor is exact
+    whole = q / 1e4
+    np.floor(whole, out=whole)
+    q -= whole * 1e4
+    frac = q.astype(np.intp)
+    del q
+    high = whole / 1e4
+    np.floor(high, out=high)
+    whole -= high * 1e4
+    hi, lo = high.astype(np.intp), whole.astype(np.intp)
+    del whole, high
+    quad, low_count, high_count = _digit_tables()
+    words = np.empty(block.shape + (2,), dtype="<u8")
+    decimals = quad[frac].astype("<u8")
+    del frac
+    decimals <<= 8
+    decimals |= ord(".") | ord(",") << 40
+    words[..., 1] = decimals
+    del decimals
+    halves = words.view("<u4")
+    halves[..., 0] = quad[hi]
+    halves[..., 1] = quad[lo]
+    lead = 8 - np.maximum(high_count[hi], low_count[lo])
+    del hi, lo
+    words[..., 0] -= _MINUS[lead * negative]
+    slots, first = words.view(_SLOT)[..., 0], lead - negative
+    if odd.any():
+        texts = [_db(v) for v in block[odd].tolist()]
+        if max(map(len, texts)) > _SEP:
+            return None
+        # right-aligned before the separator, whatever the layout of the text
+        slots[odd] = np.array([f"{t:>{_SEP}}," for t in texts], dtype="S16").view(_SLOT)
+        first[odd] = [_SEP - len(t) for t in texts]
+    return slots, first
+
+
+def _row_bytes(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept bytes of (n, c) cell slots, each row ending in a newline."""
+    data = slots.view(np.uint8).reshape(*slots.shape, _SLOT.itemsize)
+    data[:, -1, _SEP] = ord("\n")
+    return data[keep.view(bool).reshape(data.shape)]
+
+
+def _db_rows(values: np.ndarray) -> str:
+    """Rows of values formatted cell by cell through _db."""
+    return "".join(",".join(map(_db, row)) + "\n" for row in values.tolist())
+
+
+def _pack(block: np.ndarray, parts) -> list:
+    """The rows of each (n, lo, hi) part of block, its first n rows of
+    columns lo:hi, as bytes-like runs of _db cells, each row ending in a
+    newline; a part with no rows gives b"".
+
+    One _encode serves the whole block; a block _encode cannot take goes
+    cell by cell through _db_rows, in every part.
+    """
+    cells = _encode(block)
+    if cells is None:
+        return [_db_rows(block[:n, lo:hi]).encode("ascii") for n, lo, hi in parts]
+    slots, keep = cells[0], _KEEP[cells[1], _SEP]
+    return [_row_bytes(slots[:n, lo:hi], keep[:n, lo:hi]) if n else b"" for n, lo, hi in parts]
+
+
+def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
+    """Write a header line, then one row per distance in d, its cells as _db
+    formats them: the distance, then that row of columns_of(d).
+
+    columns_of is evaluated on one _block_rows block of d at a time, so no
+    value array over all of d is built.
+    """
+    out.write(header + "\n")
+    step = _block_rows(header.count(",") + 1)
+    for start in range(0, d.size, step):
+        chunk = d[start : start + step]
+        block = np.column_stack([chunk, columns_of(chunk)])
+        out.write(str(_pack(block, [(chunk.size, 0, block.shape[1])])[0], "ascii"))
+
+
+def _profile_rows(axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet):
+    """Axis index and measured sample (-1 for none) of each profile row.
+
+    Rows are sorted by distance, duplicate measured distances keep their
+    input order, and a grid point equal to a measured distance is not
+    repeated.  axis and inverse are what np.unique returns, with
+    return_inverse, for the measured distances followed by the grid.
+    """
+    n = len(meas)
+    counts = np.bincount(inverse[:n], minlength=axis.size)
+    sampled = counts > 0
+    # the other axis points are grid points, one row per grid entry
+    on_grid = inverse[n:]
+    np.add.at(counts, on_grid[~sampled[on_grid]], 1)
+    rows = np.repeat(np.arange(axis.size), counts)
+    del counts
+    # axis index · n + sample is unique, so a plain sort orders the samples
+    # by axis index and, within one, by input order
+    order = inverse[:n] * n
+    order += np.arange(n)
+    order.sort()
+    np.remainder(order, n, out=order)
+    sample = np.full(rows.size, -1)
+    sample[sampled[rows]] = order
+    return rows, sample
+
+
+def _joined(d, d_first, m, m_first):
+    """Slots and masks, (n, 2), of distance cells d moved to end at byte 15
+    and measured cells m moved to start at byte 0, so a row packs as one run
+    "d,m,", or "d,," where m_first is _SEP."""
+    (d_lo, d_hi), (m_lo, m_hi) = np.stack([d, m])[..., None].view("<u8").transpose(0, 2, 1)
+    bits = m_first.astype("<u8") << 3
+    # numpy shifts by 64 bits or more to 0, and a count below 0 wraps above 64
+    m_lo = m_lo >> bits | m_hi << (64 - bits) | m_hi >> (bits - 64)
+    words = np.stack([d_lo << 16, d_hi << 16 | d_lo >> 48, m_lo, m_hi >> bits], axis=1)
+    return words.view(_SLOT), np.stack([_KEEP[d_first + 2, 15], _KEEP[0, _SEP - m_first]], axis=1)
+
+
+def _profile_text(rows, col, p, has) -> bytes:
+    """Profile rows through _db: distance, measured p where has, block columns col, col + 1."""
+    cells = zip(rows[:, 0].tolist(), p.tolist(), has.tolist(), rows[:, col : col + 2].tolist())
+    return "".join(
+        f"{_db(d)},{_db(m) if shown else ''},{_db(b)},{_db(c)}\n" for d, m, shown, (b, c) in cells
+    ).encode("ascii")
+
+
+def _write_profiles(
+    out_dir: Path, axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet, cals
+) -> None:
+    """Write the profile files of the fitted models in one pass over blocks
+    of axis, the report axis, with inverse as _profile_rows takes it.
+
+    One _encode takes an axis block, [d | basic, calibrated of model 1 | ...],
+    each model evaluated on the points of its _model_distances, and one more
+    the measured cells of each chunk of the block's rows.  Rows pack "d,m,"
+    as one _joined run; each file takes its basic and calibrated slots and
+    masks by axis index in one take.  A chunk with a cell too long for its
+    slot goes cell by cell through _db.
+    """
+    axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
+    ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
+    row_ends = np.searchsorted(axis_rows, ends).tolist()
+    total, width = max(ends, default=0), 1 + 2 * len(cals)
+    with contextlib.ExitStack() as stack:
+        paths = [out_dir / f"profile_{cal.kind.value}.csv" for cal in cals]
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for out in files:
+            out.write(b"distance_km,measured_db,basic_db,calibrated_db\n")
+        for start in range(0, total, _block_rows(width)):
+            d = axis[start : min(start + _block_rows(width), total)]
+            # points past a model's end are encoded as zeros, for no file
+            block = np.column_stack([d, np.zeros((d.size, width - 1))])
+            for m, (cal, end) in enumerate(zip(cals, ends)):
+                if covered := min(max(end - start, 0), d.size):
+                    block[:covered, 1 + 2 * m] = predict_basic(cal.kind, cal.terrain, d[:covered])
+                    block[:covered, 2 + 2 * m] = predict_calibrated(cal, d[:covered])
+            cells = _encode(block)
+            if cells is not None:
+                slots, first = cells
+                # model m's basic and calibrated slots, then their masks
+                pairs = np.stack([slots[:, 1:], _KEEP[first[:, 1:], _SEP]], axis=1)
+                pairs = pairs.reshape(d.size, 2, -1, 2).transpose(2, 1, 0, 3).copy()
+            lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
+            for a in range(lo_row, hi_row, _block_rows(4)):
+                local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
+                has = axis_sample[a : a + local.size] >= 0
+                measured = np.where(has, meas.pathloss_db[axis_sample[a : a + local.size]], 0.0)
+                counts = [min(max(end - a, 0), local.size) for end in row_ends]
+                shown = None if cells is None else _encode(measured[:, None])
+                if shown is None:
+                    for m, (count, out) in enumerate(zip(counts, files)):
+                        out.write(_profile_text(block[local[:count]], 1 + 2 * m, measured, has))
+                    continue
+                # slots in row[0], masks in row[1]: distance, measured, basic, calibrated
+                row = np.empty((2, local.size, 4), dtype=_SLOT)
+                d_cells = np.take(slots[:, 0], local), first[local, 0]
+                m_first = np.where(has, shown[1][:, 0], _SEP)
+                row[:, :, :2] = _joined(*d_cells, shown[0][:, 0], m_first)
+                for m, (count, out) in enumerate(zip(counts, files)):
+                    row[:, :count, 2:] = np.take(pairs[m], local[:count], axis=1)
+                    out.write(_row_bytes(row[0, :count], row[1, :count]))
+
+
+def _write_disaggs(out_dir: Path, axis: np.ndarray, cals) -> None:
+    """Write the disagg files of the fitted models in one pass over blocks of
+    the report axis.
+
+    Each model's file covers the rows of its _model_distances.  A block
+    evaluates Φ once, each row by the widest basis that covers it, and each
+    model's value columns as Φ @ C, with C its _loss_table, as group_losses
+    does.  One _encode serves the whole block, laid out as [d | model 1's
+    columns | d | model 2's columns | ...], and each file packs its rows from
+    its own column range through _pack.
+    """
+    if not cals:
+        return
+    tables = [_loss_table(cal) for cal in cals]
+    bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
+    ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
+    # rows up to the widest basis's end need its features, the rest only the
+    # leading ones, which every basis writes alike
+    by_width = sorted(range(len(cals)), key=lambda m: len(cals[m].basis.weights))
+    narrow, wide = cals[by_width[0]].basis, cals[by_width[-1]].basis
+    wide_end = ends[by_width[-1]]
+    step = _block_rows(bounds[-1])
+    total = max(ends)
+    phi = np.empty((min(total, step), len(wide.weights)))
+    block = np.empty((len(phi), bounds[-1]))
+    with contextlib.ExitStack() as stack:
+        files = []
+        for cal in cals:
+            out = stack.enter_context(open(out_dir / f"disagg_{cal.kind.value}.csv", "wb"))
+            groups = cal.basis.groups
+            header = ["distance_km", *(f"basic_{g}_db" for g in groups), "basic_total_db"]
+            header += [*(f"calibrated_{g}_db" for g in groups), "calibrated_total_db"]
+            out.write((",".join(header) + "\n").encode("ascii"))
+            files.append(out)
+        for start in range(0, total, step):
+            chunk = axis[start : min(start + step, total)]
+            size = chunk.size
+            split = min(max(wide_end - start, 0), size)
+            wide._fill(chunk[:split], phi[:split])
+            narrow._fill(chunk[split:], phi[split:size])
+            counts = [min(max(end - start, 0), size) for end in ends]
+            for cal, table, lo, hi, count in zip(cals, tables, bounds, bounds[1:], counts):
+                block[:count, lo] = chunk[:count]
+                block[:count, lo + 1 : hi] = _group_values(
+                    phi[:count, : len(cal.basis.weights)], table
+                )
+                # rows past a model's end are encoded but written to no file;
+                # zeros there keep a stale cell from failing the block's encode
+                block[count:size, lo:hi] = 0.0
+            parts = zip(counts, bounds, bounds[1:])
+            for out, rows in zip(files, _pack(block[:size], parts)):
+                out.write(rows)
+
+
+def _write_coefficients(path, cal) -> None:
+    lines = [f"# model={cal.kind.value} rank={cal.rank} n_functions={len(cal.basis)}"]
+    lines.append("index,label,group,coefficient")
+    for index, ((label, group, _, _), a) in enumerate(zip(cal.basis.terms, cal.alpha)):
+        lines.append(f"{index},{label},{group},{float(a)!r}")
+    _write_text(path, lines)
+
+
+def _write_summary(path, runs) -> None:
+    lines = ["model,rmse_basic_db,mpe_basic_db,rmse_calibrated_db,mpe_calibrated_db,improvement_pct"]
+    for run in runs:
+        if not run.ok:
+            continue
+        m = run.metrics
+        gain = "" if m.improvement_pct is None else _db(m.improvement_pct)
+        lines.append(
+            f"{run.kind.value},{_db(m.rmse_basic_db)},{_db(m.mpe_basic_db)},"
+            f"{_db(m.rmse_db)},{_db(m.mpe_db)},{gain}"
+        )
+    _write_text(path, lines)

@@ -1,12 +1,14 @@
-"""Randomized-input builders, a text comparison and a memory probe shared by
-the test modules."""
+"""Randomized-input builders, term values, a measurement writer, a text
+comparison and a memory probe shared by the test modules."""
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from walfcal import MeasurementSet, ModelKind, Terrain
+from walfcal.cli import MEASUREMENT_HEADER
 
 ALL_KINDS = tuple(ModelKind)
 WI_KINDS = tuple(kind for kind in ModelKind if kind is not ModelKind.W_BERT)
@@ -39,6 +41,18 @@ def random_campaign(rng, n_lo=30, n_hi=300):
     trend = rng.uniform(100.0, 140.0) + rng.uniform(20.0, 40.0) * np.log10(d)
     noisy = trend + rng.normal(0.0, rng.uniform(0.5, 6.0), size=n)
     return terrain, MeasurementSet(d, np.maximum(noisy, 1.0))
+
+
+def term_values(basis, d) -> np.ndarray:
+    """Every term of basis at every distance in d, one row per distance: Φ(d) @ M."""
+    return basis.features(np.array(d, float, ndmin=1)) @ basis.weights
+
+
+def save_measurements(meas: MeasurementSet, path) -> None:
+    """Write a measurement set; load_measurements round-trips it exactly."""
+    lines = [MEASUREMENT_HEADER]
+    lines += [f"{float(d)!r},{float(p)!r}" for d, p in zip(meas.distances_km, meas.pathloss_db)]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def assert_same_text(actual, expected) -> None:

@@ -11,13 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ALL_KINDS, WI_KINDS, random_campaign, random_distances, random_terrain
+from helpers import (
+    ALL_KINDS,
+    WI_KINDS,
+    random_campaign,
+    random_distances,
+    random_terrain,
+    save_measurements,
+    term_values,
+)
 from walfcal import (
     MeasurementSet,
     ModelKind,
     build_basis,
     calibrate,
-    design_matrix,
     effective_rank,
     free_space_loss,
     improvement_pct,
@@ -28,7 +35,7 @@ from walfcal import (
     rooftop_to_street_loss,
     wb_excess_loss,
 )
-from walfcal.cli import load_config, load_measurements, run_calibration, save_measurements
+from walfcal.cli import load_config, load_measurements, run_calibration
 from walfcal.models import Density, Family, Terrain
 
 N_CAMPAIGNS = 50
@@ -117,7 +124,7 @@ def test_c5_reconstruction_identity():
         kind = ALL_KINDS[rng.integers(len(ALL_KINDS))]
         terrain = random_terrain(rng)
         d = float(random_distances(rng, terrain, 1)[0])
-        total = float(design_matrix(build_basis(kind, terrain), [d]).matrix[0].sum())
+        total = float(term_values(build_basis(kind, terrain), [d])[0].sum())
         worst = max(worst, abs(total - predict_basic(kind, terrain, d)))
     ok = worst <= 1e-9
     _report(5, "basis functions sum to the basic model", ok)
@@ -134,7 +141,7 @@ def test_c6_effective_rank():
             terrain = random_terrain(rng)
             distances = np.unique(random_distances(rng, terrain, 15))
             assert distances.size >= 10
-            dm = design_matrix(build_basis(kind, terrain), distances)
+            dm = term_values(build_basis(kind, terrain), distances)
             for tol in tolerances:
                 ok = ok and effective_rank(dm, tol) == expected
     _report(6, "design-matrix rank 2 (WI) / 3 (W-BERT)", ok)

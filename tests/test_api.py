@@ -1,5 +1,11 @@
 """The public names of the package and its command-line module, sorted and
-pinned, so that each addition or removal shows up as a diff of this file."""
+pinned, so that each addition or removal shows up as a diff of this file,
+and the boundary of the private report module."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import walfcal
 import walfcal.cli
@@ -9,7 +15,6 @@ PACKAGE_NAMES = [
     "Calibration",
     "CurvatureDomainError",
     "Density",
-    "DesignMatrix",
     "DomainError",
     "Family",
     "MeasurementSet",
@@ -24,7 +29,6 @@ PACKAGE_NAMES = [
     "build_basis",
     "building_geometry_term",
     "calibrate",
-    "design_matrix",
     "effective_rank",
     "free_space_loss",
     "group_losses",
@@ -53,7 +57,13 @@ CLI_NAMES = [
     "main",
     "prediction_grid",
     "run_calibration",
-    "save_measurements",
+]
+
+# removed public names, each with the module that held it
+REMOVED = [
+    ("walfcal.basis", "DesignMatrix"),
+    ("walfcal.basis", "design_matrix"),
+    ("walfcal.cli", "save_measurements"),
 ]
 
 
@@ -69,3 +79,28 @@ def test_every_exported_name_resolves():
     for module in (walfcal, walfcal.cli):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__} exports undefined names {missing}"
+
+
+def test_removed_names_stay_removed():
+    for module, name in REMOVED:
+        assert not hasattr(sys.modules[module], name), f"{module}.{name}"
+        assert not hasattr(walfcal, name), name
+
+
+LAYERING = """
+import sys
+import walfcal
+assert "walfcal.report" not in sys.modules, "walfcal imports walfcal.report"
+import walfcal.report as report
+assert "walfcal.cli" not in sys.modules, "walfcal.report imports walfcal.cli"
+assert not hasattr(report, "__all__")
+own = {n for n, v in vars(report).items() if getattr(v, "__module__", "") == report.__name__}
+assert own and not own & set(walfcal.__all__), own & set(walfcal.__all__)
+"""
+
+
+def test_report_module_stays_private_and_below_the_cli():
+    # a fresh interpreter, as this one has imported walfcal.cli already
+    env = {**os.environ, "PYTHONPATH": str(Path(walfcal.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", LAYERING], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ALL_KINDS, WI_KINDS, random_distances, random_terrain
+from helpers import ALL_KINDS, WI_KINDS, random_distances, random_terrain, term_values
 from walfcal import (
     CurvatureDomainError,
     DomainError,
@@ -14,7 +14,6 @@ from walfcal import (
     WB_GROUPS,
     WI_GROUPS,
     build_basis,
-    design_matrix,
     effective_rank,
     predict_basic,
 )
@@ -75,7 +74,7 @@ class TestBuildBasis:
     def test_wb_leading_terms(self):
         t = make_terrain()
         basis = build_basis(ModelKind.W_BERT, t)
-        terms = design_matrix(basis, [1.0, 7.3, 10.0]).matrix
+        terms = term_values(basis, [1.0, 7.3, 10.0])
         assert terms[0, 0] == pytest.approx(89.5)
         assert terms[1, 0] == pytest.approx(89.5)
         assert terms[2, 1] == pytest.approx(38.0)
@@ -86,13 +85,13 @@ class TestBuildBasis:
         # at the pivot frequency the rate factor is zero, leaving -4 log10 f
         t = make_terrain(f_mhz=925.0)
         basis = build_basis(ModelKind.CWI_M, t)
-        kf_term = design_matrix(basis, [2.0]).matrix[0, 11]
+        kf_term = term_values(basis, [2.0])[0, 11]
         assert kf_term == pytest.approx(-4.0 * math.log10(925.0))
 
     def test_rts_lead_reflects_family(self):
         t = make_terrain()
         for kind, lead in ((ModelKind.CWI_M, -16.9), (ModelKind.ITWI_M, -8.2)):
-            assert design_matrix(build_basis(kind, t), [1.0]).matrix[0, 3] == pytest.approx(lead)
+            assert term_values(build_basis(kind, t), [1.0])[0, 3] == pytest.approx(lead)
 
     def test_reconstruction_identity_randomized(self):
         rng = np.random.default_rng(31)
@@ -100,7 +99,7 @@ class TestBuildBasis:
             kind = ALL_KINDS[rng.integers(len(ALL_KINDS))]
             t = random_terrain(rng)
             d = float(random_distances(rng, t, 1)[0])
-            total = float(design_matrix(build_basis(kind, t), [d]).matrix[0].sum())
+            total = float(term_values(build_basis(kind, t), [d])[0].sum())
             assert total == pytest.approx(predict_basic(kind, t, d), abs=1e-9)
 
     def test_terrain_snapshot_retained(self):
@@ -115,62 +114,57 @@ class TestDesignMatrix:
         t = make_terrain()
         basis = build_basis(ModelKind.ITWI_SU, t)
         d = np.array([0.3, 1.0, 4.2])
-        dm = design_matrix(basis, d)
+        dm = term_values(basis, d)
         assert dm.shape == (3, 13)
         for n in range(len(basis)):
             term = basis.evaluate(d, np.eye(len(basis))[n])
-            assert dm.matrix[:, n] == pytest.approx(term)
+            assert dm[:, n] == pytest.approx(term)
 
     def test_distance_log_column_zero_at_one_km(self):
-        dm = design_matrix(build_basis(ModelKind.CWI_M, make_terrain()), [1.0])
-        assert dm.matrix[0, 1] == pytest.approx(0.0, abs=1e-15)
+        dm = term_values(build_basis(ModelKind.CWI_M, make_terrain()), [1.0])
+        assert dm[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_columns_uniform(self):
-        dm = design_matrix(build_basis(ModelKind.CWI_M, make_terrain()), [0.2, 1.7, 6.0])
+        dm = term_values(build_basis(ModelKind.CWI_M, make_terrain()), [0.2, 1.7, 6.0])
         for n in (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12):
-            column = dm.matrix[:, n]
+            column = dm[:, n]
             assert np.ptp(column) == pytest.approx(0.0, abs=1e-15)
-
-    def test_row_distances_recorded(self):
-        d = [2.0, 0.5]
-        dm = design_matrix(build_basis(ModelKind.W_BERT, make_terrain()), d)
-        assert dm.distances_km == pytest.approx(d)
 
     def test_wb_domain_enforced(self):
         basis = build_basis(ModelKind.W_BERT, make_terrain(dh_tx_m=10.0))
         with pytest.raises(CurvatureDomainError, match="13.5"):
-            design_matrix(basis, [1.0, 13.5])
+            term_values(basis, [1.0, 13.5])
 
     def test_rejects_empty_distances(self):
         with pytest.raises(DomainError):
-            design_matrix(build_basis(ModelKind.CWI_M, make_terrain()), [])
+            term_values(build_basis(ModelKind.CWI_M, make_terrain()), [])
 
     def test_entries_finite(self):
         rng = np.random.default_rng(37)
         for kind in ALL_KINDS:
             t = random_terrain(rng)
-            dm = design_matrix(build_basis(kind, t), random_distances(rng, t, 25))
-            assert np.all(np.isfinite(dm.matrix))
+            dm = term_values(build_basis(kind, t), random_distances(rng, t, 25))
+            assert np.all(np.isfinite(dm))
 
 
 class TestEffectiveRank:
     def test_single_distance_rank_one(self):
         for kind in ALL_KINDS:
-            dm = design_matrix(build_basis(kind, make_terrain()), [1.4])
+            dm = term_values(build_basis(kind, make_terrain()), [1.4])
             assert effective_rank(dm) == 1
 
     def test_wi_rank_two(self):
         rng = np.random.default_rng(41)
         for kind in WI_KINDS:
             t = random_terrain(rng)
-            dm = design_matrix(build_basis(kind, t), random_distances(rng, t, 12))
+            dm = term_values(build_basis(kind, t), random_distances(rng, t, 12))
             for tol in (1e-12, 1e-10, 1e-8, 1e-6):
                 assert effective_rank(dm, tol) == 2
 
     def test_wb_rank_three(self):
         rng = np.random.default_rng(43)
         t = random_terrain(rng)
-        dm = design_matrix(build_basis(ModelKind.W_BERT, t), random_distances(rng, t, 12))
+        dm = term_values(build_basis(ModelKind.W_BERT, t), random_distances(rng, t, 12))
         for tol in (1e-12, 1e-10, 1e-8, 1e-6):
             assert effective_rank(dm, tol) == 3
 
@@ -178,8 +172,8 @@ class TestEffectiveRank:
         rng = np.random.default_rng(47)
         for kind in ALL_KINDS:
             t = random_terrain(rng)
-            dm = design_matrix(build_basis(kind, t), random_distances(rng, t, 30))
-            assert effective_rank(dm) == brute_force_column_dim(dm.matrix)
+            dm = term_values(build_basis(kind, t), random_distances(rng, t, 30))
+            assert effective_rank(dm) == brute_force_column_dim(dm)
 
     def test_rank_ceiling(self):
         rng = np.random.default_rng(53)
@@ -187,13 +181,22 @@ class TestEffectiveRank:
             cap = 3 if kind is ModelKind.W_BERT else 2
             t = random_terrain(rng)
             for k in (1, 2, 3, 8):
-                dm = design_matrix(build_basis(kind, t), random_distances(rng, t, k))
+                dm = term_values(build_basis(kind, t), random_distances(rng, t, k))
                 for tol in (1e-12, 1e-9, 1e-6):
                     assert effective_rank(dm, tol) <= min(k, cap)
 
     def test_accepts_plain_arrays(self):
         assert effective_rank(np.eye(4)) == 4
         assert effective_rank(np.zeros((3, 3))) == 0
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[1.0, 2.0, 3.0], 4.0, np.ones((2, 2, 2)), [[1.0, math.inf], [0.0, 1.0]],
+         [[math.nan, 1.0], [0.0, 1.0]], [[-math.inf]]],
+    )
+    def test_rejects_matrix_not_finite_and_2d(self, matrix):
+        with pytest.raises(DomainError, match="finite 2-d matrix"):
+            effective_rank(matrix)
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,8 @@ from helpers import (
     random_campaign,
     random_distances,
     random_terrain,
+    save_measurements,
+    term_values,
     traced_peak,
 )
 from walfcal import (
@@ -24,7 +26,6 @@ from walfcal import (
     Terrain,
     build_basis,
     calibrate,
-    design_matrix,
     free_space_loss,
     group_losses,
     minimum_norm_lstsq,
@@ -33,7 +34,7 @@ from walfcal import (
     rmse,
 )
 from walfcal.basis import _CHUNK_ROWS
-from walfcal.cli import CampaignConfig, run_calibration, save_measurements
+from walfcal.cli import CampaignConfig, run_calibration
 
 
 def make_terrain(**overrides) -> Terrain:
@@ -120,6 +121,17 @@ class TestMinimumNormLstsq:
         with pytest.raises(DomainError):
             minimum_norm_lstsq(np.eye(3), np.ones(2))
 
+    @pytest.mark.parametrize(
+        "matrix, rhs",
+        [([[1.0, math.nan]], [1.0]), ([[1.0, math.inf], [0.0, 1.0]], [1.0, 2.0]),
+         ([[1.0, 0.0], [0.0, 1.0]], [1.0, -math.inf])],
+    )
+    def test_rejects_entries_that_are_not_finite(self, matrix, rhs, capfd):
+        # LAPACK would print a complaint and numpy raise LinAlgError
+        with pytest.raises(DomainError, match="not finite"):
+            minimum_norm_lstsq(np.array(matrix), np.array(rhs))
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("cutoff", [0.0, 1.0, 2.0, math.inf, math.nan, -1.0])
     def test_rejects_cutoff_outside_unit_interval(self, cutoff):
         # np.linalg.lstsq would swap such an rcond for machine precision
@@ -159,7 +171,7 @@ class TestCalibrate:
             t, meas = random_campaign(rng, n_lo=30, n_hi=80)
             for kind in ALL_KINDS:
                 cal = calibrate(kind, t, meas)
-                matrix = design_matrix(cal.basis, meas.distances_km).matrix
+                matrix = term_values(cal.basis, meas.distances_km)
                 res_norm = float(np.linalg.norm(cal.residual_db))
                 for column in matrix.T:
                     bound = 1e-6 * float(np.linalg.norm(column)) * res_norm + 1e-9
@@ -263,7 +275,7 @@ class TestChunkedFit:
         ranks = []
         for kind in ALL_KINDS:
             cal = calibrate(kind, t, meas)
-            full = design_matrix(cal.basis, meas.distances_km).matrix
+            full = term_values(cal.basis, meas.distances_km)
             alpha, _, rank, _ = np.linalg.lstsq(full, meas.pathloss_db, rcond=RANK_TOL_DEFAULT)
             assert cal.rank == rank
             assert np.max(np.abs(cal.fitted_db - full @ alpha)) <= TOL_DB

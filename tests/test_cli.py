@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import WI_KINDS
+from helpers import WI_KINDS, save_measurements
 from walfcal import (
     CurvatureDomainError,
     DomainError,
@@ -33,7 +33,6 @@ from walfcal.cli import (
     main,
     prediction_grid,
     run_calibration,
-    save_measurements,
 )
 
 CONFIG_TEXT = """\
@@ -276,6 +275,20 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="HATA"):
             load_config(path)
 
+    def test_repeated_model_names_line_and_label(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONFIG_TEXT.format(models="CWI-M, W-BERT, cwi-m", d_max=2.0))
+        with pytest.raises(ParseError, match=r"c\.cfg:9: model 'cwi-m' repeats CWI-M"):
+            load_config(path)
+
+    def test_repeated_model_stops_calibrate_before_any_file(self, tmp_path, capsys):
+        config_path, meas_path = write_campaign(tmp_path, models="CWI-M, cwi-m")
+        out_dir = tmp_path / "out"
+        argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
+        assert main([*argv, "--output-dir", str(out_dir)]) == 1
+        assert "repeats CWI-M" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_line_without_equals(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("f_mhz 900\n")
@@ -353,6 +366,10 @@ class TestCampaignConfigValidation:
     def test_rejects_empty_models(self):
         with pytest.raises(DomainError):
             self.base(models=())
+
+    def test_rejects_repeated_models(self):
+        with pytest.raises(DomainError, match="repeat"):
+            self.base(models=(ModelKind.W_BERT, ModelKind.CWI_M, ModelKind.W_BERT))
 
     def test_rejects_inverted_grid(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_KINDS, TOL_DB, WI_KINDS
+from helpers import ALL_KINDS, TOL_DB, WI_KINDS, term_values
 from walfcal import (
     RANK_TOL_DEFAULT,
     MeasurementSet,
@@ -27,7 +27,6 @@ from walfcal import (
     Terrain,
     build_basis,
     calibrate,
-    design_matrix,
     group_losses,
     mpe,
     predict_basic,
@@ -88,7 +87,7 @@ def _clear_rank(matrix: np.ndarray) -> bool:
 
 def _assume_clear_rank(terrain, meas, kinds) -> None:
     for kind in kinds:
-        assume(_clear_rank(design_matrix(build_basis(kind, terrain), meas.distances_km).matrix))
+        assume(_clear_rank(term_values(build_basis(kind, terrain), meas.distances_km)))
 
 
 @PROPERTY_SETTINGS
@@ -97,7 +96,7 @@ def test_reduced_solve_matches_full_lstsq(campaign, kind):
     terrain, meas = campaign
     _assume_clear_rank(terrain, meas, [kind])
     cal = calibrate(kind, terrain, meas)
-    full = design_matrix(cal.basis, meas.distances_km).matrix
+    full = term_values(cal.basis, meas.distances_km)
     alpha, _, rank, _ = np.linalg.lstsq(full, meas.pathloss_db, rcond=RANK_TOL_DEFAULT)
     assert cal.rank == rank
     assert np.max(np.abs(cal.fitted_db - full @ alpha)) <= TOL_DB
@@ -146,7 +145,7 @@ def test_group_losses_add_up_to_both_predictions(campaign, kind):
         assert np.max(np.abs(side[:, :g].sum(axis=1) - side[:, g])) <= TOL_DB
         assert np.max(np.abs(side[:, g] - net)) <= TOL_DB
     # each group column is the sum of its terms' design-matrix columns
-    terms = design_matrix(cal.basis, d).matrix
+    terms = term_values(cal.basis, d)
     for n, group in enumerate(groups):
         idx = list(cal.basis.group_indices(group))
         assert np.max(np.abs(basic[:, n] - terms[:, idx].sum(axis=1))) <= TOL_DB

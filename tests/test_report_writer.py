@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import walfcal.cli as cli
-from helpers import assert_same_text, traced_peak
+import walfcal.report as report
+from helpers import assert_same_text, save_measurements, traced_peak
 from walfcal import (
     Calibration,
     MeasurementSet,
@@ -24,10 +24,10 @@ from walfcal import (
     predict_calibrated,
 )
 from walfcal.basis import _CHUNK_ROWS
-from walfcal.cli import (
+from walfcal.cli import CampaignConfig, prediction_grid, run_calibration
+from walfcal.report import (
     _KEEP,
     _SEP,
-    CampaignConfig,
     _block_rows,
     _db,
     _db_rows,
@@ -38,9 +38,6 @@ from walfcal.cli import (
     _write_disaggs,
     _write_profiles,
     _write_table,
-    prediction_grid,
-    run_calibration,
-    save_measurements,
 )
 
 TERRAIN = Terrain(f_mhz=900.0, w_m=20.0, b_m=30.0, phi_deg=30.0, dh_rx_m=12.0, dh_tx_m=6.0)
@@ -418,7 +415,7 @@ def test_one_fallback_cell_among_encoded_rows(monkeypatch, value, row):
     ]
     slow_blocks = []
     monkeypatch.setattr(
-        cli, "_db_rows", lambda values: slow_blocks.append(values[0, 0]) or _db_rows(values)
+        report, "_db_rows", lambda values: slow_blocks.append(values[0, 0]) or _db_rows(values)
     )
     text = table("a,b,c,d", columns)
     assert_same_text(text, reference_table("a,b,c,d", columns))
@@ -445,9 +442,11 @@ def counted_fallbacks(monkeypatch) -> list:
     """The row count of each _profile_text call, as profile rows go cell by
     cell through _db."""
     calls = []
-    fallback = cli._profile_text
+    fallback = report._profile_text
     monkeypatch.setattr(
-        cli, "_profile_text", lambda rows, *rest: calls.append(len(rows)) or fallback(rows, *rest)
+        report,
+        "_profile_text",
+        lambda rows, *rest: calls.append(len(rows)) or fallback(rows, *rest),
     )
     return calls
 
@@ -684,7 +683,7 @@ def test_a_block_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch)
     assert list(np.searchsorted(axis, [1.03125, 1.40625]) // DISAGG_STEP) == [0, 1]
     slow_blocks = []
     monkeypatch.setattr(
-        cli, "_db_rows", lambda values: slow_blocks.append(values.shape) or _db_rows(values)
+        report, "_db_rows", lambda values: slow_blocks.append(values.shape) or _db_rows(values)
     )
     _write_disaggs(tmp_path, axis, cals)
     check_disaggs(tmp_path, axis, cals)
@@ -694,9 +693,25 @@ def test_a_block_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch)
     assert any(len(cell) > 13 for cell in text.splitlines()[1].split(","))
 
 
+def test_wb_disagg_ends_inside_a_block_too_long_to_encode(tmp_path, monkeypatch):
+    # every cell past 1 km reads -4e7 or below, too long for its slot, and the
+    # W-BERT file ends inside the one block, at sqrt(17 · 6) = 10.0995 km
+    cals = [steep_fit(kind) for kind in ModelKind]
+    axis = np.linspace(9.9, 10.3, 41)
+    slow_blocks = []
+    monkeypatch.setattr(
+        report, "_db_rows", lambda values: slow_blocks.append(values.shape[0]) or _db_rows(values)
+    )
+    _write_disaggs(tmp_path, axis, cals)
+    check_disaggs(tmp_path, axis, cals)
+    assert slow_blocks == [41, 41, 41, 41, 20]
+
+
 def counted_encodes(monkeypatch) -> list:
     calls = []
-    monkeypatch.setattr(cli, "_encode", lambda block: calls.append(block.shape) or _encode(block))
+    monkeypatch.setattr(
+        report, "_encode", lambda block: calls.append(block.shape) or _encode(block)
+    )
     return calls
 
 
