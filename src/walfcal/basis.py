@@ -30,6 +30,7 @@ from .models import (
     ModelKind,
     Terrain,
     _as_distance,
+    _as_floats,
     _check_wb_domain,
     multiscreen_constants,
     street_orientation_term,
@@ -118,7 +119,7 @@ class BasisSet:
 
     def evaluate(self, d_km, weights):
         """Weighted sum of the terms in dB, Φ(d) @ (M @ weights); a float for a scalar d."""
-        d = np.asarray(d_km, dtype=float)
+        d = _as_floats(d_km, "d_km")
         values = self._evaluate(self._checked(d), weights)
         return float(values[0]) if d.ndim == 0 else values.reshape(d.shape)
 
@@ -196,7 +197,7 @@ def effective_rank(m, tol: float = RANK_TOL_DEFAULT) -> int:
     no matter how many columns carry them.
     """
     _check_rank_tol(tol, "tol")
-    matrix = np.asarray(m, dtype=float)
+    matrix = _as_floats(m, "m")
     if matrix.ndim != 2 or not np.isfinite(matrix).all():
         raise DomainError(f"rank needs a finite 2-d matrix, got shape {matrix.shape}")
     singular = np.linalg.svd(matrix, compute_uv=False)

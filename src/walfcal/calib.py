@@ -32,7 +32,7 @@ import numpy as np
 
 from .basis import _CHUNK_ROWS, RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis
 from .errors import DomainError
-from .models import ModelKind, Terrain
+from .models import ModelKind, Terrain, _as_floats
 
 __all__ = [
     "Calibration",
@@ -57,8 +57,8 @@ class MeasurementSet:
     pathloss_db: np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.distances_km, dtype=float))
-        p = np.atleast_1d(np.asarray(self.pathloss_db, dtype=float))
+        d = np.atleast_1d(_as_floats(self.distances_km, "distances_km"))
+        p = np.atleast_1d(_as_floats(self.pathloss_db, "pathloss_db"))
         if d.ndim != 1 or p.ndim != 1 or d.size != p.size:
             raise DomainError(
                 f"distances and pathloss must be 1-d and equal length, got {d.shape} vs {p.shape}"
@@ -117,8 +117,8 @@ def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK
     the unique minimizer of ||x|| among all least-squares solutions.
     """
     _check_rank_tol(cutoff, "cutoff")
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    matrix = _as_floats(matrix, "matrix")
+    rhs = _as_floats(rhs, "rhs")
     if matrix.ndim != 2 or rhs.ndim != 1 or matrix.shape[0] != rhs.size:
         raise DomainError(
             f"incompatible system: matrix {matrix.shape}, rhs length {rhs.size}"

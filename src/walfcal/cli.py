@@ -3,9 +3,9 @@
 Inputs are a flat key=value campaign config (terrain, model list, prediction
 grid, rank tolerance) and a two-column CSV of measurements.  calibrate fits
 every configured variant, the four Walfisch-Ikegami ones from one shared
-fold, and writes summary.csv plus per-model profile, disaggregation and
-coefficient files through walfcal.report; one model's failure goes to
-stderr and the exit status without stopping the others.  predict evaluates
+fold, then writes summary.csv plus per-model profile, disaggregation and
+coefficient files in one call to walfcal.report; one model's failure goes
+to stderr and the exit status without stopping the others.  predict evaluates
 a basic or saved calibrated model over the grid; rank prints the numeric
 rank of each design matrix.  Only a grid is truncated at the
 Walfisch-Bertoni curvature limit, with a warning; measured distances face
@@ -30,14 +30,7 @@ from .calib import Calibration, MeasurementSet, _fit, _fold, calibrate
 from .errors import DomainError, ParseError, WalfcalError
 from .metrics import MetricsReport
 from .models import ModelKind, Terrain, _model_distances, predict_basic, wb_max_distance_km
-from .report import (
-    _db,
-    _write_coefficients,
-    _write_disaggs,
-    _write_profiles,
-    _write_summary,
-    _write_table,
-)
+from .report import _db, _write_reports, _write_table
 
 __all__ = [
     "CampaignConfig",
@@ -285,11 +278,9 @@ class CampaignResult:
         return all(run.ok for run in self.runs)
 
 
-
-
-def _run_one(kind, config, meas, grid, out_dir, wi_fold) -> ModelRun:
-    """Fit one model and write its coefficient file; its profile and disagg
-    files are written with the other models' once all are fitted.
+def _run_one(kind, config, meas, grid, wi_fold) -> ModelRun:
+    """Fit one model; its report files are written with the other models'
+    once all are fitted.
 
     The Walfisch-Ikegami variants share Φ, so wi_fold() returns the one fold
     of [Φ | p] they all solve from.  W-BERT, alone with its Φ, is fitted by
@@ -303,7 +294,6 @@ def _run_one(kind, config, meas, grid, out_dir, wi_fold) -> ModelRun:
         basic_at_meas = predict_basic(kind, config.terrain, meas.distances_km)
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
         _, warning = _model_distances(kind, config.terrain, grid)
-        _write_coefficients(out_dir / f"coefficients_{kind.value}.csv", cal)
         return ModelRun(kind, cal, report, (warning,) if warning else ())
     except WalfcalError as exc:
         return ModelRun(kind, None, None, error=f"{kind.value}: {exc}")
@@ -320,18 +310,13 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
     grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the report axis: the sorted distinct distances of measured ∪ grid
-    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
     # every WI variant has the Φ of CWI-M, so its fold serves all four
     wi_basis = build_basis(ModelKind.CWI_M, config.terrain)
     wi_fold = functools.cache(
         functools.partial(_fold, wi_basis, meas.distances_km, meas.pathloss_db)
     )
-    runs = tuple(_run_one(kind, config, meas, grid, out_dir, wi_fold) for kind in config.models)
-    cals = [run.calibration for run in runs if run.ok]
-    _write_disaggs(out_dir, axis, cals)
-    _write_profiles(out_dir, axis, inverse, meas, cals)
-    _write_summary(out_dir / "summary.csv", runs)
+    runs = tuple(_run_one(kind, config, meas, grid, wi_fold) for kind in config.models)
+    _write_reports(out_dir, meas, grid, runs)
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
 
 

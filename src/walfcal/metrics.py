@@ -8,12 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .models import _as_floats
 
 __all__ = ["MetricsReport", "improvement_pct", "mpe", "rmse"]
 
 
-def _series(values) -> np.ndarray:
-    return np.atleast_1d(np.asarray(values, dtype=float))
+def _series(values, name: str) -> np.ndarray:
+    return np.atleast_1d(_as_floats(values, name))
 
 
 def _residual(p: np.ndarray, m: np.ndarray, m_checked: bool = False) -> np.ndarray:
@@ -34,7 +35,7 @@ def _rmse(diff: np.ndarray) -> float:
 
 def rmse(predicted, measured) -> float:
     """Root-mean-square error sqrt(mean((predicted - measured)^2)), dB."""
-    return _rmse(_residual(_series(predicted), _series(measured)))
+    return _rmse(_residual(_series(predicted, "predicted"), _series(measured, "measured")))
 
 
 def mpe(predicted, measured) -> float:
@@ -42,7 +43,8 @@ def mpe(predicted, measured) -> float:
 
     Sign convention: positive when the model over-predicts the measurements.
     """
-    return float(np.mean(_residual(_series(predicted), _series(measured))))
+    diff = _residual(_series(predicted, "predicted"), _series(measured, "measured"))
+    return float(np.mean(diff))
 
 
 def improvement_pct(rmse_basic: float, rmse_calibrated: float) -> float:
@@ -86,12 +88,12 @@ class MetricsReport:
 
         Each series is checked once, and each residual computed once.
         """
-        m = _series(measured)
-        diff = _residual(_series(calibrated), m)
+        m = _series(measured, "measured")
+        diff = _residual(_series(calibrated, "calibrated"), m)
         rmse_cal, mpe_cal = _rmse(diff), float(np.mean(diff))
         if basic is None:
             return cls(rmse_db=rmse_cal, mpe_db=mpe_cal)
-        diff = _residual(_series(basic), m, m_checked=True)
+        diff = _residual(_series(basic, "basic"), m, m_checked=True)
         rmse_bas, mpe_bas = _rmse(diff), float(np.mean(diff))
         gain = improvement_pct(rmse_bas, rmse_cal) if rmse_bas > 0.0 else None
         return cls(

@@ -121,9 +121,18 @@ class Terrain:
             )
 
 
+def _as_floats(values, name: str) -> np.ndarray:
+    """values as a float array; DomainError naming it where numpy cannot make
+    one, as from a ragged or non-numeric sequence."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a rectangular array of numbers: {exc}") from None
+
+
 def _as_distance(d_km):
     """Validate distances (km, > 0, finite); returns (array, was_scalar)."""
-    d = np.asarray(d_km, dtype=float)
+    d = _as_floats(d_km, "d_km")
     if d.size == 0:
         raise DomainError("at least one distance is required")
     if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):

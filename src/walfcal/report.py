@@ -1,16 +1,16 @@
 """Report files of a calibration run: per-model profile, disaggregation and
 coefficient files, the summary, and predict's table.
 
-Report cells use 4 decimals (negative zero prints as 0.0000), and identical
-inputs give byte-identical files.  numpy encodes cells a block at a time
-into fixed-width byte slots; a cell it cannot round with certainty (not
-finite, 1e7 or more, or next to a .5 tie) takes its text from _db, so every
-cell reads as f"{v:.4f}" does, and a block with a cell too long for its
-slot goes cell by cell through _db.  Blocks are sized by cells, so the
-encoder's temporaries stay in cache.  Once every model is fitted, one pass
+_write_reports writes every file of a run once all models are fitted, and
+_write_table writes predict's table.  Report cells use 4 decimals (negative
+zero prints as 0.0000), and identical inputs give byte-identical files.
+numpy encodes cells a block at a time into fixed-width byte slots; a cell it
+cannot round with certainty (not finite, 1e7 or more, or next to a .5 tie)
+takes its text from _db, so every cell reads as f"{v:.4f}" does, and rows
+with a cell too long for its slot go cell by cell through _db_rows.  Blocks
+are sized by cells, so the encoder's temporaries stay in cache.  One pass
 over blocks of the report axis writes all disagg files and one more all
-profile files, each model's cells encoded once per axis point; a profile
-row's distance and measured cells pack as one byte run.
+profile files, each model's cells encoded once per axis point.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ def _write_text(path: Path, lines: list[str]) -> None:
 # A report cell is encoded in a 16-byte slot: integer digits right-aligned at
 # bytes 0..7 with the sign in the byte before the leading one, "." at 8, four
 # decimals at 9..12 and the separator at _SEP.  The cell's text is the slot
-# from its start byte through _SEP; _KEEP[first, last] is the keep mask of a
-# slot's bytes first..last.
+# from its start byte through _SEP; _KEEP[first] is the keep mask of a
+# slot's bytes first.._SEP, and _KEEP[_SEP], the separator alone, that of a
+# blank cell.
 _SLOT = np.dtype("V16")
 _SEP = 13
 _BYTE = np.arange(16)
-_KEEP = ((_BYTE >= _BYTE[:, None, None]) & (_BYTE <= _BYTE[:, None])).view(_SLOT)[..., 0]
+_KEEP = ((_BYTE >= _BYTE[:, None]) & (_BYTE <= _SEP)).view(_SLOT)[:, 0]
 # _MINUS[lead] turns the "0" at byte lead - 1 of a slot's first word into
 # "-"; _MINUS[0] changes nothing
 _MINUS = np.array([0] + [(ord("0") - ord("-")) << 8 * byte for byte in range(7)], dtype="<u8")
@@ -145,9 +146,13 @@ def _row_bytes(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return data[keep.view(bool).reshape(data.shape)]
 
 
-def _db_rows(values: np.ndarray) -> str:
-    """Rows of values formatted cell by cell through _db."""
-    return "".join(",".join(map(_db, row)) + "\n" for row in values.tolist())
+def _db_rows(values: np.ndarray, blank=None) -> bytes:
+    """Rows of values formatted cell by cell through _db, each ending in a
+    newline; a cell where the mask blank is set is left empty."""
+    shown = np.ones(values.shape, dtype=bool) if blank is None else ~blank
+    cells = np.full(values.shape, "", dtype=object)
+    cells[shown] = [_db(v) for v in values[shown].tolist()]
+    return "".join(",".join(row) + "\n" for row in cells.tolist()).encode("ascii")
 
 
 def _pack(block: np.ndarray, parts) -> list:
@@ -160,8 +165,8 @@ def _pack(block: np.ndarray, parts) -> list:
     """
     cells = _encode(block)
     if cells is None:
-        return [_db_rows(block[:n, lo:hi]).encode("ascii") for n, lo, hi in parts]
-    slots, keep = cells[0], _KEEP[cells[1], _SEP]
+        return [_db_rows(block[:n, lo:hi]) for n, lo, hi in parts]
+    slots, keep = cells[0], _KEEP[cells[1]]
     return [_row_bytes(slots[:n, lo:hi], keep[:n, lo:hi]) if n else b"" for n, lo, hi in parts]
 
 
@@ -207,26 +212,6 @@ def _profile_rows(axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet):
     return rows, sample
 
 
-def _joined(d, d_first, m, m_first):
-    """Slots and masks, (n, 2), of distance cells d moved to end at byte 15
-    and measured cells m moved to start at byte 0, so a row packs as one run
-    "d,m,", or "d,," where m_first is _SEP."""
-    (d_lo, d_hi), (m_lo, m_hi) = np.stack([d, m])[..., None].view("<u8").transpose(0, 2, 1)
-    bits = m_first.astype("<u8") << 3
-    # numpy shifts by 64 bits or more to 0, and a count below 0 wraps above 64
-    m_lo = m_lo >> bits | m_hi << (64 - bits) | m_hi >> (bits - 64)
-    words = np.stack([d_lo << 16, d_hi << 16 | d_lo >> 48, m_lo, m_hi >> bits], axis=1)
-    return words.view(_SLOT), np.stack([_KEEP[d_first + 2, 15], _KEEP[0, _SEP - m_first]], axis=1)
-
-
-def _profile_text(rows, col, p, has) -> bytes:
-    """Profile rows through _db: distance, measured p where has, block columns col, col + 1."""
-    cells = zip(rows[:, 0].tolist(), p.tolist(), has.tolist(), rows[:, col : col + 2].tolist())
-    return "".join(
-        f"{_db(d)},{_db(m) if shown else ''},{_db(b)},{_db(c)}\n" for d, m, shown, (b, c) in cells
-    ).encode("ascii")
-
-
 def _write_profiles(
     out_dir: Path, axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet, cals
 ) -> None:
@@ -235,10 +220,11 @@ def _write_profiles(
 
     One _encode takes an axis block, [d | basic, calibrated of model 1 | ...],
     each model evaluated on the points of its _model_distances, and one more
-    the measured cells of each chunk of the block's rows.  Rows pack "d,m,"
-    as one _joined run; each file takes its basic and calibrated slots and
-    masks by axis index in one take.  A chunk with a cell too long for its
-    slot goes cell by cell through _db.
+    the measured cells of each chunk of the block's rows.  A row is four
+    slots, distance, measured, basic and calibrated, a blank measured cell
+    kept as its separator alone; each file takes its basic and calibrated
+    slots and masks by axis index in one take.  A chunk with a cell too long
+    for its slot goes cell by cell through _db_rows.
     """
     axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
@@ -259,26 +245,31 @@ def _write_profiles(
                     block[:covered, 2 + 2 * m] = predict_calibrated(cal, d[:covered])
             cells = _encode(block)
             if cells is not None:
-                slots, first = cells
+                slots, keep = cells[0], _KEEP[cells[1]]
                 # model m's basic and calibrated slots, then their masks
-                pairs = np.stack([slots[:, 1:], _KEEP[first[:, 1:], _SEP]], axis=1)
+                pairs = np.stack([slots[:, 1:], keep[:, 1:]], axis=1)
                 pairs = pairs.reshape(d.size, 2, -1, 2).transpose(2, 1, 0, 3).copy()
             lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
             for a in range(lo_row, hi_row, _block_rows(4)):
                 local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
-                has = axis_sample[a : a + local.size] >= 0
-                measured = np.where(has, meas.pathloss_db[axis_sample[a : a + local.size]], 0.0)
+                sample = axis_sample[a : a + local.size]
+                blank = sample < 0
+                measured = np.where(blank, 0.0, meas.pathloss_db[sample])
                 counts = [min(max(end - a, 0), local.size) for end in row_ends]
                 shown = None if cells is None else _encode(measured[:, None])
                 if shown is None:
+                    values = np.column_stack([block[local, 0], measured, np.empty((local.size, 2))])
+                    blanks = np.zeros(values.shape, dtype=bool)
+                    blanks[:, 1] = blank
                     for m, (count, out) in enumerate(zip(counts, files)):
-                        out.write(_profile_text(block[local[:count]], 1 + 2 * m, measured, has))
+                        values[:count, 2:] = block[local[:count], 1 + 2 * m : 3 + 2 * m]
+                        out.write(_db_rows(values[:count], blanks[:count]))
                     continue
                 # slots in row[0], masks in row[1]: distance, measured, basic, calibrated
                 row = np.empty((2, local.size, 4), dtype=_SLOT)
-                d_cells = np.take(slots[:, 0], local), first[local, 0]
-                m_first = np.where(has, shown[1][:, 0], _SEP)
-                row[:, :, :2] = _joined(*d_cells, shown[0][:, 0], m_first)
+                row[0, :, 0], row[1, :, 0] = np.take(slots[:, 0], local), np.take(keep[:, 0], local)
+                row[0, :, 1] = shown[0][:, 0]
+                row[1, :, 1] = _KEEP[np.where(blank, _SEP, shown[1][:, 0])]
                 for m, (count, out) in enumerate(zip(counts, files)):
                     row[:, :count, 2:] = np.take(pairs[m], local[:count], axis=1)
                     out.write(_row_bytes(row[0, :count], row[1, :count]))
@@ -289,25 +280,19 @@ def _write_disaggs(out_dir: Path, axis: np.ndarray, cals) -> None:
     the report axis.
 
     Each model's file covers the rows of its _model_distances.  A block
-    evaluates Φ once, each row by the widest basis that covers it, and each
-    model's value columns as Φ @ C, with C its _loss_table, as group_losses
-    does.  One _encode serves the whole block, laid out as [d | model 1's
-    columns | d | model 2's columns | ...], and each file packs its rows from
-    its own column range through _pack.
+    fills each model's Φ and evaluates its value columns as Φ @ C, with C
+    its _loss_table, as group_losses does.  One _encode serves the whole
+    block, laid out as [d | model 1's columns | d | model 2's columns | ...],
+    and each file packs its rows from its own column range through _pack.
     """
     if not cals:
         return
     tables = [_loss_table(cal) for cal in cals]
     bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
-    # rows up to the widest basis's end need its features, the rest only the
-    # leading ones, which every basis writes alike
-    by_width = sorted(range(len(cals)), key=lambda m: len(cals[m].basis.weights))
-    narrow, wide = cals[by_width[0]].basis, cals[by_width[-1]].basis
-    wide_end = ends[by_width[-1]]
     step = _block_rows(bounds[-1])
     total = max(ends)
-    phi = np.empty((min(total, step), len(wide.weights)))
+    phi = np.empty((min(total, step), max(len(cal.basis.weights) for cal in cals)))
     block = np.empty((len(phi), bounds[-1]))
     with contextlib.ExitStack() as stack:
         files = []
@@ -321,14 +306,11 @@ def _write_disaggs(out_dir: Path, axis: np.ndarray, cals) -> None:
         for start in range(0, total, step):
             chunk = axis[start : min(start + step, total)]
             size = chunk.size
-            split = min(max(wide_end - start, 0), size)
-            wide._fill(chunk[:split], phi[:split])
-            narrow._fill(chunk[split:], phi[split:size])
             counts = [min(max(end - start, 0), size) for end in ends]
             for cal, table, lo, hi, count in zip(cals, tables, bounds, bounds[1:], counts):
                 block[:count, lo] = chunk[:count]
                 block[:count, lo + 1 : hi] = _group_values(
-                    phi[:count, : len(cal.basis.weights)], table
+                    cal.basis._fill(chunk[:count], phi[:count]), table
                 )
                 # rows past a model's end are encoded but written to no file;
                 # zeros there keep a stale cell from failing the block's encode
@@ -358,3 +340,17 @@ def _write_summary(path, runs) -> None:
             f"{_db(m.rmse_db)},{_db(m.mpe_db)},{gain}"
         )
     _write_text(path, lines)
+
+
+def _write_reports(out_dir: Path, meas: MeasurementSet, grid: np.ndarray, runs) -> None:
+    """Write the report files of a calibration run into out_dir: each fitted
+    model's coefficient, disagg and profile files, over the report axis of
+    measured ∪ grid distances, and the summary of every run."""
+    cals = [run.calibration for run in runs if run.ok]
+    for cal in cals:
+        _write_coefficients(out_dir / f"coefficients_{cal.kind.value}.csv", cal)
+    # the report axis: the sorted distinct distances of measured ∪ grid
+    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
+    _write_disaggs(out_dir, axis, cals)
+    _write_profiles(out_dir, axis, inverse, meas, cals)
+    _write_summary(out_dir / "summary.csv", runs)

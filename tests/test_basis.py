@@ -139,6 +139,15 @@ class TestDesignMatrix:
         with pytest.raises(DomainError):
             term_values(build_basis(ModelKind.CWI_M, make_terrain()), [])
 
+    @pytest.mark.parametrize("kind", [ModelKind.CWI_M, ModelKind.W_BERT])
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], [1.0, "x"]], ids=["ragged", "text"])
+    def test_rejects_distances_that_are_not_an_array_of_numbers(self, kind, bad):
+        basis = build_basis(kind, make_terrain())
+        with pytest.raises(DomainError, match="d_km must be a rectangular array of numbers"):
+            basis.features(bad)
+        with pytest.raises(DomainError, match="d_km must be a rectangular array of numbers"):
+            basis.evaluate(bad, np.ones(len(basis)))
+
     def test_entries_finite(self):
         rng = np.random.default_rng(37)
         for kind in ALL_KINDS:
@@ -192,10 +201,17 @@ class TestEffectiveRank:
     @pytest.mark.parametrize(
         "matrix",
         [[1.0, 2.0, 3.0], 4.0, np.ones((2, 2, 2)), [[1.0, math.inf], [0.0, 1.0]],
-         [[math.nan, 1.0], [0.0, 1.0]], [[-math.inf]]],
+         [[math.nan, 1.0], [0.0, 1.0]], [[-math.inf]], [[1.0, 2.0], [3.0]],
+         [[1.0, "x"], [0.0, 1.0]]],
     )
     def test_rejects_matrix_not_finite_and_2d(self, matrix):
-        with pytest.raises(DomainError, match="finite 2-d matrix"):
+        # a ragged or non-numeric matrix is no array of floats at all
+        try:
+            np.asarray(matrix, dtype=float)
+            message = "rank needs a finite 2-d matrix"
+        except ValueError:
+            message = "m must be a rectangular array of numbers"
+        with pytest.raises(DomainError, match=message):
             effective_rank(matrix)
 
     def test_rejects_negative_tolerance(self):

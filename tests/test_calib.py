@@ -79,12 +79,12 @@ class TestMeasurementSet:
         with pytest.raises(DomainError):
             MeasurementSet([1.0, 2.0], [100.0])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, [2.0], "x"])
     def test_rejects_bad_distance(self, bad):
         with pytest.raises(DomainError):
             MeasurementSet([1.0, bad], [100.0, 100.0])
 
-    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf, [2.0], "x"])
     def test_rejects_bad_pathloss(self, bad):
         with pytest.raises(DomainError):
             MeasurementSet([1.0, 2.0], [100.0, bad])
@@ -124,12 +124,19 @@ class TestMinimumNormLstsq:
     @pytest.mark.parametrize(
         "matrix, rhs",
         [([[1.0, math.nan]], [1.0]), ([[1.0, math.inf], [0.0, 1.0]], [1.0, 2.0]),
-         ([[1.0, 0.0], [0.0, 1.0]], [1.0, -math.inf])],
+         ([[1.0, 0.0], [0.0, 1.0]], [1.0, -math.inf]), ([[1.0, 0.0], [1.0]], [1.0, 2.0]),
+         ([[1.0, 0.0], [0.0, 1.0]], [1.0, "x"])],
     )
     def test_rejects_entries_that_are_not_finite(self, matrix, rhs, capfd):
-        # LAPACK would print a complaint and numpy raise LinAlgError
-        with pytest.raises(DomainError, match="not finite"):
-            minimum_norm_lstsq(np.array(matrix), np.array(rhs))
+        # LAPACK would print a complaint and numpy raise LinAlgError; a
+        # ragged or non-numeric argument is no array of floats at all
+        try:
+            np.asarray(matrix, dtype=float), np.asarray(rhs, dtype=float)
+            message = "not finite"
+        except ValueError:
+            message = "(matrix|rhs) must be a rectangular array of numbers"
+        with pytest.raises(DomainError, match=message):
+            minimum_norm_lstsq(matrix, rhs)
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("cutoff", [0.0, 1.0, 2.0, math.inf, math.nan, -1.0])

@@ -6,6 +6,7 @@ import pytest
 from walfcal import DomainError, MetricsReport, improvement_pct, mpe, rmse
 
 MISMATCH = "series must be 1-d and equal length, got"
+NOT_NUMBERS = "must be a rectangular array of numbers: "
 
 
 class TestRmse:
@@ -39,6 +40,14 @@ class TestRmse:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             rmse([np.nan], [1.0])
+
+    @pytest.mark.parametrize("statistic", [rmse, mpe])
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], [1.0, "x"]], ids=["ragged", "text"])
+    def test_rejects_series_that_are_not_an_array_of_numbers(self, statistic, bad):
+        with pytest.raises(DomainError, match="predicted must be a rectangular array"):
+            statistic(bad, [1.0, 2.0])
+        with pytest.raises(DomainError, match="measured must be a rectangular array"):
+            statistic([1.0, 2.0], bad)
 
 
 class TestMpe:
@@ -143,9 +152,14 @@ class TestMetricsReport:
             ([1.0, np.inf], [1.0, 2.0], [1.0, 2.0], "series must be finite"),
             ([1.0, 2.0], [1.0, 2.0], [1.0, 2.0, 3.0], f"{MISMATCH} (3,) vs (2,)"),
             ([1.0, 2.0], [1.0, 2.0], [np.nan, 2.0], "series must be finite"),
+            ([[1.0], [2.0, 3.0]], [1.0, 2.0], None, f"measured {NOT_NUMBERS}"),
+            ([1.0, 2.0], [1.0, "x"], None, f"calibrated {NOT_NUMBERS}"),
+            ([1.0, 2.0], [1.0, 2.0], [[1.0], 2.0], f"basic {NOT_NUMBERS}"),
         ],
     )
     def test_from_series_error_texts(self, measured, calibrated, basic, message):
         with pytest.raises(DomainError) as caught:
             MetricsReport.from_series(measured, calibrated, basic)
-        assert str(caught.value) == message
+        text = str(caught.value)
+        # numpy's own reason ends the text for a ragged or non-numeric series
+        assert text.startswith(message) if message.endswith(NOT_NUMBERS) else text == message

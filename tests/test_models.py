@@ -96,7 +96,7 @@ class TestFreeSpaceLoss:
             [free_space_loss(float(x), 900.0) for x in d]
         )
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, [[1.0], [2.0, 3.0]], "x"])
     def test_rejects_bad_distance(self, bad):
         with pytest.raises(DomainError):
             free_space_loss(bad, 900.0)
@@ -259,6 +259,12 @@ class TestWalfischBertoni:
 
 
 class TestPredictBasic:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], [1.0, "x"]], ids=["ragged", "text"])
+    def test_rejects_distances_that_are_not_an_array_of_numbers(self, kind, bad):
+        with pytest.raises(DomainError, match="d_km must be a rectangular array of numbers"):
+            predict_basic(kind, make_terrain(), bad)
+
     def test_wi_is_sum_of_components(self):
         t = make_terrain()
         d = np.array([0.4, 1.0, 3.3])

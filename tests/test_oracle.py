@@ -1,0 +1,156 @@
+"""Every fit against an independent oracle: the Quasi-Moment-Method normal
+system in 50-digit decimal arithmetic.
+
+The paper tests each component term against the measurements, so its
+coefficients solve the Galerkin system (ΦM)ᵀ(ΦM) α = (ΦM)ᵀ p, singular by
+construction.  Its fitted curve is Φβ, with β the solution of the k×k normal
+system ΦᵀΦ β = Φᵀp (k = 2 features for a Walfisch-Ikegami variant, 3 for
+Walfisch-Bertoni), and its minimum-norm coefficients are α = Mᵀ(MMᵀ)⁻¹β,
+as M has full row rank.  Here Φ comes from Decimal.log10 of each distance's
+exact binary value, the sums over the samples run at 50 digits, and both
+k×k systems are solved by exact elimination in fractions.  The oracle
+shares nothing with the fit under test (numpy, LAPACK, the QR fold) but the
+weight table M.
+"""
+
+import math
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import WI_KINDS, random_campaign, random_terrain
+from walfcal import MeasurementSet, ModelKind, calibrate, mpe
+from walfcal.cli import load_config, load_measurements
+
+DIGITS = Context(prec=50)
+EPS = np.finfo(float).eps
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
+
+
+def features(d: float, terrain, wb: bool) -> list:
+    """One row of Φ: 1, log10 d and, for W-BERT, log10(1 - d² / (17 dh_tx))."""
+    x = Decimal(d)
+    row = [Decimal(1), x.log10()]
+    if wb:
+        row.append((1 - x * x / (17 * Decimal(terrain.dh_tx_m))).log10())
+    return row
+
+
+def solve(a: list, b: list) -> list:
+    """x with a x = b, a nonsingular, by Gauss-Jordan elimination in fractions."""
+    rows = [[Fraction(v) for v in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for c in range(len(rows)):
+        pivot = next(r for r in range(c, len(rows)) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(len(rows)):
+            if r != c:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [Decimal(row[-1].numerator) / row[-1].denominator for row in rows]
+
+
+def oracle(terrain, meas: MeasurementSet, wb: bool):
+    """Φ as floats, the oracle's β and its fitted curve Φβ."""
+    with localcontext(DIGITS):
+        phi = [features(d, terrain, wb) for d in meas.distances_km.tolist()]
+        p = [Decimal(v) for v in meas.pathloss_db.tolist()]
+        k = len(phi[0])
+        gram = [[sum(row[i] * row[j] for row in phi) for j in range(k)] for i in range(k)]
+        moments = [sum(row[i] * y for row, y in zip(phi, p)) for i in range(k)]
+        beta = solve(gram, moments)
+        fitted = [sum(b * f for b, f in zip(beta, row)) for row in phi]
+    return np.array(phi, dtype=float), beta, fitted
+
+
+def minimum_norm(weights: np.ndarray, beta: list) -> list:
+    """The minimum-norm α with M α = β: Mᵀ(MMᵀ)⁻¹β."""
+    with localcontext(DIGITS):
+        m = [[Decimal(w) for w in row] for row in weights.tolist()]
+        k = len(m)
+        mmt = [[sum(a * b for a, b in zip(m[i], m[j])) for j in range(k)] for i in range(k)]
+        y = solve(mmt, beta)
+        return [sum(m[i][t] * y[i] for i in range(k)) for t in range(len(m[0]))]
+
+
+def deviation(values: np.ndarray, exact: list) -> float:
+    """The largest |value - exact| over the entries, each difference taken at 50 digits."""
+    with localcontext(DIGITS):
+        return max(float(abs(Decimal(v) - e)) for v, e in zip(values.tolist(), exact))
+
+
+def sample_campaign():
+    return load_config(SAMPLE / "campaign.cfg").terrain, load_measurements(
+        SAMPLE / "measurements.csv"
+    )
+
+
+def wide_campaign():
+    return random_campaign(np.random.default_rng(71), 1500, 2000)
+
+
+def repeated_distances_campaign():
+    # 600 samples at 60 distinct distances, so each distance weighs 10 times
+    rng = np.random.default_rng(73)
+    terrain = random_terrain(rng)
+    d = np.repeat(np.round(rng.uniform(0.05, 3.0, 60), 3), 10)
+    p = 120.0 + 35.0 * np.log10(d) + rng.normal(0.0, 4.0, d.size)
+    return terrain, MeasurementSet(d, p)
+
+
+def near_limit_campaign():
+    # 300 samples, a third within 1e-4 of the curvature limit in 1 - d² / (17 dh_tx)
+    rng = np.random.default_rng(79)
+    terrain = random_terrain(rng)
+    limit = math.sqrt(17.0 * terrain.dh_tx_m)
+    gaps = np.concatenate([rng.uniform(1e-6, 1e-4, 100), rng.uniform(0.02, 0.99, 200)])
+    d = limit * np.sqrt(1.0 - gaps)
+    p = 125.0 + 30.0 * np.log10(d) + rng.normal(0.0, 3.0, d.size)
+    return terrain, MeasurementSet(d, p)
+
+
+CAMPAIGNS = {
+    "sample": sample_campaign,
+    "wide": wide_campaign,
+    "repeats": repeated_distances_campaign,
+    "near_limit": near_limit_campaign,
+}
+
+
+@pytest.fixture(scope="module", params=list(CAMPAIGNS))
+def campaign(request):
+    """A campaign's terrain, measurements and, by W-BERT or not, its oracle."""
+    terrain, meas = CAMPAIGNS[request.param]()
+    assert len(meas) <= 2000
+    return terrain, meas, {wb: oracle(terrain, meas, wb) for wb in (False, True)}
+
+
+@pytest.mark.parametrize("wb", [False, True], ids=["WI", "W-BERT"])
+def test_fitted_curves_match_the_oracle(campaign, wb):
+    terrain, meas, oracles = campaign
+    phi, _, fitted = oracles[wb]
+    n, scale = len(meas), float(np.abs(meas.pathloss_db).max())
+    bound = np.linalg.cond(phi) * n * EPS * scale
+    with localcontext(DIGITS):
+        # the oracle's own residuals sum to zero, as the constant is in Φ's span
+        assert abs(sum(f - Decimal(p) for f, p in zip(fitted, meas.pathloss_db.tolist()))) < 1e-30
+    # so each of the four WI variants' fitted curves is the oracle's one curve
+    for kind in [ModelKind.W_BERT] if wb else WI_KINDS:
+        cal = calibrate(kind, terrain, meas)
+        assert abs(mpe(cal.fitted_db, meas.pathloss_db)) <= 1e-9
+        assert deviation(cal.fitted_db, fitted) <= bound, kind
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_coefficients_are_the_oracles_minimum_norm_solution(campaign, kind):
+    terrain, meas, oracles = campaign
+    cal = calibrate(kind, terrain, meas)
+    phi, beta, _ = oracles[kind is ModelKind.W_BERT]
+    alpha = minimum_norm(cal.basis.weights, beta)
+    # α = M⁺β moves by cond(M) times β's relative change, and β by what the
+    # fitted curve's bound allows
+    size = max(float(abs(a)) for a in alpha)
+    bound = np.linalg.cond(cal.basis.weights) * np.linalg.cond(phi) * len(meas) * EPS * size
+    assert deviation(cal.alpha, alpha) <= bound

@@ -32,7 +32,6 @@ from walfcal.report import (
     _db,
     _db_rows,
     _encode,
-    _joined,
     _profile_rows,
     _row_bytes,
     _write_disaggs,
@@ -290,7 +289,7 @@ def encoded(values) -> str | None:
     if cells is None:
         return None
     slots, first = cells
-    return str(_row_bytes(slots, _KEEP[first, _SEP]), "ascii")
+    return str(_row_bytes(slots, _KEEP[first]), "ascii")
 
 
 EXACT = Context(prec=2000)
@@ -374,24 +373,22 @@ def oracle_cell(value: float) -> str:
 @example([(80.03125, 1e7), (1.0, 80.03125), (-9999999.99997, None), (-0.0, 9999999.99995)])
 @example([(1e8, 1.0)])
 def test_joined_distance_and_measured_run(cells):
-    # the distance moved to end at its slot's last byte, and the measured
-    # cell, or for a blank one its separator, moved to start at byte 0
-    block = np.array([(d, 0.0 if m is None else m) for d, m in cells])
+    # a profile row's distance and measured slots, packed as _write_profiles
+    # packs them: each kept from its start byte, a blank measured cell as its
+    # separator alone, and the basic cell after them as in a profile row
+    block = np.array([(d, 0.0 if m is None else m, 1.0) for d, m in cells])
     encoded_cells = _encode(block)
     if encoded_cells is None:
         assert any(len(_db(v)) > SLOT_TEXT_MAX for v in block.ravel().tolist())
         return
     slots, first = encoded_cells
-    m_first = np.where([m is None for _, m in cells], _SEP, first[:, 1])
-    joined, masks = _joined(slots[:, 0], first[:, 0], slots[:, 1], m_first)
-    data, keep = joined.view(np.uint8).reshape(-1, 32), masks.view(bool).reshape(-1, 32)
-    for row in keep:
-        kept = np.flatnonzero(row)
-        assert kept[-1] - kept[0] + 1 == kept.size
+    blank = np.array([m is None for _, m in cells])
+    keep = _KEEP[np.where(blank[:, None] & (np.arange(3) == 1), _SEP, first)]
     expected = "".join(
-        oracle_cell(d) + "," + ("" if m is None else oracle_cell(m)) + "," for d, m in cells
+        oracle_cell(d) + "," + ("" if m is None else oracle_cell(m)) + ",1.0000\n"
+        for d, m in cells
     )
-    assert str(data[keep], "ascii") == expected
+    assert str(_row_bytes(slots, keep), "ascii") == expected
 
 
 # rows per _write_table block of a 4-column table
@@ -439,14 +436,13 @@ def test_blank_measured_cells_at_chunk_edges(tmp_path):
 
 
 def counted_fallbacks(monkeypatch) -> list:
-    """The row count of each _profile_text call, as profile rows go cell by
-    cell through _db."""
+    """The row count of each _db_rows call, as rows go cell by cell through
+    _db."""
     calls = []
-    fallback = report._profile_text
     monkeypatch.setattr(
         report,
-        "_profile_text",
-        lambda rows, *rest: calls.append(len(rows)) or fallback(rows, *rest),
+        "_db_rows",
+        lambda values, *rest: calls.append(len(values)) or _db_rows(values, *rest),
     )
     return calls
 
