@@ -82,7 +82,7 @@ class MeasurementSet:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Result of one fit: coefficients, rank and fitted values.
+    """Result of one fit: coefficients, rank and the fitted samples.
 
     The model kind and terrain are read from the basis.
     """
@@ -92,7 +92,6 @@ class Calibration:
     rank: int
     distances_km: np.ndarray
     measured_db: np.ndarray
-    fitted_db: np.ndarray
 
     @property
     def kind(self) -> ModelKind:
@@ -101,6 +100,11 @@ class Calibration:
     @property
     def terrain(self) -> Terrain:
         return self.basis.terrain
+
+    @property
+    def fitted_db(self) -> np.ndarray:
+        """Calibrated pathloss at distances_km, computed on each read as predict_calibrated does."""
+        return self.basis._evaluate(self.distances_km, self.alpha)
 
     @property
     def residual_db(self) -> np.ndarray:
@@ -159,18 +163,14 @@ def _fit(basis: BasisSet, r: np.ndarray, meas: MeasurementSet, cutoff: float) ->
     """The fit of basis to meas from r, the _fold of [Φ | p] over meas."""
     k = len(basis.weights)
     alpha, rank = minimum_norm_lstsq(r[:, :k] @ basis.weights, r[:, k], cutoff)
-    # the distances passed _fold's checks; predict_calibrated evaluates the
-    # same way, so the two agree bitwise
-    fitted = basis._evaluate(meas.distances_km, alpha)
-    for arr in (alpha, fitted):
-        arr.setflags(write=False)
+    alpha.setflags(write=False)
+    # the distances passed _fold's checks, as fitted_db's evaluation needs
     return Calibration(
         basis=basis,
         alpha=alpha,
         rank=rank,
         distances_km=meas.distances_km,
         measured_db=meas.pathloss_db,
-        fitted_db=fitted,
     )
 
 

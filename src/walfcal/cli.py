@@ -15,9 +15,11 @@ calibrate's domain check in rank too.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -299,6 +301,15 @@ def _run_one(kind, config, meas, grid, wi_fold) -> ModelRun:
         return ModelRun(kind, None, None, error=f"{kind.value}: {exc}")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Raise an OSError of the block as a WalfcalError naming path, its output."""
+    try:
+        yield
+    except OSError as exc:
+        raise WalfcalError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> CampaignResult:
     """Fit every configured variant to the measurements and write the report
     files into output_dir.
@@ -309,14 +320,16 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
     meas = load_measurements(measurements_path)
     grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     # every WI variant has the Φ of CWI-M, so its fold serves all four
     wi_basis = build_basis(ModelKind.CWI_M, config.terrain)
     wi_fold = functools.cache(
         functools.partial(_fold, wi_basis, meas.distances_km, meas.pathloss_db)
     )
     runs = tuple(_run_one(kind, config, meas, grid, wi_fold) for kind in config.models)
-    _write_reports(out_dir, meas, grid, runs)
+    with _writing(out_dir):
+        _write_reports(out_dir, meas, grid, runs)
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
 
 
@@ -424,7 +437,7 @@ def _cmd_predict(args) -> int:
         values_of = functools.partial(predict_basic, kind, config.terrain)
     header = "distance_km,pathloss_db"
     if args.output:
-        with open(args.output, "w", newline="\n") as out:
+        with _writing(args.output), open(args.output, "w", newline="\n") as out:
             _write_table(out, header, grid, values_of)
         print(f"predictions written to {args.output}")
     else:
@@ -503,9 +516,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
     except WalfcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader has gone (`| head`): devnull takes the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

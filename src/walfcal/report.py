@@ -8,9 +8,10 @@ numpy encodes cells a block at a time into fixed-width byte slots; a cell it
 cannot round with certainty (not finite, 1e7 or more, or next to a .5 tie)
 takes its text from _db, so every cell reads as f"{v:.4f}" does, and rows
 with a cell too long for its slot go cell by cell through _db_rows.  Blocks
-are sized by cells, so the encoder's temporaries stay in cache.  One pass
-over blocks of the report axis writes all disagg files and one more all
-profile files, each model's cells encoded once per axis point.
+are sized by cells, so the encoder's temporaries stay in cache.  One walk
+over blocks of the report axis writes every disagg and profile file: each
+model fills its Φ once per block, and one encode of the model's cells at an
+axis point feeds both of its files.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib import MeasurementSet, _group_values, _loss_table, predict_calibrated
+from .calib import MeasurementSet, _group_values, _loss_table
 from .models import _model_distances, predict_basic
 
 
@@ -54,6 +55,10 @@ _SLOT_MAX = 9_999_999.9999
 # cells per encoded block: _encode's per-cell cost about doubles once its
 # temporaries outgrow a core's L2 cache, as an 8192 × 11 block's do
 _BLOCK_CELLS = 32_768
+# axis points per block of the report walk, which evaluates each model once a
+# block: predict_basic costs about 55 µs a call whatever its length, and a
+# 1e6-point axis in _block_rows blocks of 5 models' cells calls it 8715 times
+_AXIS_POINTS = 2048
 
 
 def _block_rows(width: int) -> int:
@@ -155,21 +160,6 @@ def _db_rows(values: np.ndarray, blank=None) -> bytes:
     return "".join(",".join(row) + "\n" for row in cells.tolist()).encode("ascii")
 
 
-def _pack(block: np.ndarray, parts) -> list:
-    """The rows of each (n, lo, hi) part of block, its first n rows of
-    columns lo:hi, as bytes-like runs of _db cells, each row ending in a
-    newline; a part with no rows gives b"".
-
-    One _encode serves the whole block; a block _encode cannot take goes
-    cell by cell through _db_rows, in every part.
-    """
-    cells = _encode(block)
-    if cells is None:
-        return [_db_rows(block[:n, lo:hi]) for n, lo, hi in parts]
-    slots, keep = cells[0], _KEEP[cells[1]]
-    return [_row_bytes(slots[:n, lo:hi], keep[:n, lo:hi]) if n else b"" for n, lo, hi in parts]
-
-
 def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
     """Write a header line, then one row per distance in d, its cells as _db
     formats them: the distance, then that row of columns_of(d).
@@ -182,7 +172,9 @@ def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
     for start in range(0, d.size, step):
         chunk = d[start : start + step]
         block = np.column_stack([chunk, columns_of(chunk)])
-        out.write(str(_pack(block, [(chunk.size, 0, block.shape[1])])[0], "ascii"))
+        cells = _encode(block)
+        rows = _db_rows(block) if cells is None else _row_bytes(cells[0], _KEEP[cells[1]])
+        out.write(str(rows, "ascii"))
 
 
 def _profile_rows(axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet):
@@ -212,43 +204,75 @@ def _profile_rows(axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet):
     return rows, sample
 
 
-def _write_profiles(
+def _write_axis_files(
     out_dir: Path, axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet, cals
 ) -> None:
-    """Write the profile files of the fitted models in one pass over blocks
-    of axis, the report axis, with inverse as _profile_rows takes it.
+    """Write the disagg and profile files of the fitted models in one walk
+    over axis, the report axis, with inverse as _profile_rows takes it.
 
-    One _encode takes an axis block, [d | basic, calibrated of model 1 | ...],
-    each model evaluated on the points of its _model_distances, and one more
-    the measured cells of each chunk of the block's rows.  A row is four
-    slots, distance, measured, basic and calibrated, a blank measured cell
-    kept as its separator alone; each file takes its basic and calibrated
-    slots and masks by axis index in one take.  A chunk with a cell too long
-    for its slot goes cell by cell through _db_rows.
+    A block of _AXIS_POINTS points holds each model's cells as [d | disagg
+    values | basic | calibrated], zeros past the end of its _model_distances.
+    The model fills its Φ once: the values are Φ @ C, with C its _loss_table,
+    as group_losses forms them, and calibrated is Φ @ (M @ α), as
+    predict_calibrated forms it.  One _encode takes each _block_rows part of
+    the block; a disagg file takes its rows from its [d | values] columns, and
+    a profile row, four slots with a blank measured cell kept as its
+    separator alone, takes its distance, basic and calibrated slots by axis
+    index.  The block's rows go in chunks, one _encode of their measured
+    cells each.  A part with a cell too long for its slot goes cell by cell
+    through _db_rows, and so do its block's profile rows; so does a chunk
+    with such a measured cell.
     """
-    axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
+    tables = [(_loss_table(cal), cal.basis.weights @ cal.alpha) for cal in cals]
+    bounds = np.cumsum([0] + [3 + table.shape[1] for table, _ in tables]).tolist()
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
+    axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
     row_ends = np.searchsorted(axis_rows, ends).tolist()
-    total, width = max(ends, default=0), 1 + 2 * len(cals)
+    total, step = max(ends, default=0), _block_rows(bounds[-1])
+    block = np.empty((min(total, _AXIS_POINTS), bounds[-1]))
+    # each model's basic and calibrated columns, and by axis point the slots,
+    # then masks, of the distance and of each model's basic and calibrated
+    pair = np.array(bounds[1:])[:, None] - [2, 1]
+    distance = np.empty((2, len(block)), dtype=_SLOT)
+    pairs = np.empty((len(cals), 2, len(block), 2), dtype=_SLOT)
     with contextlib.ExitStack() as stack:
-        paths = [out_dir / f"profile_{cal.kind.value}.csv" for cal in cals]
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
-        for out in files:
-            out.write(b"distance_km,measured_db,basic_db,calibrated_db\n")
-        for start in range(0, total, _block_rows(width)):
-            d = axis[start : min(start + _block_rows(width), total)]
-            # points past a model's end are encoded as zeros, for no file
-            block = np.column_stack([d, np.zeros((d.size, width - 1))])
-            for m, (cal, end) in enumerate(zip(cals, ends)):
-                if covered := min(max(end - start, 0), d.size):
-                    block[:covered, 1 + 2 * m] = predict_basic(cal.kind, cal.terrain, d[:covered])
-                    block[:covered, 2 + 2 * m] = predict_calibrated(cal, d[:covered])
-            cells = _encode(block)
-            if cells is not None:
+        kinds = [cal.kind.value for cal in cals]
+        disaggs, profiles = (
+            [stack.enter_context(open(out_dir / f"{name}_{kind}.csv", "wb")) for kind in kinds]
+            for name in ("disagg", "profile")
+        )
+        for cal, disagg, profile in zip(cals, disaggs, profiles):
+            groups = (*cal.basis.groups, "total")
+            sides = [f"{side}_{g}_db" for side in ("basic", "calibrated") for g in groups]
+            disagg.write(",".join(["distance_km", *sides]).encode("ascii") + b"\n")
+            profile.write(b"distance_km,measured_db,basic_db,calibrated_db\n")
+        for start in range(0, total, _AXIS_POINTS):
+            d = axis[start : min(start + _AXIS_POINTS, total)]
+            counts = [min(max(end - start, 0), d.size) for end in ends]
+            for cal, (table, coef), lo, hi, n in zip(cals, tables, bounds, bounds[1:], counts):
+                block[: d.size, lo] = d
+                block[n : d.size, lo + 1 : hi] = 0.0
+                if n:
+                    own = cal.basis._fill(d[:n], np.empty((n, len(cal.basis.weights))))
+                    block[:n, lo + 1 : hi - 2] = _group_values(own, table)
+                    block[:n, hi - 2] = predict_basic(cal.kind, cal.terrain, d[:n])
+                    block[:n, hi - 1] = own @ coef
+            encoded = True
+            for first in range(0, d.size, step):
+                part = block[first : min(first + step, d.size)]
+                rows = [min(max(count - first, 0), len(part)) for count in counts]
+                cells = _encode(part)
+                if cells is None:
+                    encoded = False
+                    for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], rows):
+                        out.write(_db_rows(part[:n, lo : hi - 2]))
+                    continue
                 slots, keep = cells[0], _KEEP[cells[1]]
-                # model m's basic and calibrated slots, then their masks
-                pairs = np.stack([slots[:, 1:], keep[:, 1:]], axis=1)
-                pairs = pairs.reshape(d.size, 2, -1, 2).transpose(2, 1, 0, 3).copy()
+                for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], rows):
+                    out.write(_row_bytes(slots[:n, lo : hi - 2], keep[:n, lo : hi - 2]))
+                span = slice(first, first + len(part))
+                distance[:, span] = slots[:, 0], keep[:, 0]
+                pairs[:, :, span] = np.stack([slots[:, pair], keep[:, pair]]).transpose(2, 0, 1, 3)
             lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
             for a in range(lo_row, hi_row, _block_rows(4)):
                 local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
@@ -256,68 +280,23 @@ def _write_profiles(
                 blank = sample < 0
                 measured = np.where(blank, 0.0, meas.pathloss_db[sample])
                 counts = [min(max(end - a, 0), local.size) for end in row_ends]
-                shown = None if cells is None else _encode(measured[:, None])
+                shown = _encode(measured[:, None]) if encoded else None
                 if shown is None:
                     values = np.column_stack([block[local, 0], measured, np.empty((local.size, 2))])
                     blanks = np.zeros(values.shape, dtype=bool)
                     blanks[:, 1] = blank
-                    for m, (count, out) in enumerate(zip(counts, files)):
-                        values[:count, 2:] = block[local[:count], 1 + 2 * m : 3 + 2 * m]
+                    for m, (count, out) in enumerate(zip(counts, profiles)):
+                        values[:count, 2:] = block[local[:count, None], pair[m]]
                         out.write(_db_rows(values[:count], blanks[:count]))
                     continue
                 # slots in row[0], masks in row[1]: distance, measured, basic, calibrated
                 row = np.empty((2, local.size, 4), dtype=_SLOT)
-                row[0, :, 0], row[1, :, 0] = np.take(slots[:, 0], local), np.take(keep[:, 0], local)
+                row[:, :, 0] = np.take(distance, local, axis=1)
                 row[0, :, 1] = shown[0][:, 0]
                 row[1, :, 1] = _KEEP[np.where(blank, _SEP, shown[1][:, 0])]
-                for m, (count, out) in enumerate(zip(counts, files)):
+                for m, (count, out) in enumerate(zip(counts, profiles)):
                     row[:, :count, 2:] = np.take(pairs[m], local[:count], axis=1)
                     out.write(_row_bytes(row[0, :count], row[1, :count]))
-
-
-def _write_disaggs(out_dir: Path, axis: np.ndarray, cals) -> None:
-    """Write the disagg files of the fitted models in one pass over blocks of
-    the report axis.
-
-    Each model's file covers the rows of its _model_distances.  A block
-    fills each model's Φ and evaluates its value columns as Φ @ C, with C
-    its _loss_table, as group_losses does.  One _encode serves the whole
-    block, laid out as [d | model 1's columns | d | model 2's columns | ...],
-    and each file packs its rows from its own column range through _pack.
-    """
-    if not cals:
-        return
-    tables = [_loss_table(cal) for cal in cals]
-    bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
-    ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
-    step = _block_rows(bounds[-1])
-    total = max(ends)
-    phi = np.empty((min(total, step), max(len(cal.basis.weights) for cal in cals)))
-    block = np.empty((len(phi), bounds[-1]))
-    with contextlib.ExitStack() as stack:
-        files = []
-        for cal in cals:
-            out = stack.enter_context(open(out_dir / f"disagg_{cal.kind.value}.csv", "wb"))
-            groups = cal.basis.groups
-            header = ["distance_km", *(f"basic_{g}_db" for g in groups), "basic_total_db"]
-            header += [*(f"calibrated_{g}_db" for g in groups), "calibrated_total_db"]
-            out.write((",".join(header) + "\n").encode("ascii"))
-            files.append(out)
-        for start in range(0, total, step):
-            chunk = axis[start : min(start + step, total)]
-            size = chunk.size
-            counts = [min(max(end - start, 0), size) for end in ends]
-            for cal, table, lo, hi, count in zip(cals, tables, bounds, bounds[1:], counts):
-                block[:count, lo] = chunk[:count]
-                block[:count, lo + 1 : hi] = _group_values(
-                    cal.basis._fill(chunk[:count], phi[:count]), table
-                )
-                # rows past a model's end are encoded but written to no file;
-                # zeros there keep a stale cell from failing the block's encode
-                block[count:size, lo:hi] = 0.0
-            parts = zip(counts, bounds, bounds[1:])
-            for out, rows in zip(files, _pack(block[:size], parts)):
-                out.write(rows)
 
 
 def _write_coefficients(path, cal) -> None:
@@ -351,6 +330,5 @@ def _write_reports(out_dir: Path, meas: MeasurementSet, grid: np.ndarray, runs) 
         _write_coefficients(out_dir / f"coefficients_{cal.kind.value}.csv", cal)
     # the report axis: the sorted distinct distances of measured ∪ grid
     axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
-    _write_disaggs(out_dir, axis, cals)
-    _write_profiles(out_dir, axis, inverse, meas, cals)
+    _write_axis_files(out_dir, axis, inverse, meas, cals)
     _write_summary(out_dir / "summary.csv", runs)

@@ -1,13 +1,19 @@
 """Config parsing, measurement IO, report files, and the command line."""
 
 import argparse
+import errno
 import gc
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import WI_KINDS, save_measurements
+import walfcal
 from walfcal import (
     CurvatureDomainError,
     DomainError,
@@ -861,6 +867,95 @@ class TestMainCommand:
         finally:
             gc.enable()
         assert after == before
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends the run with one error
+    line naming it, and exit status 1."""
+
+    def calibrate(self, out_dir) -> int:
+        return main(
+            [
+                "calibrate",
+                "--config",
+                str(SAMPLE / "campaign.cfg"),
+                "--measurements",
+                str(SAMPLE / "measurements.csv"),
+                "--output-dir",
+                str(out_dir),
+            ]
+        )
+
+    @staticmethod
+    def assert_one_error_line(capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
+    def test_calibrate_into_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "reports"
+        target.write_text("")
+        assert self.calibrate(target) == 1
+        self.assert_one_error_line(capsys, target)
+
+    def test_calibrate_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "reports").write_text("")
+        target = tmp_path / "reports" / "run"
+        assert self.calibrate(target) == 1
+        self.assert_one_error_line(capsys, target)
+
+    def test_predict_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "pred.csv"
+        argv = ["predict", "--config", str(SAMPLE / "campaign.cfg"), "--model", "CWI-M"]
+        assert main([*argv, "--output", str(target)]) == 1
+        self.assert_one_error_line(capsys, target)
+
+
+class TestClosedPipe:
+    """predict into a stdout whose reader has gone exits 1 without a
+    traceback, its stdout pointed at devnull."""
+
+    def test_stdout_whose_write_raises(self, tmp_path, monkeypatch, capsys):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["predict", "--config", str(SAMPLE / "campaign.cfg"), "--model", "CWI-M"])
+            after = os.fstat(fd)
+        finally:
+            os.close(fd)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        devnull = os.stat(os.devnull)
+        assert (after.st_dev, after.st_ino) == (devnull.st_dev, devnull.st_ino)
+
+    def test_reader_that_stops_after_two_lines(self, tmp_path):
+        # 44 001 grid rows, far more than a pipe buffers, so predict is still
+        # writing when the reader closes its end
+        config = tmp_path / "fine.cfg"
+        text = (SAMPLE / "campaign.cfg").read_text()
+        config.write_text(text.replace("d_step_km = 0.1\n", "d_step_km = 0.0001\n"))
+        env = {**os.environ, "PYTHONPATH": str(Path(walfcal.__file__).parents[1])}
+        argv = ["predict", "--config", str(config), "--model", "CWI-M"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "walfcal.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as run:
+            head = [run.stdout.readline() for _ in range(2)]
+            run.stdout.close()
+            err = run.stderr.read()
+            code = run.wait(timeout=60)
+        assert head == [b"distance_km,pathloss_db\n", b"0.1000,88.8780\n"]
+        assert (code, err) == (1, b"")
 
 
 class TestWbLimitBoundary:

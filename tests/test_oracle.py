@@ -10,20 +10,22 @@ as M has full row rank.  Here Φ comes from Decimal.log10 of each distance's
 exact binary value, the sums over the samples run at 50 digits, and both
 k×k systems are solved by exact elimination in fractions.  The oracle
 shares nothing with the fit under test (numpy, LAPACK, the QR fold) but the
-weight table M.
+weight table M.  Its basic curve is Φ times M's summed term weights, and
+each summary.csv cell is its statistic from the two curves, rounded to 4
+places as the report cells are.
 """
 
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import WI_KINDS, random_campaign, random_terrain
+from helpers import WI_KINDS, random_campaign, random_terrain, save_measurements
 from walfcal import MeasurementSet, ModelKind, calibrate, mpe
-from walfcal.cli import load_config, load_measurements
+from walfcal.cli import CampaignConfig, load_config, load_measurements, run_calibration
 
 DIGITS = Context(prec=50)
 EPS = np.finfo(float).eps
@@ -53,7 +55,7 @@ def solve(a: list, b: list) -> list:
 
 
 def oracle(terrain, meas: MeasurementSet, wb: bool):
-    """Φ as floats, the oracle's β and its fitted curve Φβ."""
+    """Φ, the oracle's β and its fitted curve Φβ."""
     with localcontext(DIGITS):
         phi = [features(d, terrain, wb) for d in meas.distances_km.tolist()]
         p = [Decimal(v) for v in meas.pathloss_db.tolist()]
@@ -62,7 +64,7 @@ def oracle(terrain, meas: MeasurementSet, wb: bool):
         moments = [sum(row[i] * y for row, y in zip(phi, p)) for i in range(k)]
         beta = solve(gram, moments)
         fitted = [sum(b * f for b, f in zip(beta, row)) for row in phi]
-    return np.array(phi, dtype=float), beta, fitted
+    return phi, beta, fitted
 
 
 def minimum_norm(weights: np.ndarray, beta: list) -> list:
@@ -132,7 +134,7 @@ def test_fitted_curves_match_the_oracle(campaign, wb):
     terrain, meas, oracles = campaign
     phi, _, fitted = oracles[wb]
     n, scale = len(meas), float(np.abs(meas.pathloss_db).max())
-    bound = np.linalg.cond(phi) * n * EPS * scale
+    bound = np.linalg.cond(np.array(phi, dtype=float)) * n * EPS * scale
     with localcontext(DIGITS):
         # the oracle's own residuals sum to zero, as the constant is in Φ's span
         assert abs(sum(f - Decimal(p) for f, p in zip(fitted, meas.pathloss_db.tolist()))) < 1e-30
@@ -152,5 +154,54 @@ def test_coefficients_are_the_oracles_minimum_norm_solution(campaign, kind):
     # α = M⁺β moves by cond(M) times β's relative change, and β by what the
     # fitted curve's bound allows
     size = max(float(abs(a)) for a in alpha)
-    bound = np.linalg.cond(cal.basis.weights) * np.linalg.cond(phi) * len(meas) * EPS * size
+    cond_phi = np.linalg.cond(np.array(phi, dtype=float))
+    bound = np.linalg.cond(cal.basis.weights) * cond_phi * len(meas) * EPS * size
     assert deviation(cal.alpha, alpha) <= bound
+
+
+def summary_cell(value: Decimal) -> str | None:
+    """value rounded half to even at 4 places, as a report cell, or None
+    within 1e-9 of a tie, where the float statistic may round either way."""
+    with localcontext(DIGITS):
+        tie = (value * 10_000 - Decimal("0.5")).to_integral_value() + Decimal("0.5")
+        if abs(value - tie / 10_000) < Decimal("1e-9"):
+            return None
+        cell = str(value.quantize(Decimal("0.0001"), ROUND_HALF_EVEN))
+    return "0.0000" if cell == "-0.0000" else cell
+
+
+def statistics(curve: list, p: list) -> tuple:
+    """RMSE and MPE of curve against p, at 50 digits."""
+    with localcontext(DIGITS):
+        diff = [c - y for c, y in zip(curve, p)]
+        return (sum(e * e for e in diff) / len(diff)).sqrt(), sum(diff) / len(diff)
+
+
+def test_summary_cells_match_the_oracle(campaign, tmp_path):
+    terrain, meas, oracles = campaign
+    save_measurements(meas, tmp_path / "meas.csv")
+    d_min, d_max = float(meas.distances_km.min()), float(meas.distances_km.max())
+    config = CampaignConfig(terrain, tuple(ModelKind), d_min, d_max, d_max - d_min)
+    result = run_calibration(config, tmp_path / "meas.csv", tmp_path / "out")
+    assert result.ok
+    lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [kind.value for kind in ModelKind]
+    p = [Decimal(v) for v in meas.pathloss_db.tolist()]
+    skipped = 0
+    for kind, line in zip(ModelKind, lines[1:]):
+        phi, _, fitted = oracles[kind is ModelKind.W_BERT]
+        table = next(run.calibration.basis.weights for run in result.runs if run.kind is kind)
+        with localcontext(DIGITS):
+            # the basic model's weight on each feature: its terms' weights summed
+            weights = [sum(map(Decimal, row)) for row in table.tolist()]
+            basic = [sum(w * f for w, f in zip(weights, row)) for row in phi]
+            rmse_basic, mpe_basic = statistics(basic, p)
+            rmse_fitted, mpe_fitted = statistics(fitted, p)
+            gain = 100 * (rmse_basic - rmse_fitted) / rmse_basic
+        expected = [summary_cell(v) for v in (rmse_basic, mpe_basic, rmse_fitted, mpe_fitted, gain)]
+        for cell, oracle_cell in zip(line.split(",")[1:], expected, strict=True):
+            if oracle_cell is None:
+                skipped += 1
+            else:
+                assert cell == oracle_cell, (kind, line)
+    assert skipped <= 1

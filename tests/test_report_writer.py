@@ -26,6 +26,7 @@ from walfcal import (
 from walfcal.basis import _CHUNK_ROWS
 from walfcal.cli import CampaignConfig, prediction_grid, run_calibration
 from walfcal.report import (
+    _AXIS_POINTS,
     _KEEP,
     _SEP,
     _block_rows,
@@ -34,8 +35,7 @@ from walfcal.report import (
     _encode,
     _profile_rows,
     _row_bytes,
-    _write_disaggs,
-    _write_profiles,
+    _write_axis_files,
     _write_table,
 )
 
@@ -55,17 +55,16 @@ def reference_table(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_profile(kind, meas, grid) -> str:
-    """Profile bytes from a set-and-sort merge of measured and grid rows."""
-    cal = calibrate(kind, TERRAIN, meas)
-    if kind is ModelKind.W_BERT:
-        grid = grid[grid * grid < 17.0 * TERRAIN.dh_tx_m]
+def reference_profile(cal, meas, grid) -> str:
+    """cal's profile bytes from a set-and-sort merge of measured and grid rows."""
+    if cal.kind is ModelKind.W_BERT:
+        grid = grid[grid * grid < 17.0 * cal.terrain.dh_tx_m]
     taken = {float(d) for d in meas.distances_km}
     rows = [(float(d), float(p)) for d, p in zip(meas.distances_km, meas.pathloss_db)]
     rows += [(float(g), None) for g in grid if float(g) not in taken]
     rows.sort(key=lambda row: row[0])
     dists = np.array([row[0] for row in rows])
-    basic = predict_basic(kind, TERRAIN, dists)
+    basic = predict_basic(cal.kind, cal.terrain, dists)
     fitted = predict_calibrated(cal, dists)
     lines = [PROFILE_HEADER]
     for (d, measured), b, c in zip(rows, basic, fitted):
@@ -93,13 +92,19 @@ def table(header, columns) -> str:
     return out.getvalue()
 
 
-def axis_step(kinds) -> int:
-    """Axis points per block of the profile pass over the given models."""
-    return _block_rows(1 + 2 * len(kinds))
+def walk_width(kinds) -> int:
+    """Cells per axis point of the report walk over the given models: each
+    model's distance, 2·groups + 2 disagg values, basic and calibrated."""
+    return sum(5 + 2 * len(build_basis(kind, TERRAIN).groups) for kind in kinds)
 
 
-# rows per measured-cell chunk of the profile pass, counted from the first
-# row of an axis block
+def part_step(kinds) -> int:
+    """Axis points per encoded part of a block of the report walk."""
+    return _block_rows(walk_width(kinds))
+
+
+# rows per measured-cell chunk of the walk, counted from the first row of a
+# walk block of _AXIS_POINTS axis points
 ROW_STEP = _block_rows(4)
 
 
@@ -108,27 +113,36 @@ def profile_rows(tmp_path, meas, grid, kinds=(ModelKind.CWI_M,)):
     profile file against the reference, and return the first one's rows."""
     save_measurements(meas, tmp_path / "meas.csv")
     config = CampaignConfig(TERRAIN, tuple(kinds), *grid)
-    assert run_calibration(config, tmp_path / "meas.csv", tmp_path / "out").ok
-    points = prediction_grid(*grid)
+    result = run_calibration(config, tmp_path / "meas.csv", tmp_path / "out")
+    assert result.ok
+    cals = [run.calibration for run in result.runs]
+    return checked_profiles(tmp_path / "out", meas, prediction_grid(*grid), cals)[0]
+
+
+def checked_profiles(out_dir, meas, grid, cals):
+    """The rows of each fit's profile file, checked against the reference."""
     found = []
-    for kind in kinds:
-        text = (tmp_path / "out" / f"profile_{kind.value}.csv").read_text()
-        assert_same_text(text, reference_profile(kind, meas, points))
+    for cal in cals:
+        text = (out_dir / f"profile_{cal.kind.value}.csv").read_text()
+        assert_same_text(text, reference_profile(cal, meas, grid))
         found.append([line.split(",") for line in text.splitlines()[1:]])
-    return found[0]
+    return found
+
+
+def walked(out_dir, grid, cals, meas=None):
+    """_write_axis_files over measured ∪ grid, a grid of any points, with
+    every disagg and profile file checked against its reference; the rows of
+    each profile file.  Without meas the one sample is 100 dB at grid[0]."""
+    meas = MeasurementSet(grid[:1], [100.0]) if meas is None else meas
+    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
+    _write_axis_files(out_dir, axis, inverse, meas, cals)
+    check_disaggs(out_dir, axis, cals)
+    return checked_profiles(out_dir, meas, grid, cals)
 
 
 def written_profiles(tmp_path, meas, grid, kinds):
-    """_write_profiles over measured ∪ grid, a grid of any points, with every
-    file checked against the reference; the rows of each file."""
-    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
-    _write_profiles(tmp_path, axis, inverse, meas, [calibrate(k, TERRAIN, meas) for k in kinds])
-    found = []
-    for kind in kinds:
-        text = (tmp_path / f"profile_{kind.value}.csv").read_text()
-        assert_same_text(text, reference_profile(kind, meas, grid))
-        found.append([line.split(",") for line in text.splitlines()[1:]])
-    return found
+    """walked over the fits of kinds to meas."""
+    return walked(tmp_path, grid, [calibrate(k, TERRAIN, meas) for k in kinds], meas)
 
 
 def test_negative_zero_prints_as_zero():
@@ -220,11 +234,11 @@ def test_one_distance_over_several_row_chunks(tmp_path):
     assert rows[3][0] == rows[ROW_STEP][0] == rows[2 * ROW_STEP][0] == rows[n + 2][0] == "0.7500"
 
 
-def test_axis_block_edge_inside_a_run_of_duplicates(tmp_path):
+@pytest.mark.parametrize("step", [part_step(ModelKind), _AXIS_POINTS], ids=["part", "block"])
+def test_axis_block_edge_inside_a_run_of_duplicates(tmp_path, step):
     # the axis is the grid; its points step - 4 .. step + 3 are each measured
     # three times, so duplicate rows run on both sides of the edge between
-    # axis blocks 0 and 1
-    step = axis_step(ModelKind)
+    # encoded parts 0 and 1, or walk blocks 0 and 1
     spec = (0.001, 0.001 * (step + 200), 0.001)
     grid = prediction_grid(*spec)
     d = np.concatenate([np.repeat(grid[step - 4 : step + 4], 3), grid[::400]])
@@ -238,11 +252,12 @@ def test_axis_block_edge_inside_a_run_of_duplicates(tmp_path):
 
 
 @pytest.mark.parametrize("past_edge", [0, 1])
-def test_wb_profile_ends_at_an_axis_block_edge(tmp_path, past_edge):
-    # the W-BERT limit is about 10.1 km: its last point is the last of axis
-    # block 0, or the first of block 1
+@pytest.mark.parametrize("step", [part_step(ModelKind), _AXIS_POINTS], ids=["part", "block"])
+def test_wb_profile_ends_at_an_axis_block_edge(tmp_path, step, past_edge):
+    # the W-BERT limit is about 10.1 km: its last point is the last of
+    # encoded part or walk block 0, or the first of part or block 1
     kinds = list(ModelKind)
-    inside = np.linspace(0.05, 10.0, axis_step(kinds) + past_edge)
+    inside = np.linspace(0.05, 10.0, step + past_edge)
     grid = np.concatenate([inside, np.linspace(10.2, 30.0, 300)])
     rng = np.random.default_rng(47)
     d = rng.choice(inside, 400)
@@ -253,16 +268,16 @@ def test_wb_profile_ends_at_an_axis_block_edge(tmp_path, past_edge):
 
 def test_wb_profile_loses_grid_rows_past_its_limit(tmp_path):
     # the grid runs to 30 km, far past the W-BERT limit of about 10.1 km; the
-    # grid points beyond it fill whole axis blocks that only the WI files get
+    # grid points beyond it fill whole walk blocks that only the WI files get
     rng = np.random.default_rng(9)
     kinds = [ModelKind.W_BERT, ModelKind.CWI_M, ModelKind.ITWI_SU]
-    step = axis_step(kinds)
+    step = _AXIS_POINTS
     n = step + 100
     d = np.round(rng.uniform(0.1, 9.0, n), 3)
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n))
     wb_rows = profile_rows(tmp_path, meas, (0.1, 30.0, 0.002), kinds=kinds)
     wi_rows = (tmp_path / "out" / "profile_CWI-M.csv").read_text().splitlines()[1:]
-    # W-BERT stops inside an axis block, and a later block is for WI alone
+    # W-BERT stops inside a walk block, and a later block is for WI alone
     axis = np.unique(np.concatenate([d, prediction_grid(0.1, 30.0, 0.002)]))
     covered = np.count_nonzero(axis * axis < 17.0 * TERRAIN.dh_tx_m)
     assert covered % step != 0
@@ -272,11 +287,11 @@ def test_wb_profile_loses_grid_rows_past_its_limit(tmp_path):
 
 
 def test_chunk_of_only_grid_rows(tmp_path):
-    # three samples past 5 km leave the first axis block, and so its row
+    # three samples past 5 km leave the first walk block, and so its row
     # chunks, to grid points alone
     meas = MeasurementSet([5.5, 6.0, 6.0], [120.0, 121.0, 122.5])
     rows = profile_rows(tmp_path, meas, (0.001, 6.5, 0.0005), kinds=list(ModelKind))
-    step = axis_step(ModelKind)
+    step = _AXIS_POINTS
     assert len(rows) > step
     assert all(row[1] == "" for row in rows[:step])
     assert [row[1] for row in rows if row[1]] == ["120.0000", "121.0000", "122.5000"]
@@ -373,7 +388,7 @@ def oracle_cell(value: float) -> str:
 @example([(80.03125, 1e7), (1.0, 80.03125), (-9999999.99997, None), (-0.0, 9999999.99995)])
 @example([(1e8, 1.0)])
 def test_joined_distance_and_measured_run(cells):
-    # a profile row's distance and measured slots, packed as _write_profiles
+    # a profile row's distance and measured slots, packed as _write_axis_files
     # packs them: each kept from its start byte, a blank measured cell as its
     # separator alone, and the basic cell after them as in a profile row
     block = np.array([(d, 0.0 if m is None else m, 1.0) for d, m in cells])
@@ -422,41 +437,41 @@ def test_one_fallback_cell_among_encoded_rows(monkeypatch, value, row):
 def test_blank_measured_cells_at_chunk_edges(tmp_path):
     # rows: grid 0.1, then ROW_STEP - 2 samples at 50 distances below 0.2,
     # so the grid points 0.2 and 0.3 end the first row chunk and start the
-    # second; the last row is the grid point 3.0, all in one axis block
+    # second; the last row is the grid point 3.0, all in one encoded part
     rng = np.random.default_rng(21)
     step = ROW_STEP
     near = rng.choice(np.round(np.linspace(0.1005, 0.1995, 50), 4), step - 2)
     d = np.concatenate([near, rng.uniform(0.31, 2.9, 300)])
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
     rows = profile_rows(tmp_path, meas, (0.1, 3.0, 0.1), kinds=list(ModelKind))
-    assert len({row[0] for row in rows}) < axis_step(ModelKind)
+    assert len({row[0] for row in rows}) < part_step(ModelKind)
     for index in (0, step - 1, step, len(rows) - 1):
         assert rows[index][1] == ""
     assert rows[1][1] != "" and rows[step + 1][1] != ""
 
 
 def counted_fallbacks(monkeypatch) -> list:
-    """The row count of each _db_rows call, as rows go cell by cell through
-    _db."""
+    """The shape of each _db_rows call's values, as rows go cell by cell
+    through _db."""
     calls = []
     monkeypatch.setattr(
         report,
         "_db_rows",
-        lambda values, *rest: calls.append(len(values)) or _db_rows(values, *rest),
+        lambda values, *rest: calls.append(values.shape) or _db_rows(values, *rest),
     )
     return calls
 
 
 @pytest.mark.parametrize("value", [125.03125, 1e8])
 def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, monkeypatch, value):
-    # the second axis block, where the W-BERT file ends, holds a measured
+    # the second walk block, where the W-BERT file ends, holds a measured
     # dyadic tie, which takes its slot's text from _db, or a cell too long
     # for a slot, which sends its row chunk cell by cell through _db for
     # every model
     rng = np.random.default_rng(17)
     kinds = [ModelKind.W_BERT, ModelKind.CWI_M]
-    step = axis_step(kinds)
-    n = step + 500
+    step = _AXIS_POINTS
+    n = step - 500
     d = np.round(rng.uniform(0.1, 9.5, n), 4)
     p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n), 3)
     p[np.argmax(d)] = value
@@ -488,7 +503,7 @@ def test_odd_measured_cell_in_the_joined_run(tmp_path, monkeypatch, value, at):
     assert rows[at] == [reference_cell(d[at]), _db(value), *rows[at][2:]]
     too_long = len(_db(value)) > SLOT_TEXT_MAX
     chunk_rows = ROW_STEP if at < ROW_STEP else len(rows) - ROW_STEP
-    assert fallbacks == ([chunk_rows] * len(ModelKind) if too_long else [])
+    assert fallbacks == ([(chunk_rows, 4)] * len(ModelKind) if too_long else [])
 
 
 def reference_profile_rows(axis, meas, grid):
@@ -535,7 +550,7 @@ def test_disagg_chunks_equal_whole_axis_evaluation(tmp_path, kind):
     chunks = [group_losses(cal, d[s : s + _CHUNK_ROWS]) for s in range(0, d.size, _CHUNK_ROWS)]
     assert len(chunks) == 3
     assert np.array_equal(np.vstack(chunks), whole)
-    _write_disaggs(tmp_path, d, [cal])
+    walked(tmp_path, d, [cal])
     text = (tmp_path / f"disagg_{kind.value}.csv").read_text()
     header = text.split("\n", 1)[0]
     assert header.count(",") == whole.shape[1]
@@ -543,7 +558,7 @@ def test_disagg_chunks_equal_whole_axis_evaluation(tmp_path, kind):
 
 
 def test_profiles_peak_below_six_axis_vectors(tmp_path):
-    # models are evaluated on one axis block at a time: whole-axis
+    # models are evaluated on one walk block at a time: whole-axis
     # basic and calibrated tables of 5 models alone would take 10 vectors
     rng = np.random.default_rng(29)
     d = rng.uniform(0.05, 4.0, 200_000)
@@ -551,9 +566,10 @@ def test_profiles_peak_below_six_axis_vectors(tmp_path):
     grid = prediction_grid(0.1, 12.0, 0.1)
     axis, inverse = np.unique(np.concatenate([d, grid]), return_inverse=True)
     cals = [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
-    _, peak = traced_peak(_write_profiles, tmp_path, axis, inverse, meas, cals)
+    _, peak = traced_peak(_write_axis_files, tmp_path, axis, inverse, meas, cals)
     assert peak < 6 * axis.size * 8
     assert len(list(tmp_path.glob("profile_*.csv"))) == len(cals)
+    assert len(list(tmp_path.glob("disagg_*.csv"))) == len(cals)
 
 
 def disagg_header(cal) -> str:
@@ -588,43 +604,42 @@ def five_fits(n=120):
     return [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
 
 
-# the shared disagg block of all five models: 4 WI files of 1 + 8 cells a row
-# and W-BERT's of 1 + 10
-DISAGG_WIDTH = 4 * 9 + 11
-DISAGG_STEP = _block_rows(DISAGG_WIDTH)
+# the walk block of all five models: 4 WI models of 1 + 8 + 2 cells a point
+# and W-BERT's of 1 + 10 + 2, encoded PART points at a time
+WIDTH = 4 * 11 + 13
+PART = _block_rows(WIDTH)
 
 
 @pytest.mark.parametrize(
-    "size", [DISAGG_STEP - 1, DISAGG_STEP, DISAGG_STEP + 1, 2 * DISAGG_STEP + 3]
+    "size",
+    [PART - 1, PART, PART + 1, _AXIS_POINTS - 1, _AXIS_POINTS, _AXIS_POINTS + PART + 3],
 )
-def test_shared_disagg_pass_at_block_edges(tmp_path, size):
+def test_walk_at_part_and_block_edges(tmp_path, size):
     cals = five_fits()
-    assert sum(2 * len(cal.basis.groups) + 3 for cal in cals) == DISAGG_WIDTH
-    axis = np.linspace(0.05, 9.9, size)
-    _write_disaggs(tmp_path, axis, cals)
-    check_disaggs(tmp_path, axis, cals)
+    assert walk_width(ModelKind) == WIDTH
+    walked(tmp_path, np.linspace(0.05, 9.9, size), cals)
 
 
 @pytest.mark.parametrize(
-    "covered", [DISAGG_STEP + DISAGG_STEP // 2, 2 * DISAGG_STEP, DISAGG_STEP - 1, 1]
+    "covered", [PART + PART // 2, 2 * PART, PART - 1, 1, _AXIS_POINTS, _AXIS_POINTS + 1]
 )
-def test_shared_disagg_pass_where_wb_coverage_ends(tmp_path, covered):
-    # the W-BERT limit is about 10.1 km: W-BERT's file ends mid-block, on a
-    # block edge, just before one, or after its first row
+def test_walk_where_wb_coverage_ends(tmp_path, covered):
+    # the W-BERT limit is about 10.1 km: W-BERT's files end mid-part, on a
+    # part edge, just before one, after their first row, or at a walk block
+    # edge
     cals = five_fits()
     axis = np.concatenate([np.linspace(0.05, 10.0, covered), np.linspace(10.2, 30.0, 500)])
-    _write_disaggs(tmp_path, axis, cals)
-    check_disaggs(tmp_path, axis, cals)
+    wb_rows = walked(tmp_path, axis, cals)[-1]
+    assert len(wb_rows) == covered
     wb_lines = (tmp_path / "disagg_W-BERT.csv").read_text().count("\n")
     assert wb_lines == covered + 1
 
 
-def test_shared_disagg_pass_without_wb_rows_in_later_blocks(tmp_path):
-    # WI models alone fill the blocks past W-BERT's last row
+def test_walk_without_wb_rows_in_later_blocks(tmp_path):
+    # WI models alone fill the walk blocks past W-BERT's last row
     cals = five_fits()
-    axis = np.concatenate([np.linspace(0.05, 10.0, 10), np.linspace(10.2, 30.0, 3 * DISAGG_STEP)])
-    _write_disaggs(tmp_path, axis, cals)
-    check_disaggs(tmp_path, axis, cals)
+    axis = np.concatenate([np.linspace(0.05, 10.0, 10), np.linspace(10.2, 30.0, 2 * _AXIS_POINTS)])
+    walked(tmp_path, axis, cals)
 
 
 def test_failed_wb_leaves_the_wi_disagg_files(tmp_path):
@@ -638,6 +653,8 @@ def test_failed_wb_leaves_the_wi_disagg_files(tmp_path):
     axis = np.unique(np.concatenate([d, prediction_grid(0.1, 12.0, 0.25)]))
     cals = [run.calibration for run in result.runs if run.ok]
     check_disaggs(tmp_path / "out", axis, cals, absent=[ModelKind.W_BERT])
+    checked_profiles(tmp_path / "out", meas, prediction_grid(0.1, 12.0, 0.25), cals)
+    assert not (tmp_path / "out" / "profile_W-BERT.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -648,7 +665,7 @@ def test_failed_wb_leaves_the_wi_disagg_files(tmp_path):
     ],
     ids=["W-BERT only", "one axis point"],
 )
-def test_shared_disagg_pass_of_a_run(tmp_path, kinds, d, grid):
+def test_walk_of_a_run(tmp_path, kinds, d, grid):
     meas = MeasurementSet(d, [100.0 + 10.0 * i for i in range(len(d))])
     save_measurements(meas, tmp_path / "meas.csv")
     config = CampaignConfig(TERRAIN, kinds, *grid)
@@ -657,6 +674,7 @@ def test_shared_disagg_pass_of_a_run(tmp_path, kinds, d, grid):
     axis = np.unique(np.concatenate([meas.distances_km, prediction_grid(*grid)]))
     check_disaggs(tmp_path / "out", axis, [run.calibration for run in result.runs])
     assert len(list((tmp_path / "out").glob("disagg_*.csv"))) == len(kinds)
+    assert len(list((tmp_path / "out").glob("profile_*.csv"))) == len(kinds)
 
 
 def steep_fit(kind):
@@ -667,40 +685,35 @@ def steep_fit(kind):
     # term 1 is 20 log10 d for WI, 38 log10 d for W-BERT
     alpha[1] = -4e7 / basis.weights[1, 1]
     d = np.array([1.0])
-    return Calibration(basis, alpha, len(basis), d, d, d)
+    return Calibration(basis, alpha, len(basis), d, d)
 
 
-def test_a_block_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch):
-    # block 0 holds a 2e8 cell in every file and a tie cell (1.03125); block 1
-    # holds another tie (1.40625), which takes its text from _db in its slot
+def test_a_part_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch):
+    # part 0 holds a 2e8 cell in every file and a tie cell (1.03125); part 1
+    # holds another tie (1.40625), which takes its text from _db in its slot.
+    # Part 0 sends the profile rows of its walk block, the whole axis, cell
+    # by cell through _db too
     cals = [steep_fit(kind) for kind in ModelKind]
     axis = np.unique(np.concatenate([[1e-5, 1.03125, 1.40625], np.linspace(1.0, 1.5, 1400)]))
-    assert axis.size < 3 * DISAGG_STEP
-    assert list(np.searchsorted(axis, [1.03125, 1.40625]) // DISAGG_STEP) == [0, 1]
-    slow_blocks = []
-    monkeypatch.setattr(
-        report, "_db_rows", lambda values: slow_blocks.append(values.shape) or _db_rows(values)
-    )
-    _write_disaggs(tmp_path, axis, cals)
-    check_disaggs(tmp_path, axis, cals)
-    assert slow_blocks == [(DISAGG_STEP, 2 * len(cal.basis.groups) + 3) for cal in cals]
+    assert axis.size < min(3 * PART, _AXIS_POINTS)
+    assert list(np.searchsorted(axis, [1.03125, 1.40625]) // PART) == [0, 1]
+    fallbacks = counted_fallbacks(monkeypatch)
+    walked(tmp_path, axis, cals)
+    disaggs = [(PART, 2 * len(cal.basis.groups) + 3) for cal in cals]
+    assert fallbacks == disaggs + [(axis.size, 4)] * len(cals)
     text = (tmp_path / "disagg_CWI-M.csv").read_text()
     assert "\n0.0000," in text and "\n1.0312," in text and "\n1.4062," in text
     assert any(len(cell) > 13 for cell in text.splitlines()[1].split(","))
 
 
-def test_wb_disagg_ends_inside_a_block_too_long_to_encode(tmp_path, monkeypatch):
+def test_wb_files_end_inside_a_part_too_long_to_encode(tmp_path, monkeypatch):
     # every cell past 1 km reads -4e7 or below, too long for its slot, and the
-    # W-BERT file ends inside the one block, at sqrt(17 · 6) = 10.0995 km
+    # W-BERT files end inside the one part, at sqrt(17 · 6) = 10.0995 km
     cals = [steep_fit(kind) for kind in ModelKind]
     axis = np.linspace(9.9, 10.3, 41)
-    slow_blocks = []
-    monkeypatch.setattr(
-        report, "_db_rows", lambda values: slow_blocks.append(values.shape[0]) or _db_rows(values)
-    )
-    _write_disaggs(tmp_path, axis, cals)
-    check_disaggs(tmp_path, axis, cals)
-    assert slow_blocks == [41, 41, 41, 41, 20]
+    fallbacks = counted_fallbacks(monkeypatch)
+    walked(tmp_path, axis, cals)
+    assert [shape[0] for shape in fallbacks] == [41, 41, 41, 41, 20] * 2
 
 
 def counted_encodes(monkeypatch) -> list:
@@ -711,28 +724,58 @@ def counted_encodes(monkeypatch) -> list:
     return calls
 
 
-def test_disagg_files_of_a_small_campaign_come_from_one_encode(tmp_path, monkeypatch):
-    cals = five_fits(n=150)
-    axis = np.linspace(0.05, 12.0, 200)
-    calls = counted_encodes(monkeypatch)
-    _write_disaggs(tmp_path, axis, cals)
-    assert calls == [(200, DISAGG_WIDTH)]
-    check_disaggs(tmp_path, axis, cals)
-
-
-def test_profiles_of_a_small_campaign_take_two_encodes(tmp_path, monkeypatch):
-    # one for the distance and every model's basic and calibrated cells at
-    # every axis point, one for the measured cells of every row
+def test_files_of_a_small_campaign_take_two_encodes(tmp_path, monkeypatch):
+    # one for every model's disagg and profile cells at every axis point,
+    # one for the measured cells of every row
     rng = np.random.default_rng(41)
     d = np.round(rng.uniform(0.1, 9.0, 150), 2)
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size))
     grid = prediction_grid(0.1, 12.0, 0.5)
-    axis, inverse = np.unique(np.concatenate([d, grid]), return_inverse=True)
     cals = [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
     calls = counted_encodes(monkeypatch)
-    _write_profiles(tmp_path, axis, inverse, meas, cals)
+    walked(tmp_path, grid, cals, meas)
+    axis = np.unique(np.concatenate([d, grid]))
     rows = d.size + np.setdiff1d(grid, d).size
-    assert calls == [(axis.size, 1 + 2 * len(cals)), (rows, 1)]
+    assert calls == [(axis.size, WIDTH), (rows, 1)]
+
+
+def test_walk_encodes_part_by_part(tmp_path, monkeypatch):
+    # each walk block's parts, then the measured cells of its rows: one
+    # sample at the first of _AXIS_POINTS + 10 axis points, one row each
+    calls = counted_encodes(monkeypatch)
+    walked(tmp_path, np.linspace(0.05, 9.9, _AXIS_POINTS + 10), five_fits())
+    whole, rest = divmod(_AXIS_POINTS, PART)
+    assert calls == [(PART, WIDTH)] * whole + [(rest, WIDTH), (_AXIS_POINTS, 1)] + [
+        (10, WIDTH),
+        (10, 1),
+    ]
+
+
+def test_walk_encodes_predict_calibrated_and_predict_basic(tmp_path, monkeypatch):
+    # the calibrated column the walk encodes is predict_calibrated of each
+    # walk block's points bit for bit, and the basic column predict_basic,
+    # over blocks that W-BERT's coverage ends inside
+    cals = five_fits()
+    inside = np.linspace(0.05, 10.0, _AXIS_POINTS + 700)
+    axis = np.concatenate([inside, np.linspace(10.2, 30.0, 900)])
+    parts = []
+    monkeypatch.setattr(
+        report, "_encode", lambda block: parts.append(block.copy()) or _encode(block)
+    )
+    walked(tmp_path, axis, cals)
+    cells = np.vstack([part for part in parts if part.shape[1] == WIDTH])
+    assert cells.shape == (axis.size, WIDTH)
+    lo = 0
+    for cal in cals:
+        hi = lo + 5 + 2 * len(cal.basis.groups)
+        end = inside.size if cal.kind is ModelKind.W_BERT else axis.size
+        for start in range(0, end, _AXIS_POINTS):
+            points = axis[start : min(start + _AXIS_POINTS, end)]
+            block = cells[start : start + points.size]
+            assert np.array_equal(block[:, lo], points)
+            assert np.array_equal(block[:, hi - 2], predict_basic(cal.kind, TERRAIN, points))
+            assert np.array_equal(block[:, hi - 1], predict_calibrated(cal, points))
+        lo = hi
 
 
 @pytest.mark.parametrize("width", [2, 3, 11])
