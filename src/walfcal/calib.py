@@ -104,7 +104,7 @@ class Calibration:
     @property
     def fitted_db(self) -> np.ndarray:
         """Calibrated pathloss at distances_km, computed on each read as predict_calibrated does."""
-        return self.basis._evaluate(self.distances_km, self.alpha)
+        return self.basis.evaluate(self.distances_km, self.alpha)
 
     @property
     def residual_db(self) -> np.ndarray:
@@ -164,7 +164,6 @@ def _fit(basis: BasisSet, r: np.ndarray, meas: MeasurementSet, cutoff: float) ->
     k = len(basis.weights)
     alpha, rank = minimum_norm_lstsq(r[:, :k] @ basis.weights, r[:, k], cutoff)
     alpha.setflags(write=False)
-    # the distances passed _fold's checks, as fitted_db's evaluation needs
     return Calibration(
         basis=basis,
         alpha=alpha,

@@ -303,11 +303,11 @@ def _run_one(kind, config, meas, grid, wi_fold) -> ModelRun:
 
 @contextlib.contextmanager
 def _writing(path):
-    """Raise an OSError of the block as a WalfcalError naming path, its output."""
+    """Raise an OSError of the block as a WalfcalError naming its file, else path."""
     try:
         yield
     except OSError as exc:
-        raise WalfcalError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise WalfcalError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> CampaignResult:

@@ -221,8 +221,10 @@ def _write_axis_files(
     index.  The block's rows go in chunks, one _encode of their measured
     cells each.  A part with a cell too long for its slot goes cell by cell
     through _db_rows, and so do its block's profile rows; so does a chunk
-    with such a measured cell.
+    with such a measured cell.  With no fitted model there is no file.
     """
+    if not cals:
+        return
     tables = [(_loss_table(cal), cal.basis.weights @ cal.alpha) for cal in cals]
     bounds = np.cumsum([0] + [3 + table.shape[1] for table, _ in tables]).tolist()
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
@@ -283,8 +285,7 @@ def _write_axis_files(
                 shown = _encode(measured[:, None]) if encoded else None
                 if shown is None:
                     values = np.column_stack([block[local, 0], measured, np.empty((local.size, 2))])
-                    blanks = np.zeros(values.shape, dtype=bool)
-                    blanks[:, 1] = blank
+                    blanks = blank[:, None] & (np.arange(4) == 1)
                     for m, (count, out) in enumerate(zip(counts, profiles)):
                         values[:count, 2:] = block[local[:count, None], pair[m]]
                         out.write(_db_rows(values[:count], blanks[:count]))

@@ -412,6 +412,32 @@ class TestPredictCalibrated:
         with pytest.raises(CurvatureDomainError):
             predict_calibrated(cal, 14.0)
 
+    @pytest.mark.parametrize(
+        "kind, d, error",
+        [
+            (ModelKind.CWI_M, [0.5, 0.0, 2.0], DomainError),
+            (ModelKind.CWI_M, [0.5, -1.0, 2.0], DomainError),
+            (ModelKind.W_BERT, [1.0, 14.0, 2.0], CurvatureDomainError),
+        ],
+    )
+    def test_fitted_values_of_a_built_calibration_are_checked(self, kind, d, error):
+        # a Calibration built directly, not by a fit, has unchecked distances:
+        # fitted_db and residual_db check them as predict_calibrated does
+        basis = build_basis(kind, make_terrain(dh_tx_m=10.0))
+        cal = Calibration(
+            basis=basis,
+            alpha=np.ones(len(basis)),
+            rank=len(basis),
+            distances_km=np.array(d),
+            measured_db=np.zeros(3),
+        )
+        with pytest.raises(error):
+            cal.fitted_db
+        with pytest.raises(error):
+            cal.residual_db
+        with pytest.raises(error):
+            predict_calibrated(cal, d)
+
 
 class TestDisaggregate:
     """group_losses columns: basic per group, basic total, calibrated per

@@ -625,6 +625,23 @@ class TestMainCommand:
         assert code == 1
         assert "W-BERT" in captured.err
 
+    def test_calibrate_where_every_model_fails(self, tmp_path, capsys):
+        config_path, _ = write_campaign(tmp_path, models="W-BERT")
+        meas_path = tmp_path / "bad.csv"
+        save_measurements(MeasurementSet([0.5, 1.0, 11.0], [95.0, 105.0, 140.0]), meas_path)
+        out_dir = tmp_path / "out"
+        argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
+        assert main([*argv, "--output-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error: ")] == [
+            "error: W-BERT: distance(s) 11 km at or beyond the curvature limit 10.0995 km "
+            "(requires d^2 < 17 * dh_tx)"
+        ]
+        assert sorted(path.name for path in out_dir.iterdir()) == ["summary.csv"]
+        assert (out_dir / "summary.csv").read_text() == (
+            "model,rmse_basic_db,mpe_basic_db,rmse_calibrated_db,mpe_calibrated_db,improvement_pct\n"
+        )
+
     def test_predict_basic_to_file(self, tmp_path):
         config_path, _ = write_campaign(tmp_path, models="CWI-M", n=10)
         out = tmp_path / "pred.csv"
@@ -903,6 +920,12 @@ class TestUnwritableOutput:
         target = tmp_path / "reports" / "run"
         assert self.calibrate(target) == 1
         self.assert_one_error_line(capsys, target)
+
+    def test_calibrate_onto_a_report_file_that_is_a_directory(self, tmp_path, capsys):
+        target = tmp_path / "reports"
+        (target / "profile_ITWI-M.csv").mkdir(parents=True)
+        assert self.calibrate(target) == 1
+        self.assert_one_error_line(capsys, target / "profile_ITWI-M.csv")
 
     def test_predict_into_a_missing_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "pred.csv"
