@@ -171,15 +171,17 @@ def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
 def _check_wb_domain(d: np.ndarray, dh_tx_m: float) -> None:
     """Reject distances outside _inside_wb_limit (curvature term undefined)."""
     flat = np.atleast_1d(d)
-    bad = flat[~_inside_wb_limit(flat, dh_tx_m)]
-    if bad.size:
-        listed = ", ".join(f"{value:g}" for value in bad[:8])
-        if bad.size > 8:
-            listed += f", ... ({bad.size} total)"
-        raise CurvatureDomainError(
-            f"distance(s) {listed} km at or beyond the curvature limit "
-            f"{wb_max_distance_km(dh_tx_m):.4f} km (requires d^2 < 17 * dh_tx)"
-        )
+    inside = _inside_wb_limit(flat, dh_tx_m)
+    if inside.all():
+        return
+    bad = flat[~inside]
+    listed = ", ".join(f"{value:g}" for value in bad[:8])
+    if bad.size > 8:
+        listed += f", ... ({bad.size} total)"
+    raise CurvatureDomainError(
+        f"distance(s) {listed} km at or beyond the curvature limit "
+        f"{wb_max_distance_km(dh_tx_m):.4f} km (requires d^2 < 17 * dh_tx)"
+    )
 
 
 def free_space_loss(d_km, f_mhz: float):

@@ -9,9 +9,9 @@ cannot round with certainty (not finite, 1e7 or more, or next to a .5 tie)
 takes its text from _db, so every cell reads as f"{v:.4f}" does, and rows
 with a cell too long for its slot go cell by cell through _db_rows.  Blocks
 are sized by cells, so the encoder's temporaries stay in cache.  One walk
-over blocks of the report axis writes every disagg and profile file: each
-model fills its Φ once per block, and one encode of the model's cells at an
-axis point feeds both of its files.
+over parts of the report axis writes every disagg and profile file: each
+model fills its Φ once per part, and one encode of the part feeds both of
+its files, the profile taking its basic cells from the disagg's basic total.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .calib import MeasurementSet, _group_values, _loss_table
-from .models import _model_distances, predict_basic
+from .models import _model_distances
 
 
 def _db(value: float) -> str:
@@ -55,10 +55,6 @@ _SLOT_MAX = 9_999_999.9999
 # cells per encoded block: _encode's per-cell cost about doubles once its
 # temporaries outgrow a core's L2 cache, as an 8192 × 11 block's do
 _BLOCK_CELLS = 32_768
-# axis points per block of the report walk, which evaluates each model once a
-# block: predict_basic costs about 55 µs a call whatever its length, and a
-# 1e6-point axis in _block_rows blocks of 5 models' cells calls it 8715 times
-_AXIS_POINTS = 2048
 
 
 def _block_rows(width: int) -> int:
@@ -210,33 +206,31 @@ def _write_axis_files(
     """Write the disagg and profile files of the fitted models in one walk
     over axis, the report axis, with inverse as _profile_rows takes it.
 
-    A block of _AXIS_POINTS points holds each model's cells as [d | disagg
-    values | basic | calibrated], zeros past the end of its _model_distances.
-    The model fills its Φ once: the values are Φ @ C, with C its _loss_table,
-    as group_losses forms them, and calibrated is Φ @ (M @ α), as
-    predict_calibrated forms it.  One _encode takes each _block_rows part of
-    the block; a disagg file takes its rows from its [d | values] columns, and
-    a profile row, four slots with a blank measured cell kept as its
-    separator alone, takes its distance, basic and calibrated slots by axis
-    index.  The block's rows go in chunks, one _encode of their measured
-    cells each.  A part with a cell too long for its slot goes cell by cell
-    through _db_rows, and so do its block's profile rows; so does a chunk
-    with such a measured cell.  With no fitted model there is no file.
+    A part of _block_rows points holds each model's cells as [d | disagg
+    values | calibrated], zeros past the end of its _model_distances.  The
+    model fills its Φ once: the values are Φ @ C, with C its _loss_table, as
+    group_losses forms them, and calibrated is Φ @ (M @ α), as
+    predict_calibrated forms it.  One _encode takes the part; a disagg file
+    takes its rows from its [d | values] columns, and a profile row, four
+    slots with a blank measured cell kept as its separator alone, takes its
+    distance, basic and calibrated slots by axis index, the basic one that
+    of the disagg's basic total.  The part's rows go in chunks, one _encode
+    of their measured cells each.  A part with a cell too long for its slot
+    goes cell by cell through _db_rows, its profile rows too, and so does a
+    chunk with such a measured cell.  With no fitted model there is no file.
     """
     if not cals:
         return
     tables = [(_loss_table(cal), cal.basis.weights @ cal.alpha) for cal in cals]
-    bounds = np.cumsum([0] + [3 + table.shape[1] for table, _ in tables]).tolist()
+    bounds = np.cumsum([0] + [2 + table.shape[1] for table, _ in tables]).tolist()
+    # each model's basic total, the last of the first half of its disagg
+    # values, and its calibrated column
+    pair = np.array([[(lo + hi) // 2 - 1, hi - 1] for lo, hi in zip(bounds, bounds[1:])])
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
     axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
     row_ends = np.searchsorted(axis_rows, ends).tolist()
-    total, step = max(ends, default=0), _block_rows(bounds[-1])
-    block = np.empty((min(total, _AXIS_POINTS), bounds[-1]))
-    # each model's basic and calibrated columns, and by axis point the slots,
-    # then masks, of the distance and of each model's basic and calibrated
-    pair = np.array(bounds[1:])[:, None] - [2, 1]
-    distance = np.empty((2, len(block)), dtype=_SLOT)
-    pairs = np.empty((len(cals), 2, len(block), 2), dtype=_SLOT)
+    total, step = max(ends), _block_rows(bounds[-1])
+    block = np.empty((min(total, step), bounds[-1]))
     with contextlib.ExitStack() as stack:
         kinds = [cal.kind.value for cal in cals]
         disaggs, profiles = (
@@ -248,46 +242,42 @@ def _write_axis_files(
             sides = [f"{side}_{g}_db" for side in ("basic", "calibrated") for g in groups]
             disagg.write(",".join(["distance_km", *sides]).encode("ascii") + b"\n")
             profile.write(b"distance_km,measured_db,basic_db,calibrated_db\n")
-        for start in range(0, total, _AXIS_POINTS):
-            d = axis[start : min(start + _AXIS_POINTS, total)]
+        for start in range(0, total, step):
+            d = axis[start : min(start + step, total)]
+            part = block[: d.size]
             counts = [min(max(end - start, 0), d.size) for end in ends]
             for cal, (table, coef), lo, hi, n in zip(cals, tables, bounds, bounds[1:], counts):
-                block[: d.size, lo] = d
-                block[n : d.size, lo + 1 : hi] = 0.0
+                part[:, lo] = d
+                part[n:, lo + 1 : hi] = 0.0
                 if n:
                     own = cal.basis._fill(d[:n], np.empty((n, len(cal.basis.weights))))
-                    block[:n, lo + 1 : hi - 2] = _group_values(own, table)
-                    block[:n, hi - 2] = predict_basic(cal.kind, cal.terrain, d[:n])
-                    block[:n, hi - 1] = own @ coef
-            encoded = True
-            for first in range(0, d.size, step):
-                part = block[first : min(first + step, d.size)]
-                rows = [min(max(count - first, 0), len(part)) for count in counts]
-                cells = _encode(part)
-                if cells is None:
-                    encoded = False
-                    for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], rows):
-                        out.write(_db_rows(part[:n, lo : hi - 2]))
-                    continue
+                    part[:n, lo + 1 : hi - 1] = _group_values(own, table)
+                    part[:n, hi - 1] = own @ coef
+            cells = _encode(part)
+            if cells is None:
+                for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
+                    out.write(_db_rows(part[:n, lo : hi - 1]))
+            else:
                 slots, keep = cells[0], _KEEP[cells[1]]
-                for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], rows):
-                    out.write(_row_bytes(slots[:n, lo : hi - 2], keep[:n, lo : hi - 2]))
-                span = slice(first, first + len(part))
-                distance[:, span] = slots[:, 0], keep[:, 0]
-                pairs[:, :, span] = np.stack([slots[:, pair], keep[:, pair]]).transpose(2, 0, 1, 3)
+                for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
+                    out.write(_row_bytes(slots[:n, lo : hi - 1], keep[:n, lo : hi - 1]))
+                # by axis point the slots, then masks, of the distance and of
+                # each model's basic and calibrated cells
+                distance = np.stack([slots[:, 0], keep[:, 0]])
+                pairs = np.stack([slots[:, pair], keep[:, pair]]).transpose(2, 0, 1, 3)
             lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
             for a in range(lo_row, hi_row, _block_rows(4)):
                 local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
                 sample = axis_sample[a : a + local.size]
                 blank = sample < 0
                 measured = np.where(blank, 0.0, meas.pathloss_db[sample])
-                counts = [min(max(end - a, 0), local.size) for end in row_ends]
-                shown = _encode(measured[:, None]) if encoded else None
+                rows = [min(max(end - a, 0), local.size) for end in row_ends]
+                shown = None if cells is None else _encode(measured[:, None])
                 if shown is None:
-                    values = np.column_stack([block[local, 0], measured, np.empty((local.size, 2))])
+                    values = np.column_stack([part[local, 0], measured, np.empty((local.size, 2))])
                     blanks = blank[:, None] & (np.arange(4) == 1)
-                    for m, (count, out) in enumerate(zip(counts, profiles)):
-                        values[:count, 2:] = block[local[:count, None], pair[m]]
+                    for m, (count, out) in enumerate(zip(rows, profiles)):
+                        values[:count, 2:] = part[local[:count, None], pair[m]]
                         out.write(_db_rows(values[:count], blanks[:count]))
                     continue
                 # slots in row[0], masks in row[1]: distance, measured, basic, calibrated
@@ -295,7 +285,7 @@ def _write_axis_files(
                 row[:, :, 0] = np.take(distance, local, axis=1)
                 row[0, :, 1] = shown[0][:, 0]
                 row[1, :, 1] = _KEEP[np.where(blank, _SEP, shown[1][:, 0])]
-                for m, (count, out) in enumerate(zip(counts, profiles)):
+                for m, (count, out) in enumerate(zip(rows, profiles)):
                     row[:, :count, 2:] = np.take(pairs[m], local[:count], axis=1)
                     out.write(_row_bytes(row[0, :count], row[1, :count]))
 

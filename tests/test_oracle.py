@@ -10,9 +10,10 @@ as M has full row rank.  Here Φ comes from Decimal.log10 of each distance's
 exact binary value, the sums over the samples run at 50 digits, and both
 k×k systems are solved by exact elimination in fractions.  The oracle
 shares nothing with the fit under test (numpy, LAPACK, the QR fold) but the
-weight table M.  Its basic curve is Φ times M's summed term weights, and
-each summary.csv cell is its statistic from the two curves, rounded to 4
-places as the report cells are.
+weight table M.  Its basic curve is Φ times M's summed term weights; each
+summary.csv cell is its statistic from the two curves, and each profile
+basic_db cell its basic curve at the row's sample, rounded to 4 places as
+the report cells are.
 """
 
 import math
@@ -159,9 +160,9 @@ def test_coefficients_are_the_oracles_minimum_norm_solution(campaign, kind):
     assert deviation(cal.alpha, alpha) <= bound
 
 
-def summary_cell(value: Decimal) -> str | None:
+def report_cell(value: Decimal) -> str | None:
     """value rounded half to even at 4 places, as a report cell, or None
-    within 1e-9 of a tie, where the float statistic may round either way."""
+    within 1e-9 of a tie, where the float value may round either way."""
     with localcontext(DIGITS):
         tie = (value * 10_000 - Decimal("0.5")).to_integral_value() + Decimal("0.5")
         if abs(value - tie / 10_000) < Decimal("1e-9"):
@@ -177,31 +178,57 @@ def statistics(curve: list, p: list) -> tuple:
         return (sum(e * e for e in diff) / len(diff)).sqrt(), sum(diff) / len(diff)
 
 
-def test_summary_cells_match_the_oracle(campaign, tmp_path):
+def calibrated_run(campaign, out_dir):
+    """A calibrate run of every model over the campaign, its grid d_min and
+    d_max, both measured; the basic curve of each model at every sample."""
     terrain, meas, oracles = campaign
-    save_measurements(meas, tmp_path / "meas.csv")
+    save_measurements(meas, out_dir / "meas.csv")
     d_min, d_max = float(meas.distances_km.min()), float(meas.distances_km.max())
     config = CampaignConfig(terrain, tuple(ModelKind), d_min, d_max, d_max - d_min)
-    result = run_calibration(config, tmp_path / "meas.csv", tmp_path / "out")
+    result = run_calibration(config, out_dir / "meas.csv", out_dir / "out")
     assert result.ok
-    lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    basic = {}
+    for run in result.runs:
+        phi = oracles[run.kind is ModelKind.W_BERT][0]
+        with localcontext(DIGITS):
+            # the basic model's weight on each feature: its terms' weights summed
+            weights = [sum(map(Decimal, row)) for row in run.calibration.basis.weights.tolist()]
+            basic[run.kind] = [sum(w * f for w, f in zip(weights, row)) for row in phi]
+    return out_dir / "out", basic
+
+
+def test_report_cells_match_the_oracle(campaign, tmp_path):
+    _, meas, oracles = campaign
+    out_dir, basic = calibrated_run(campaign, tmp_path)
+    lines = (out_dir / "summary.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == [kind.value for kind in ModelKind]
     p = [Decimal(v) for v in meas.pathloss_db.tolist()]
     skipped = 0
     for kind, line in zip(ModelKind, lines[1:]):
-        phi, _, fitted = oracles[kind is ModelKind.W_BERT]
-        table = next(run.calibration.basis.weights for run in result.runs if run.kind is kind)
+        fitted = oracles[kind is ModelKind.W_BERT][2]
         with localcontext(DIGITS):
-            # the basic model's weight on each feature: its terms' weights summed
-            weights = [sum(map(Decimal, row)) for row in table.tolist()]
-            basic = [sum(w * f for w, f in zip(weights, row)) for row in phi]
-            rmse_basic, mpe_basic = statistics(basic, p)
+            rmse_basic, mpe_basic = statistics(basic[kind], p)
             rmse_fitted, mpe_fitted = statistics(fitted, p)
             gain = 100 * (rmse_basic - rmse_fitted) / rmse_basic
-        expected = [summary_cell(v) for v in (rmse_basic, mpe_basic, rmse_fitted, mpe_fitted, gain)]
+        expected = [report_cell(v) for v in (rmse_basic, mpe_basic, rmse_fitted, mpe_fitted, gain)]
         for cell, oracle_cell in zip(line.split(",")[1:], expected, strict=True):
             if oracle_cell is None:
                 skipped += 1
             else:
                 assert cell == oracle_cell, (kind, line)
     assert skipped <= 1
+
+
+def test_profile_basic_cells_match_the_oracle(campaign, tmp_path):
+    # the grid's two points are measured, so the profile rows are the samples
+    # sorted by distance, duplicates in input order
+    meas = campaign[1]
+    out_dir, basic = calibrated_run(campaign, tmp_path)
+    order = np.argsort(meas.distances_km, kind="stable").tolist()
+    for kind in ModelKind:
+        lines = (out_dir / f"profile_{kind.value}.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(order)
+        expected = [report_cell(basic[kind][i]) for i in order]
+        cells = [line.split(",")[2] for line in lines]
+        assert sum(e is None for e in expected) <= 1
+        assert all(e is None or c == e for c, e in zip(cells, expected)), kind

@@ -26,7 +26,6 @@ from walfcal import (
 from walfcal.basis import _CHUNK_ROWS
 from walfcal.cli import CampaignConfig, prediction_grid, run_calibration
 from walfcal.report import (
-    _AXIS_POINTS,
     _KEEP,
     _SEP,
     _block_rows,
@@ -94,17 +93,17 @@ def table(header, columns) -> str:
 
 def walk_width(kinds) -> int:
     """Cells per axis point of the report walk over the given models: each
-    model's distance, 2·groups + 2 disagg values, basic and calibrated."""
-    return sum(5 + 2 * len(build_basis(kind, TERRAIN).groups) for kind in kinds)
+    model's distance, 2·groups + 2 disagg values and calibrated."""
+    return sum(4 + 2 * len(build_basis(kind, TERRAIN).groups) for kind in kinds)
 
 
 def part_step(kinds) -> int:
-    """Axis points per encoded part of a block of the report walk."""
+    """Axis points per encoded part of the report walk."""
     return _block_rows(walk_width(kinds))
 
 
 # rows per measured-cell chunk of the walk, counted from the first row of a
-# walk block of _AXIS_POINTS axis points
+# walk part
 ROW_STEP = _block_rows(4)
 
 
@@ -234,11 +233,12 @@ def test_one_distance_over_several_row_chunks(tmp_path):
     assert rows[3][0] == rows[ROW_STEP][0] == rows[2 * ROW_STEP][0] == rows[n + 2][0] == "0.7500"
 
 
-@pytest.mark.parametrize("step", [part_step(ModelKind), _AXIS_POINTS], ids=["part", "block"])
-def test_axis_block_edge_inside_a_run_of_duplicates(tmp_path, step):
+@pytest.mark.parametrize("parts", [1, 2])
+def test_part_edge_inside_a_run_of_duplicates(tmp_path, parts):
     # the axis is the grid; its points step - 4 .. step + 3 are each measured
-    # three times, so duplicate rows run on both sides of the edge between
-    # encoded parts 0 and 1, or walk blocks 0 and 1
+    # three times, so duplicate rows run on both sides of the edge after
+    # encoded part 0, or after part 1
+    step = parts * part_step(ModelKind)
     spec = (0.001, 0.001 * (step + 200), 0.001)
     grid = prediction_grid(*spec)
     d = np.concatenate([np.repeat(grid[step - 4 : step + 4], 3), grid[::400]])
@@ -252,11 +252,12 @@ def test_axis_block_edge_inside_a_run_of_duplicates(tmp_path, step):
 
 
 @pytest.mark.parametrize("past_edge", [0, 1])
-@pytest.mark.parametrize("step", [part_step(ModelKind), _AXIS_POINTS], ids=["part", "block"])
-def test_wb_profile_ends_at_an_axis_block_edge(tmp_path, step, past_edge):
+@pytest.mark.parametrize("parts", [1, 2])
+def test_wb_profile_ends_at_a_part_edge(tmp_path, parts, past_edge):
     # the W-BERT limit is about 10.1 km: its last point is the last of
-    # encoded part or walk block 0, or the first of part or block 1
+    # encoded part 0 or 1, or the first of the part after it
     kinds = list(ModelKind)
+    step = parts * part_step(kinds)
     inside = np.linspace(0.05, 10.0, step + past_edge)
     grid = np.concatenate([inside, np.linspace(10.2, 30.0, 300)])
     rng = np.random.default_rng(47)
@@ -268,16 +269,16 @@ def test_wb_profile_ends_at_an_axis_block_edge(tmp_path, step, past_edge):
 
 def test_wb_profile_loses_grid_rows_past_its_limit(tmp_path):
     # the grid runs to 30 km, far past the W-BERT limit of about 10.1 km; the
-    # grid points beyond it fill whole walk blocks that only the WI files get
+    # grid points beyond it fill whole walk parts that only the WI files get
     rng = np.random.default_rng(9)
     kinds = [ModelKind.W_BERT, ModelKind.CWI_M, ModelKind.ITWI_SU]
-    step = _AXIS_POINTS
+    step = part_step(kinds)
     n = step + 100
     d = np.round(rng.uniform(0.1, 9.0, n), 3)
     meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n))
     wb_rows = profile_rows(tmp_path, meas, (0.1, 30.0, 0.002), kinds=kinds)
     wi_rows = (tmp_path / "out" / "profile_CWI-M.csv").read_text().splitlines()[1:]
-    # W-BERT stops inside a walk block, and a later block is for WI alone
+    # W-BERT stops inside a walk part, and a later part is for WI alone
     axis = np.unique(np.concatenate([d, prediction_grid(0.1, 30.0, 0.002)]))
     covered = np.count_nonzero(axis * axis < 17.0 * TERRAIN.dh_tx_m)
     assert covered % step != 0
@@ -287,11 +288,11 @@ def test_wb_profile_loses_grid_rows_past_its_limit(tmp_path):
 
 
 def test_chunk_of_only_grid_rows(tmp_path):
-    # three samples past 5 km leave the first walk block, and so its row
+    # three samples past 5 km leave the first walk parts, and so their row
     # chunks, to grid points alone
     meas = MeasurementSet([5.5, 6.0, 6.0], [120.0, 121.0, 122.5])
     rows = profile_rows(tmp_path, meas, (0.001, 6.5, 0.0005), kinds=list(ModelKind))
-    step = _AXIS_POINTS
+    step = 2 * part_step(ModelKind)
     assert len(rows) > step
     assert all(row[1] == "" for row in rows[:step])
     assert [row[1] for row in rows if row[1]] == ["120.0000", "121.0000", "122.5000"]
@@ -464,13 +465,13 @@ def counted_fallbacks(monkeypatch) -> list:
 
 @pytest.mark.parametrize("value", [125.03125, 1e8])
 def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, monkeypatch, value):
-    # the second walk block, where the W-BERT file ends, holds a measured
+    # the second walk part, where the W-BERT file ends, holds a measured
     # dyadic tie, which takes its slot's text from _db, or a cell too long
     # for a slot, which sends its row chunk cell by cell through _db for
     # every model
     rng = np.random.default_rng(17)
     kinds = [ModelKind.W_BERT, ModelKind.CWI_M]
-    step = _AXIS_POINTS
+    step = part_step(kinds)
     n = step - 500
     d = np.round(rng.uniform(0.1, 9.5, n), 4)
     p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n), 3)
@@ -483,7 +484,7 @@ def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, monkeypatch, v
     assert step < covered < axis.size < 2 * step
     assert np.searchsorted(axis, d.max()) >= step
     assert [row[1] for row in wb_rows].count(_db(value)) == 1
-    # block 1's rows, fewer than a row chunk's, in both files
+    # part 1's rows, fewer than a row chunk's, in both files
     assert len(fallbacks) == (2 if len(_db(value)) > SLOT_TEXT_MAX else 0)
 
 
@@ -558,7 +559,7 @@ def test_disagg_chunks_equal_whole_axis_evaluation(tmp_path, kind):
 
 
 def test_profiles_peak_below_six_axis_vectors(tmp_path):
-    # models are evaluated on one walk block at a time: whole-axis
+    # models are evaluated on one walk part at a time: whole-axis
     # basic and calibrated tables of 5 models alone would take 10 vectors
     rng = np.random.default_rng(29)
     d = rng.uniform(0.05, 4.0, 200_000)
@@ -604,29 +605,25 @@ def five_fits(n=120):
     return [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
 
 
-# the walk block of all five models: 4 WI models of 1 + 8 + 2 cells a point
-# and W-BERT's of 1 + 10 + 2, encoded PART points at a time
-WIDTH = 4 * 11 + 13
+# the walk part of all five models: 4 WI models of 1 + 8 + 1 cells a point
+# and W-BERT's of 1 + 10 + 1, PART points at a time
+WIDTH = 4 * 10 + 12
 PART = _block_rows(WIDTH)
 
 
-@pytest.mark.parametrize(
-    "size",
-    [PART - 1, PART, PART + 1, _AXIS_POINTS - 1, _AXIS_POINTS, _AXIS_POINTS + PART + 3],
-)
-def test_walk_at_part_and_block_edges(tmp_path, size):
+@pytest.mark.parametrize("size", [PART - 1, PART, PART + 1, 2 * PART - 1, 2 * PART, 3 * PART + 3])
+def test_walk_at_part_edges(tmp_path, size):
     cals = five_fits()
     assert walk_width(ModelKind) == WIDTH
     walked(tmp_path, np.linspace(0.05, 9.9, size), cals)
 
 
 @pytest.mark.parametrize(
-    "covered", [PART + PART // 2, 2 * PART, PART - 1, 1, _AXIS_POINTS, _AXIS_POINTS + 1]
+    "covered", [PART + PART // 2, 2 * PART, PART - 1, 1, PART, PART + 1, 3 * PART + 7]
 )
 def test_walk_where_wb_coverage_ends(tmp_path, covered):
     # the W-BERT limit is about 10.1 km: W-BERT's files end mid-part, on a
-    # part edge, just before one, after their first row, or at a walk block
-    # edge
+    # part edge, just before or after one, or after their first row
     cals = five_fits()
     axis = np.concatenate([np.linspace(0.05, 10.0, covered), np.linspace(10.2, 30.0, 500)])
     wb_rows = walked(tmp_path, axis, cals)[-1]
@@ -635,10 +632,10 @@ def test_walk_where_wb_coverage_ends(tmp_path, covered):
     assert wb_lines == covered + 1
 
 
-def test_walk_without_wb_rows_in_later_blocks(tmp_path):
-    # WI models alone fill the walk blocks past W-BERT's last row
+def test_walk_without_wb_rows_in_later_parts(tmp_path):
+    # WI models alone fill the walk parts past W-BERT's last row
     cals = five_fits()
-    axis = np.concatenate([np.linspace(0.05, 10.0, 10), np.linspace(10.2, 30.0, 2 * _AXIS_POINTS)])
+    axis = np.concatenate([np.linspace(0.05, 10.0, 10), np.linspace(10.2, 30.0, 3 * PART + 5)])
     walked(tmp_path, axis, cals)
 
 
@@ -691,16 +688,16 @@ def steep_fit(kind):
 def test_a_part_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch):
     # part 0 holds a 2e8 cell in every file and a tie cell (1.03125); part 1
     # holds another tie (1.40625), which takes its text from _db in its slot.
-    # Part 0 sends the profile rows of its walk block, the whole axis, cell
-    # by cell through _db too
+    # Part 0 sends its profile rows, one an axis point, cell by cell through
+    # _db too, and parts 1 and 2 stay in numpy
     cals = [steep_fit(kind) for kind in ModelKind]
     axis = np.unique(np.concatenate([[1e-5, 1.03125, 1.40625], np.linspace(1.0, 1.5, 1400)]))
-    assert axis.size < min(3 * PART, _AXIS_POINTS)
+    assert 2 * PART < axis.size < 3 * PART
     assert list(np.searchsorted(axis, [1.03125, 1.40625]) // PART) == [0, 1]
     fallbacks = counted_fallbacks(monkeypatch)
     walked(tmp_path, axis, cals)
     disaggs = [(PART, 2 * len(cal.basis.groups) + 3) for cal in cals]
-    assert fallbacks == disaggs + [(axis.size, 4)] * len(cals)
+    assert fallbacks == disaggs + [(PART, 4)] * len(cals)
     text = (tmp_path / "disagg_CWI-M.csv").read_text()
     assert "\n0.0000," in text and "\n1.0312," in text and "\n1.4062," in text
     assert any(len(cell) > 13 for cell in text.splitlines()[1].split(","))
@@ -740,23 +737,20 @@ def test_files_of_a_small_campaign_take_two_encodes(tmp_path, monkeypatch):
 
 
 def test_walk_encodes_part_by_part(tmp_path, monkeypatch):
-    # each walk block's parts, then the measured cells of its rows: one
-    # sample at the first of _AXIS_POINTS + 10 axis points, one row each
+    # each walk part, then the measured cells of its rows: one sample at the
+    # first of 2·PART + 10 axis points, one row each
     calls = counted_encodes(monkeypatch)
-    walked(tmp_path, np.linspace(0.05, 9.9, _AXIS_POINTS + 10), five_fits())
-    whole, rest = divmod(_AXIS_POINTS, PART)
-    assert calls == [(PART, WIDTH)] * whole + [(rest, WIDTH), (_AXIS_POINTS, 1)] + [
-        (10, WIDTH),
-        (10, 1),
-    ]
+    walked(tmp_path, np.linspace(0.05, 9.9, 2 * PART + 10), five_fits())
+    assert calls == [(PART, WIDTH), (PART, 1)] * 2 + [(10, WIDTH), (10, 1)]
 
 
-def test_walk_encodes_predict_calibrated_and_predict_basic(tmp_path, monkeypatch):
-    # the calibrated column the walk encodes is predict_calibrated of each
-    # walk block's points bit for bit, and the basic column predict_basic,
-    # over blocks that W-BERT's coverage ends inside
+def test_walk_encodes_predict_calibrated_and_the_basic_total(tmp_path, monkeypatch):
+    # each part's calibrated column is predict_calibrated of its points bit
+    # for bit, and the profile's basic cells are the disagg's basic total, in
+    # value and in text, within 1e-12 dB of predict_basic, over parts that
+    # W-BERT's coverage ends inside
     cals = five_fits()
-    inside = np.linspace(0.05, 10.0, _AXIS_POINTS + 700)
+    inside = np.linspace(0.05, 10.0, 2 * PART + 300)
     axis = np.concatenate([inside, np.linspace(10.2, 30.0, 900)])
     parts = []
     monkeypatch.setattr(
@@ -767,15 +761,49 @@ def test_walk_encodes_predict_calibrated_and_predict_basic(tmp_path, monkeypatch
     assert cells.shape == (axis.size, WIDTH)
     lo = 0
     for cal in cals:
-        hi = lo + 5 + 2 * len(cal.basis.groups)
+        groups = len(cal.basis.groups)
+        hi = lo + 4 + 2 * groups
         end = inside.size if cal.kind is ModelKind.W_BERT else axis.size
-        for start in range(0, end, _AXIS_POINTS):
-            points = axis[start : min(start + _AXIS_POINTS, end)]
-            block = cells[start : start + points.size]
-            assert np.array_equal(block[:, lo], points)
-            assert np.array_equal(block[:, hi - 2], predict_basic(cal.kind, TERRAIN, points))
-            assert np.array_equal(block[:, hi - 1], predict_calibrated(cal, points))
+        assert end % PART != 0
+        for start in range(0, end, PART):
+            points = axis[start : min(start + PART, end)]
+            part = cells[start : start + points.size]
+            assert np.array_equal(part[:, lo], points)
+            basic = part[:, lo + 1 + groups]
+            assert np.array_equal(basic, group_losses(cal, points)[:, groups])
+            np.testing.assert_allclose(
+                basic, predict_basic(cal.kind, TERRAIN, points), rtol=0.0, atol=1e-12
+            )
+            assert np.array_equal(part[:, hi - 1], predict_calibrated(cal, points))
+        profile = (tmp_path / f"profile_{cal.kind.value}.csv").read_text().splitlines()[1:]
+        disagg = (tmp_path / f"disagg_{cal.kind.value}.csv").read_text().splitlines()[1:]
+        totals = [line.split(",")[1 + groups] for line in disagg]
+        assert [line.split(",")[2] for line in profile] == totals
         lo = hi
+
+
+def test_ill_conditioned_calibrated_cells_are_predict_calibrated(tmp_path):
+    # a W-BERT fit from two samples 1e-8 km apart, near its 8.2462 km limit,
+    # has group values of about 6e8 dB, and its calibrated total prints
+    # differently from predict_calibrated at some points; the profile's
+    # calibrated cells are predict_calibrated's
+    terrain = Terrain(f_mhz=150.0, w_m=20.0, b_m=30.0, phi_deg=30.0, dh_rx_m=12.0, dh_tx_m=4.0)
+    meas = MeasurementSet([8.2, 8.2 + 1e-8], [120.0, 150.0])
+    save_measurements(meas, tmp_path / "meas.csv")
+    config = CampaignConfig(terrain, (ModelKind.W_BERT,), 0.01, 8.2, 0.001)
+    result = run_calibration(config, tmp_path / "meas.csv", tmp_path / "out")
+    assert result.ok
+    cal = result.runs[0].calibration
+    grid = prediction_grid(0.01, 8.2, 0.001)
+    rows = checked_profiles(tmp_path / "out", meas, grid, [cal])[0]
+    # one row per axis point: the grid holds 8.2 km, and the samples differ
+    axis = np.unique(np.concatenate([meas.distances_km, grid]))
+    fitted = [_db(v) for v in predict_calibrated(cal, axis).tolist()]
+    assert [row[3] for row in rows] == fitted
+    disagg = (tmp_path / "out" / "disagg_W-BERT.csv").read_text().splitlines()[1:]
+    totals = [line.split(",")[-1] for line in disagg]
+    assert max(abs(float(cell)) for line in disagg for cell in line.split(",")) > 1e8
+    assert 0 < sum(t != f for t, f in zip(totals, fitted, strict=True)) < len(fitted) // 100
 
 
 @pytest.mark.parametrize("width", [2, 3, 11])
