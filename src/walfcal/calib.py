@@ -141,12 +141,14 @@ def _fold(basis: BasisSet, d_km, p: np.ndarray | None = None) -> np.ndarray:
     R is folded one _CHUNK_ROWS block at a time: each block is written under
     the R so far, and R becomes the R of both.  It depends on the basis only
     through Φ, so every Walfisch-Ikegami variant folds the same R.  d and
-    the W-BERT domain are checked once over all of d.
+    the W-BERT domain are checked once over all of d.  The stack is
+    column-major, so LAPACK reads each column contiguously; R is bitwise the
+    same in either layout.
     """
     d = basis._checked(d_km)
     k = len(basis.weights)
     width = k if p is None else k + 1
-    stack = np.empty((width + min(d.size, _CHUNK_ROWS), width))
+    stack = np.empty((width + min(d.size, _CHUNK_ROWS), width), order="F")
     r = stack[:0]
     for start in range(0, d.size, _CHUNK_ROWS):
         chunk = d[start : start + _CHUNK_ROWS]

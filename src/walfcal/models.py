@@ -131,13 +131,15 @@ def _as_floats(values, name: str) -> np.ndarray:
 
 
 def _as_distance(d_km):
-    """Validate distances (km, > 0, finite); returns (array, was_scalar)."""
+    """Validate distances (km, > 0, finite); returns (array of at least one
+    dimension, was_scalar)."""
     d = _as_floats(d_km, "d_km")
     if d.size == 0:
         raise DomainError("at least one distance is required")
-    if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
+    # NaN propagates through min, so two reductions test every value
+    if not (d.min() > 0.0 and d.max() < math.inf):
         raise DomainError(f"distances must be positive and finite km, got {d_km!r}")
-    return d, d.ndim == 0
+    return np.atleast_1d(d), d.ndim == 0
 
 
 def wb_max_distance_km(dh_tx_m: float) -> float:
@@ -169,12 +171,13 @@ def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
 
 
 def _check_wb_domain(d: np.ndarray, dh_tx_m: float) -> None:
-    """Reject distances outside _inside_wb_limit (curvature term undefined)."""
-    flat = np.atleast_1d(d)
-    inside = _inside_wb_limit(flat, dh_tx_m)
-    if inside.all():
+    """Reject distances outside _inside_wb_limit (curvature term undefined).
+
+    d must be positive, so d * d grows with d and its largest value decides.
+    """
+    if _inside_wb_limit(d.max(), dh_tx_m):
         return
-    bad = flat[~inside]
+    bad = d[~_inside_wb_limit(d, dh_tx_m)]
     listed = ", ".join(f"{value:g}" for value in bad[:8])
     if bad.size > 8:
         listed += f", ... ({bad.size} total)"
@@ -189,12 +192,17 @@ def free_space_loss(d_km, f_mhz: float):
     if not (math.isfinite(f_mhz) and f_mhz > 0.0):
         raise DomainError(f"f_mhz must be positive and finite, got {f_mhz!r}")
     d, scalar = _as_distance(d_km)
-    # 32.4 + 20 log10(d) + 20 log10(f), in that order, in one array
-    loss = np.log10(np.atleast_1d(d))
-    loss *= 20.0
-    loss += 32.4
-    loss += 20.0 * np.log10(f_mhz)
+    loss = _free_space_db(np.log10(d), f_mhz)
     return float(loss[0]) if scalar else loss
+
+
+def _free_space_db(log_d: np.ndarray, f_mhz: float) -> np.ndarray:
+    """free_space_loss from log10(d), written over log_d."""
+    # 32.4 + 20 log10(d) + 20 log10(f), in that order
+    log_d *= 20.0
+    log_d += 32.4
+    log_d += 20.0 * np.log10(f_mhz)
+    return log_d
 
 
 def street_orientation_term(phi_deg: float) -> float:
@@ -246,16 +254,20 @@ def multiscreen_loss(terrain: Terrain, d_km, density: Density, family: Family):
 
     -18 log10(1 + dh_tx) + k_a + 18 log10(d) + k_f log10(f) - 9 log10(b).
     """
-    ka, kf = multiscreen_constants(terrain, density, family)
     d, scalar = _as_distance(d_km)
-    loss = (
-        -18.0 * math.log10(1.0 + terrain.dh_tx_m)
-        + ka
-        + 18.0 * np.log10(d)
-        + kf * math.log10(terrain.f_mhz)
-        - 9.0 * math.log10(terrain.b_m)
-    )
-    return float(loss) if scalar else loss
+    loss = _multiscreen_db(terrain, np.log10(d), density, family)
+    return float(loss[0]) if scalar else loss
+
+
+def _multiscreen_db(terrain: Terrain, log_d: np.ndarray, density: Density, family: Family):
+    """multiscreen_loss from log10(d), written over log_d."""
+    ka, kf = multiscreen_constants(terrain, density, family)
+    # the terms in the order above, the two leading constants summed first
+    log_d *= 18.0
+    log_d += -18.0 * math.log10(1.0 + terrain.dh_tx_m) + ka
+    log_d += kf * math.log10(terrain.f_mhz)
+    log_d -= 9.0 * math.log10(terrain.b_m)
+    return log_d
 
 
 def building_geometry_term(terrain: Terrain) -> float:
@@ -282,7 +294,12 @@ def wb_excess_loss(terrain: Terrain, d_km):
     """
     d, scalar = _as_distance(d_km)
     _check_wb_domain(d, terrain.dh_tx_m)
-    d = np.atleast_1d(d)
+    loss = _wb_excess_db(terrain, d)
+    return float(loss[0]) if scalar else loss
+
+
+def _wb_excess_db(terrain: Terrain, d: np.ndarray) -> np.ndarray:
+    """wb_excess_loss at d, an array that passed _as_distance and _check_wb_domain."""
     # the terms in the order above, in two arrays: the sum and the curvature
     loss = np.log10(d)
     loss *= 18.0
@@ -296,7 +313,7 @@ def wb_excess_loss(terrain: Terrain, d_km):
     loss -= curvature
     del curvature
     loss += building_geometry_term(terrain)
-    return float(loss[0]) if scalar else loss
+    return loss
 
 
 def predict_basic(kind: ModelKind, terrain: Terrain, d_km):
@@ -305,13 +322,17 @@ def predict_basic(kind: ModelKind, terrain: Terrain, d_km):
     Walfisch-Ikegami variants sum free-space, roof-top-to-street, and
     multiscreen losses; W-BERT sums free-space and excess losses.
     """
+    d, scalar = _as_distance(d_km)
     if kind is ModelKind.W_BERT:
         # free space added into the excess, so two arrays at the most
-        loss = wb_excess_loss(terrain, d_km)
-        loss += free_space_loss(d_km, terrain.f_mhz)
-        return loss
-    return (
-        free_space_loss(d_km, terrain.f_mhz)
-        + rooftop_to_street_loss(terrain, kind.family)
-        + multiscreen_loss(terrain, d_km, kind.density, kind.family)
-    )
+        _check_wb_domain(d, terrain.dh_tx_m)
+        loss = _wb_excess_db(terrain, d)
+        loss += _free_space_db(np.log10(d), terrain.f_mhz)
+    else:
+        # one log10(d) for free space and multiscreen, summed in that order
+        loss = np.log10(d)
+        multiscreen = _multiscreen_db(terrain, loss.copy(), kind.density, kind.family)
+        _free_space_db(loss, terrain.f_mhz)
+        loss += rooftop_to_street_loss(terrain, kind.family)
+        loss += multiscreen
+    return float(loss[0]) if scalar else loss

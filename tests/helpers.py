@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from walfcal import MeasurementSet, ModelKind, Terrain
+from walfcal.basis import _CHUNK_ROWS
 from walfcal.cli import MEASUREMENT_HEADER
 
 ALL_KINDS = tuple(ModelKind)
 WI_KINDS = tuple(kind for kind in ModelKind if kind is not ModelKind.W_BERT)
 # agreement in dB between two evaluations of one fit
 TOL_DB = 1e-9
+FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 19))  # of the curvature limit
+NEAR_LIMIT_GAPS = tuple(10.0**-k for k in range(2, 10))  # 1 - d^2 / (17 dh_tx)
 
 
 def random_terrain(rng, f_lo=150.0, f_hi=2000.0) -> Terrain:
@@ -46,6 +49,19 @@ def random_campaign(rng, n_lo=30, n_hi=300):
 def term_values(basis, d) -> np.ndarray:
     """Every term of basis at every distance in d, one row per distance: Φ(d) @ M."""
     return basis.features(np.array(d, float, ndmin=1)) @ basis.weights
+
+
+def row_major_fold(basis, d, p=None) -> np.ndarray:
+    """The R that calib._fold returns, folded in row-major blocks: the R of
+    each [R; Φ(block) | p_block] stacked as numpy stacks it by default."""
+    k = len(basis.weights)
+    r = np.empty((0, k if p is None else k + 1))
+    for start in range(0, d.size, _CHUNK_ROWS):
+        block = basis.features(d[start : start + _CHUNK_ROWS])
+        if p is not None:
+            block = np.column_stack([block, p[start : start + _CHUNK_ROWS]])
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    return r[:k]
 
 
 def save_measurements(meas: MeasurementSet, path) -> None:

@@ -8,11 +8,14 @@ import pytest
 
 from helpers import (
     ALL_KINDS,
+    FRACTIONS,
+    NEAR_LIMIT_GAPS,
     TOL_DB,
     WI_KINDS,
     random_campaign,
     random_distances,
     random_terrain,
+    row_major_fold,
     save_measurements,
     term_values,
 )
@@ -34,6 +37,7 @@ from walfcal import (
     rmse,
 )
 from walfcal.basis import _CHUNK_ROWS
+from walfcal.calib import _fold
 from walfcal.cli import CampaignConfig, run_calibration
 
 
@@ -290,6 +294,35 @@ class TestChunkedFit:
             ranks.append(cal.rank)
         return ranks
 
+    @pytest.mark.parametrize(
+        "n", [1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 5]
+    )
+    @pytest.mark.parametrize("kind", [ModelKind.CWI_M, ModelKind.W_BERT])
+    @pytest.mark.parametrize("with_p", [True, False], ids=["with_p", "without_p"])
+    def test_column_major_fold_is_the_row_major_fold_bitwise(self, n, kind, with_p):
+        rng = np.random.default_rng(n)
+        t = random_terrain(rng)
+        d = random_distances(rng, t, n)
+        p = 110.0 + 35.0 * np.log10(d) + rng.normal(0.0, 4.0, n) if with_p else None
+        self.check_fold_bitwise(build_basis(kind, t), d, p)
+
+    @pytest.mark.parametrize("kind", [ModelKind.CWI_M, ModelKind.W_BERT])
+    def test_column_major_fold_near_the_limit_is_the_row_major_fold_bitwise(self, kind):
+        # every fraction and near-limit gap of the property tests, tiled past a block edge
+        t = make_terrain(dh_tx_m=10.0)
+        limit = math.sqrt(17.0 * t.dh_tx_m)
+        near = [limit * math.sqrt(1.0 - g) for g in NEAR_LIMIT_GAPS]
+        d = np.resize(np.array([f * limit for f in FRACTIONS] + near), _CHUNK_ROWS + 7)
+        p = np.resize(np.linspace(60.0, 180.0, 11), d.size)
+        for pathloss in (p, None):
+            self.check_fold_bitwise(build_basis(kind, t), d, pathloss)
+
+    @staticmethod
+    def check_fold_bitwise(basis, d, p):
+        r, reference = _fold(basis, d, p), row_major_fold(basis, d, p)
+        assert r.shape == reference.shape
+        assert r.tobytes() == reference.tobytes()
+
     def test_wb_sample_beyond_limit_in_last_chunk(self):
         t = make_terrain(dh_tx_m=10.0)
         d = np.linspace(0.1, 12.0, 2 * _CHUNK_ROWS + 3)
@@ -305,8 +338,8 @@ class TestChunkedFit:
     @pytest.mark.parametrize("kind", [ModelKind.CWI_M, ModelKind.W_BERT])
     def test_fit_keeps_no_n_vector(self, kind):
         # neither Φ nor a Q is formed, and fitted_db is evaluated on each read,
-        # so a fit keeps no n-long array; W-BERT's domain check alone takes
-        # about one n-vector while it runs
+        # so a fit keeps no n-long array; the distance and domain checks are
+        # reductions, so a fit's peak is its blocks, about a third of one
         rng = np.random.default_rng(211)
         t = make_terrain(dh_tx_m=10.0)
         n = 200_000

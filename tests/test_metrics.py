@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from walfcal import DomainError, MetricsReport, improvement_pct, mpe, rmse
 
 MISMATCH = "series must be 1-d and equal length, got"
@@ -130,6 +131,16 @@ class TestMetricsReport:
         with pytest.raises(DomainError):
             MetricsReport(rmse_db=1.0, mpe_db=2.0)
 
+    def test_accepts_rounding_of_a_large_constant_offset(self):
+        # a near-constant residual of 1e7 dB: |mpe| exceeds rmse by rounding
+        # alone, by more than a fixed 1e-9 slack allows
+        rng = np.random.default_rng(16)
+        measured = rng.uniform(50.0, 150.0, 100)
+        offset = rng.normal(1e7, 1e-3, 100)
+        report = MetricsReport.from_series(measured, measured + offset)
+        assert abs(report.mpe_db) > report.rmse_db + 1e-9
+        assert report.rmse_db == pytest.approx(1e7)
+
     def test_rejects_negative_rmse(self):
         with pytest.raises(DomainError):
             MetricsReport(rmse_db=-0.5, mpe_db=0.0)
@@ -142,6 +153,27 @@ class TestMetricsReport:
         assert report.mpe_db == mpe(calibrated, measured)
         assert report.rmse_basic_db == rmse(basic, measured)
         assert report.mpe_basic_db == mpe(basic, measured)
+
+    @pytest.mark.parametrize("n", [1, 200_000])
+    def test_from_series_keeps_read_only_inputs_and_equals_the_statistics_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        series = rng.normal(100.0, 5.0, (3, n))
+        before = series.copy()
+        series.setflags(write=False)
+        measured, calibrated, basic = series
+        report = MetricsReport.from_series(measured, calibrated, basic)
+        assert series.tobytes() == before.tobytes()
+        got = [report.rmse_db, report.mpe_db, report.rmse_basic_db, report.mpe_basic_db]
+        want = [rmse(calibrated, measured), mpe(calibrated, measured)]
+        want += [rmse(basic, measured), mpe(basic, measured)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_from_series_peaks_at_one_residual_buffer(self):
+        n = 200_000
+        measured, calibrated, basic = np.random.default_rng(43).normal(100.0, 5.0, (3, n))
+        _, peak = traced_peak(MetricsReport.from_series, measured, calibrated, basic)
+        # one n-long float buffer, plus a bool mask of one series' finiteness
+        assert peak < 1.25 * n * 8
 
     @pytest.mark.parametrize(
         "measured, calibrated, basic, message",

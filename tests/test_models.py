@@ -315,6 +315,25 @@ class TestPredictBasic:
         with pytest.raises(CurvatureDomainError):
             predict_basic(ModelKind.W_BERT, t, 13.5)
 
+    @pytest.mark.parametrize("kind", WI_KINDS)
+    def test_wi_equals_its_components_bitwise(self, kind):
+        # one log10(d) serves both distance terms, summed in the order below
+        rng = np.random.default_rng(41)
+        t = random_terrain(rng, f_hi=3000.0)
+        d = rng.uniform(0.01, 20.0, 1000)
+
+        def components(distances):
+            return (
+                free_space_loss(distances, t.f_mhz)
+                + rooftop_to_street_loss(t, kind.family)
+                + multiscreen_loss(t, distances, kind.density, kind.family)
+            )
+
+        values = predict_basic(kind, t, d)
+        assert values.tobytes() == components(d).tobytes()
+        scalar = predict_basic(kind, t, float(d[0]))
+        assert type(scalar) is float and scalar == components(float(d[0])) == values[0]
+
     def test_wb_equals_its_closed_form_bitwise(self):
         # evaluated in place, in the operation order of the closed form
         t = make_terrain(dh_tx_m=10.0)
@@ -344,3 +363,36 @@ class TestPredictBasic:
         assert values.shape == (n,)
         # two n-long float arrays, plus a few array headers
         assert peak < 2 * n * 8 + 4096
+
+
+class TestDistanceChecksOnLongArrays:
+    """The distance and curvature checks run as reductions over all of d, and
+    still word every failure as the element-wise checks did."""
+
+    N = 200_000
+
+    def distances(self, value):
+        d = np.linspace(0.1, 16.0, self.N)
+        d[self.N // 2] = value
+        return d
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_bad_distance_mid_array(self, kind, bad):
+        d = self.distances(bad)
+        with pytest.raises(DomainError) as caught:
+            predict_basic(kind, make_terrain(dh_tx_m=17.0), d)
+        assert type(caught.value) is DomainError
+        assert str(caught.value) == f"distances must be positive and finite km, got {d!r}"
+
+    def test_sample_at_the_limit_mid_array(self):
+        # dh_tx = 17 m puts the limit at exactly 17 km: 17 * 17 is exact
+        t = make_terrain(dh_tx_m=17.0)
+        with pytest.raises(CurvatureDomainError) as caught:
+            predict_basic(ModelKind.W_BERT, t, self.distances(17.0))
+        assert str(caught.value) == (
+            "distance(s) 17 km at or beyond the curvature limit 17.0000 km "
+            "(requires d^2 < 17 * dh_tx)"
+        )
+        inside = predict_basic(ModelKind.W_BERT, t, self.distances(np.nextafter(17.0, 0.0)))
+        assert np.isfinite(inside).all()

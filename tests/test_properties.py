@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_KINDS, TOL_DB, WI_KINDS, term_values
+from helpers import ALL_KINDS, FRACTIONS, NEAR_LIMIT_GAPS, TOL_DB, WI_KINDS, term_values
 from walfcal import (
     RANK_TOL_DEFAULT,
     MeasurementSet,
@@ -33,9 +33,6 @@ from walfcal import (
     predict_calibrated,
     rmse,
 )
-
-FRACTIONS = tuple(round(0.05 * k, 2) for k in range(1, 19))  # of the curvature limit
-NEAR_LIMIT_GAPS = tuple(10.0**-k for k in range(2, 10))  # 1 - d^2 / (17 dh_tx)
 
 PROPERTY_SETTINGS = settings(
     max_examples=200,
