@@ -48,7 +48,7 @@ __all__ = [
 WI_GROUPS = ("FSP", "RTS", "MSD")
 WB_GROUPS = ("CORE", "HEIGHT", "GEOMETRY", "CURVATURE")
 RANK_TOL_DEFAULT = 1e-10
-# rows per block of a fit's QR fold and of Φ(d) @ (M @ weights)
+# rows per block of a fit's QR fold
 _CHUNK_ROWS = 8192
 
 # feature columns of Φ
@@ -97,8 +97,7 @@ class BasisSet:
 
     def features(self, d_km) -> np.ndarray:
         """Φ(d), one row per distance; validates d and the W-BERT domain once."""
-        d = self._checked(d_km)
-        return self._fill(d, np.empty((d.size, len(self.weights))))
+        return self._sum(self._checked(d_km), np.eye(len(self.weights))).T
 
     def _checked(self, d_km) -> np.ndarray:
         """d as a flat float array, once it passed the distance and, for
@@ -108,31 +107,40 @@ class BasisSet:
             _check_wb_domain(d, self.terrain.dh_tx_m)
         return d
 
-    def _fill(self, d: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write Φ(d) into the first columns of out, a block of d.size rows,
-        and return that part; d must have passed _checked."""
+    def _fill(self, d: np.ndarray, out: np.ndarray) -> None:
+        """Write Φ(d) into the first columns of out, a block of d.size rows of
+        a QR fold; d must have passed _checked."""
         out[:, _ONE] = 1.0
         out[:, _LOG_D] = np.log10(d)
         if self.kind is ModelKind.W_BERT:
-            out[:, _CURVATURE] = np.log10(1.0 - d * d / (17.0 * self.terrain.dh_tx_m))
-        return out[:, : len(self.weights)]
+            out[:, _CURVATURE] = self._curvature(d)
+
+    def _curvature(self, d: np.ndarray) -> np.ndarray:
+        """The W-BERT feature log10(1 - d^2 / (17 dh_tx)), in one new array."""
+        curvature = d * d
+        curvature /= 17.0 * self.terrain.dh_tx_m
+        return np.log10(np.subtract(1.0, curvature, out=curvature), out=curvature)
 
     def evaluate(self, d_km, weights):
         """Weighted sum of the terms in dB, Φ(d) @ (M @ weights); a float for a scalar d."""
         d = _as_floats(d_km, "d_km")
-        values = self._evaluate(self._checked(d), weights)
+        values = self._sum(self._checked(d), self.weights @ weights)
         return float(values[0]) if d.ndim == 0 else values.reshape(d.shape)
 
-    def _evaluate(self, d: np.ndarray, weights) -> np.ndarray:
-        """Φ(d) @ (M @ weights) for d that passed _checked, one _CHUNK_ROWS
-        block of Φ at a time."""
-        coef = self.weights @ weights
-        values = np.empty(d.size)
-        block = np.empty((min(d.size, _CHUNK_ROWS), len(self.weights)))
-        for start in range(0, d.size, _CHUNK_ROWS):
-            chunk = d[start : start + _CHUNK_ROWS]
-            phi = self._fill(chunk, block[: chunk.size])
-            np.matmul(phi, coef, out=values[start : start + chunk.size])
+    def _sum(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Φ(d)·c for d that passed _checked: c[0] + c[1]·log10 d (+ c[2]·curvature)
+        summed for each value alone, so its bits do not depend on the array
+        around it.  n values for a features vector c, its products taken in
+        place (two n-vectors at most); (Φ(d)·c)ᵀ, m×n, for a features×m table c."""
+        vector = c.ndim == 1
+        # a table's columns lie along a leading axis, so numpy loops over runs of d
+        c = c if vector else c[:, :, None]
+        values = np.log10(d)
+        values = np.multiply(values, c[_LOG_D], out=values if vector else None)
+        values += c[_ONE]
+        if self.kind is ModelKind.W_BERT:
+            curvature = self._curvature(d)
+            values += np.multiply(curvature, c[_CURVATURE], out=curvature if vector else None)
         return values
 
 

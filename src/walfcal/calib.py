@@ -65,9 +65,10 @@ class MeasurementSet:
             )
         if d.size == 0:
             raise DomainError("a measurement set needs at least one sample")
-        if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
+        # NaN propagates through min, so two reductions test every value
+        if not (d.min() > 0.0 and d.max() < np.inf):
             raise DomainError("measurement distances must be positive and finite")
-        if not (np.all(np.isfinite(p)) and np.all(p > 0.0)):
+        if not (p.min() > 0.0 and p.max() < np.inf):
             raise DomainError("measured pathloss values must be positive and finite")
         # read-only views, so the caller's own arrays stay writeable
         d, p = d.view(), p.view()
@@ -211,11 +212,11 @@ def _loss_table(c: Calibration) -> np.ndarray:
     return np.column_stack([*basic, zero, *calibrated, zero])
 
 
-def _group_values(phi: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """phi @ table, with each total then the sum of its side's group columns,
-    added one by one in group order."""
-    values = phi @ table
-    g = table.shape[1] // 2 - 1
+def _group_values(basis: BasisSet, d: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Φ(d)·table for d that passed basis._checked, with each total then the
+    sum of its side's group columns, added one by one in group order."""
+    values = basis._sum(d, table).T
+    g = len(basis.groups)
     for total in (g, 2 * g + 1):
         values[:, total] = functools.reduce(np.add, values[:, total - g : total].T)
     return values
@@ -229,4 +230,4 @@ def group_losses(c: Calibration, distances_km) -> np.ndarray:
     contributions: the layout of a disagg file after its distance column.
     Each group's column is Φ(d) times a column of the table C of _loss_table.
     """
-    return _group_values(c.basis.features(distances_km), _loss_table(c))
+    return _group_values(c.basis, c.basis._checked(distances_km), _loss_table(c))

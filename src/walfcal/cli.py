@@ -83,6 +83,14 @@ class CampaignConfig:
         _check_rank_tol(self.rank_tol, "rank_tol")
 
 
+def _number(text: str, parse=float):
+    """parse(text), but a ValueError for the spellings Python reads and numpy
+    does not: an underscore between digits, or a digit outside ASCII."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return parse(text)
+
+
 def load_config(path) -> CampaignConfig:
     """Parse a key = value campaign file.
 
@@ -123,7 +131,7 @@ def load_config(path) -> CampaignConfig:
             continue
         value, lineno = raw[key]
         try:
-            numbers[key] = float(value)
+            numbers[key] = _number(value)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: {key} must be a number, got {value!r}") from None
 
@@ -196,7 +204,7 @@ def _read_measurements_fast(path: Path):
         return None
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
         return None
-    if not (np.isfinite(table).all() and (table > 0.0).all()):
+    if not (table.min() > 0.0 and table.max() < math.inf):
         return None
     return table
 
@@ -219,8 +227,8 @@ def _read_measurements_by_line(path: Path) -> tuple[list[float], list[float]]:
         if len(cells) != 2:
             raise ParseError(f"{path}:{lineno}: expected 2 cells, got {len(cells)}")
         try:
-            d = float(cells[0])
-            p = float(cells[1])
+            d = _number(cells[0])
+            p = _number(cells[1])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric cell in {line!r}") from None
         if not (math.isfinite(d) and d > 0.0):
@@ -365,8 +373,8 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
         if len(cells) < 2:
             raise ParseError(f"{path}:{lineno}: expected index,...,coefficient")
         try:
-            index = int(cells[0])
-            value = float(cells[-1])
+            index = _number(cells[0], int)
+            value = _number(cells[-1])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed coefficient row {line!r}") from None
         if not math.isfinite(value):

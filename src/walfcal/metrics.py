@@ -17,17 +17,24 @@ def _series(values, name: str) -> np.ndarray:
     return np.atleast_1d(_as_floats(values, name))
 
 
-def _residual(p: np.ndarray, m: np.ndarray, m_checked: bool = False, out=None) -> np.ndarray:
+def _residual(p: np.ndarray, m: np.ndarray, out=None) -> tuple[np.ndarray, float]:
     """p - m for two _series, which must be 1-d, equal length, nonempty and
-    finite, written into out if given; m_checked skips the scan of m an
-    earlier call has passed."""
+    finite, written into out if given, and its mean.
+
+    An inf or NaN in a series makes the mean not finite, so the series are
+    scanned only then; finite series whose residual overflows keep their mean.
+    """
     if p.ndim != 1 or m.ndim != 1 or p.size != m.size:
         raise DomainError(f"series must be 1-d and equal length, got {p.shape} vs {m.shape}")
     if p.size == 0:
         raise DomainError("series must be nonempty")
-    if not (np.all(np.isfinite(p)) and (m_checked or np.all(np.isfinite(m)))):
+    # opposite infinities give NaN without a warning, and the scan rejects them
+    with np.errstate(invalid="ignore"):
+        diff = np.subtract(p, m, out=out)
+        mean = float(np.mean(diff))
+    if not math.isfinite(mean) and not (np.isfinite(p).all() and np.isfinite(m).all()):
         raise DomainError("series must be finite")
-    return np.subtract(p, m, out=out)
+    return diff, mean
 
 
 def _rmse(diff: np.ndarray) -> float:
@@ -38,7 +45,7 @@ def _rmse(diff: np.ndarray) -> float:
 
 def rmse(predicted, measured) -> float:
     """Root-mean-square error sqrt(mean((predicted - measured)^2)), dB."""
-    return _rmse(_residual(_series(predicted, "predicted"), _series(measured, "measured")))
+    return _rmse(_residual(_series(predicted, "predicted"), _series(measured, "measured"))[0])
 
 
 def mpe(predicted, measured) -> float:
@@ -46,8 +53,7 @@ def mpe(predicted, measured) -> float:
 
     Sign convention: positive when the model over-predicts the measurements.
     """
-    diff = _residual(_series(predicted, "predicted"), _series(measured, "measured"))
-    return float(np.mean(diff))
+    return _residual(_series(predicted, "predicted"), _series(measured, "measured"))[1]
 
 
 def improvement_pct(rmse_basic: float, rmse_calibrated: float) -> float:
@@ -91,17 +97,15 @@ class MetricsReport:
     def from_series(cls, measured, calibrated, basic=None) -> "MetricsReport":
         """Build a report from raw series; basic series is optional.
 
-        Each series is checked once, and both residuals go through one
-        buffer: its mean is taken first, then it is squared in place.
+        Both residuals go through one buffer: its mean is taken first, then
+        it is squared in place.
         """
         m = _series(measured, "measured")
-        diff = _residual(_series(calibrated, "calibrated"), m)
-        mpe_cal = float(np.mean(diff))
+        diff, mpe_cal = _residual(_series(calibrated, "calibrated"), m)
         rmse_cal = _rmse(diff)
         if basic is None:
             return cls(rmse_db=rmse_cal, mpe_db=mpe_cal)
-        _residual(_series(basic, "basic"), m, m_checked=True, out=diff)
-        mpe_bas = float(np.mean(diff))
+        mpe_bas = _residual(_series(basic, "basic"), m, out=diff)[1]
         rmse_bas = _rmse(diff)
         gain = improvement_pct(rmse_bas, rmse_cal) if rmse_bas > 0.0 else None
         return cls(

@@ -10,7 +10,7 @@ takes its text from _db, so every cell reads as f"{v:.4f}" does, and rows
 with a cell too long for its slot go cell by cell through _db_rows.  Blocks
 are sized by cells, so the encoder's temporaries stay in cache.  One walk
 over parts of the report axis writes every disagg and profile file: each
-model fills its Φ once per part, and one encode of the part feeds both of
+model takes one column sum per part, and one encode of the part feeds both of
 its files, the profile taking its basic cells from the disagg's basic total.
 """
 
@@ -207,10 +207,9 @@ def _write_axis_files(
     over axis, the report axis, with inverse as _profile_rows takes it.
 
     A part of _block_rows points holds each model's cells as [d | disagg
-    values | calibrated], zeros past the end of its _model_distances.  The
-    model fills its Φ once: the values are Φ @ C, with C its _loss_table, as
-    group_losses forms them, and calibrated is Φ @ (M @ α), as
-    predict_calibrated forms it.  One _encode takes the part; a disagg file
+    values | calibrated], zeros past the end of its _model_distances: the
+    column sum Φ·[C | M @ α], with C its _loss_table, as group_losses and
+    predict_calibrated form them.  One _encode takes the part; a disagg file
     takes its rows from its [d | values] columns, and a profile row, four
     slots with a blank measured cell kept as its separator alone, takes its
     distance, basic and calibrated slots by axis index, the basic one that
@@ -221,8 +220,8 @@ def _write_axis_files(
     """
     if not cals:
         return
-    tables = [(_loss_table(cal), cal.basis.weights @ cal.alpha) for cal in cals]
-    bounds = np.cumsum([0] + [2 + table.shape[1] for table, _ in tables]).tolist()
+    tables = [np.column_stack([_loss_table(cal), cal.basis.weights @ cal.alpha]) for cal in cals]
+    bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
     # each model's basic total, the last of the first half of its disagg
     # values, and its calibrated column
     pair = np.array([[(lo + hi) // 2 - 1, hi - 1] for lo, hi in zip(bounds, bounds[1:])])
@@ -246,13 +245,10 @@ def _write_axis_files(
             d = axis[start : min(start + step, total)]
             part = block[: d.size]
             counts = [min(max(end - start, 0), d.size) for end in ends]
-            for cal, (table, coef), lo, hi, n in zip(cals, tables, bounds, bounds[1:], counts):
+            for cal, table, lo, hi, n in zip(cals, tables, bounds, bounds[1:], counts):
                 part[:, lo] = d
+                part[:n, lo + 1 : hi] = _group_values(cal.basis, d[:n], table)
                 part[n:, lo + 1 : hi] = 0.0
-                if n:
-                    own = cal.basis._fill(d[:n], np.empty((n, len(cal.basis.weights))))
-                    part[:n, lo + 1 : hi - 1] = _group_values(own, table)
-                    part[:n, hi - 1] = own @ coef
             cells = _encode(part)
             if cells is None:
                 for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):

@@ -18,6 +18,7 @@ from helpers import (
     row_major_fold,
     save_measurements,
     term_values,
+    traced_peak,
 )
 from walfcal import (
     RANK_TOL_DEFAULT,
@@ -39,6 +40,7 @@ from walfcal import (
 from walfcal.basis import _CHUNK_ROWS
 from walfcal.calib import _fold
 from walfcal.cli import CampaignConfig, run_calibration
+from walfcal.report import _block_rows
 
 
 def make_terrain(**overrides) -> Terrain:
@@ -470,6 +472,44 @@ class TestPredictCalibrated:
             cal.residual_db
         with pytest.raises(error):
             predict_calibrated(cal, d)
+
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_each_point_alone_is_its_whole_array_value_bitwise(self, kind):
+        # each value is a column sum over its own distance's features, so no
+        # block or part edge moves a bit: checked at the _CHUNK_ROWS edges,
+        # at the edges of the report walk's parts of five models, and at
+        # every 16th point
+        rng = np.random.default_rng(113)
+        t = make_terrain(dh_tx_m=10.0)
+        d = np.sort(rng.uniform(0.02, 13.0, 2 * _CHUNK_ROWS + 5))
+        sampled = d[::40]
+        noise = rng.normal(0.0, 3.0, sampled.size)
+        cal = calibrate(kind, t, MeasurementSet(sampled, 110.0 + 35.0 * np.log10(sampled) + noise))
+        part = _block_rows(sum(4 + 2 * len(build_basis(k, t).groups) for k in ALL_KINDS))
+        edges = [*range(0, d.size, _CHUNK_ROWS), *range(0, d.size, part)]
+        points = sorted({*range(0, d.size, 16)} | {e + s for e in edges for s in (-1, 0, 1)})
+        points = [i for i in points if 0 <= i < d.size]
+        # compared as bit patterns, so that -0.0 differs from 0.0
+        whole = predict_calibrated(cal, d)[points].view(np.int64)
+        alone = np.array([predict_calibrated(cal, d[i]) for i in points]).view(np.int64)
+        np.testing.assert_array_equal(alone, whole)
+        whole = group_losses(cal, d)[points].view(np.int64)
+        alone = np.vstack([group_losses(cal, d[i]) for i in points]).view(np.int64)
+        np.testing.assert_array_equal(alone, whole)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_peak_memory_at_most_two_vectors(self, kind):
+        rng = np.random.default_rng(127)
+        t = make_terrain(dh_tx_m=10.0)
+        n = 200_000
+        meas = MeasurementSet([1.0, 2.0, 4.0, 8.0], [100.0, 110.0, 118.0, 125.0])
+        cal = calibrate(kind, t, meas)
+        d = rng.uniform(0.05, 13.0, n)
+        values, peak = traced_peak(predict_calibrated, cal, d)
+        assert values.shape == (n,)
+        # two n-long float arrays, plus a few array headers
+        assert peak < 2 * n * 8 + 4096
 
 
 class TestDisaggregate:

@@ -183,6 +183,7 @@ PARSE_CASES = {
     "inf": (HEADER + b"inf,80\n1.5,95.25\n", None),
     "negative": (HEADER + b"0.5,80\n1.5,-1\n", None),
     "underscore": (HEADER + b"1_0,80\n1.5,95.25\n", None),
+    "fullwidth digit": (HEADER + "\uff11.0,80\n".encode() + b"1.5,95.25\n", None),
     "form feed in a line": (HEADER + b"0.5,\x0c80\n1.5,95.25\n", None),
     "line separator in a line": (HEADER + "0.5,\u2028 80\n".encode() + b"1.5,95.25\n", None),
     # the one-byte marks in an ASCII file, the multi-byte ones in a UTF-8 file
@@ -218,6 +219,14 @@ class TestMeasurementFastPath:
             assert table.tolist() == [list(row) for row in zip(distances, losses)]
         if fast is not None:
             assert (table is not None) == fast
+
+    @pytest.mark.parametrize("name", ["underscore", "fullwidth digit"])
+    def test_python_only_spellings_are_rejected(self, tmp_path, name):
+        # float() reads 1_0 as 10 and a fullwidth 1 as 1; numpy reads neither
+        path = tmp_path / "m.csv"
+        path.write_bytes(PARSE_CASES[name][0])
+        with pytest.raises(ParseError, match=r"m\.csv:2: non-numeric cell in"):
+            load_measurements(path)
 
     def test_columns_are_contiguous(self, tmp_path):
         # strided columns could take other BLAS kernels in the fit
@@ -273,6 +282,14 @@ class TestLoadConfig:
         path = tmp_path / "c.cfg"
         path.write_text(CONFIG_TEXT.format(models="CWI-M", d_max=2.0).replace("900", "fast"))
         with pytest.raises(ParseError, match="must be a number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", ["9_00", "\uff19\uff10\uff10", "900\u0660"])
+    def test_python_only_spellings_are_rejected(self, tmp_path, value):
+        path = tmp_path / "c.cfg"
+        text = CONFIG_TEXT.format(models="CWI-M", d_max=2.0).replace("900", value)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"c\.cfg:2: f_mhz must be a number, got '{value}'"):
             load_config(path)
 
     def test_unknown_model_label(self, tmp_path):
@@ -556,6 +573,14 @@ class TestCoefficientsFile:
         path = tmp_path / "c.csv"
         path.write_text(f"index,label,group,coefficient\n0,a,G,1.0\n1,b,G,{cell}\n")
         with pytest.raises(ParseError, match=r"c\.csv:3: coefficient must be finite"):
+            load_coefficients(path)
+
+    @pytest.mark.parametrize("row", ["1_0,b,G,2.0", "1,b,G,2_0.5", "\uff11,b,G,2.0"])
+    def test_python_only_spellings_are_rejected(self, tmp_path, row):
+        path = tmp_path / "c.csv"
+        lines = ["index,label,group,coefficient", "0,a,G,1.0", row]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"c\.csv:3: malformed coefficient row"):
             load_coefficients(path)
 
     def test_unknown_model_in_header_names_file_and_line(self, tmp_path, capsys):

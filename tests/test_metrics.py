@@ -172,7 +172,7 @@ class TestMetricsReport:
         n = 200_000
         measured, calibrated, basic = np.random.default_rng(43).normal(100.0, 5.0, (3, n))
         _, peak = traced_peak(MetricsReport.from_series, measured, calibrated, basic)
-        # one n-long float buffer, plus a bool mask of one series' finiteness
+        # one n-long float buffer; no series is scanned while its mean is finite
         assert peak < 1.25 * n * 8
 
     @pytest.mark.parametrize(
@@ -195,3 +195,43 @@ class TestMetricsReport:
         text = str(caught.value)
         # numpy's own reason ends the text for a ragged or non-numeric series
         assert text.startswith(message) if message.endswith(NOT_NUMBERS) else text == message
+
+
+class TestNotFinite:
+    """A series is scanned only once a statistic comes out not finite, and
+    an inf or NaN anywhere in it still fails with the same text."""
+
+    N = 1001
+
+    def series(self, count):
+        return list(np.random.default_rng(47).normal(100.0, 5.0, (count, self.N)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["measured", "calibrated", "basic"])
+    def test_from_series_rejects_a_value_mid_array(self, where, bad):
+        series = self.series(3)
+        series[where][self.N // 2] = bad
+        with pytest.raises(DomainError, match="^series must be finite$"):
+            MetricsReport.from_series(*series)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, "both"], ids=["predicted", "measured", "both"])
+    @pytest.mark.parametrize("statistic", [rmse, mpe])
+    def test_statistics_reject_a_value_mid_array(self, statistic, where, bad):
+        # both: the same value in both series, where inf - inf is NaN
+        series = self.series(2)
+        for n in (0, 1) if where == "both" else (where,):
+            series[n][self.N // 2] = bad
+        with pytest.raises(DomainError, match="^series must be finite$"):
+            statistic(*series)
+
+    def test_mpe_rejects_opposite_infinities_in_one_series(self):
+        with pytest.raises(DomainError, match="^series must be finite$"):
+            mpe([np.inf, 1.0, -np.inf], [1.0, 1.0, 1.0])
+
+    def test_finite_series_whose_residual_overflows_keep_their_value(self):
+        with np.errstate(over="ignore"):
+            assert rmse([1e308, 0.0], [-1e308, 0.0]) == np.inf
+            assert mpe([1e308, 0.0], [-1e308, 0.0]) == np.inf
+            with pytest.raises(DomainError, match="^rmse_db must be non-negative, got inf$"):
+                MetricsReport.from_series([-1e308, 0.0], [1e308, 0.0])

@@ -11,9 +11,11 @@ exact binary value, the sums over the samples run at 50 digits, and both
 k×k systems are solved by exact elimination in fractions.  The oracle
 shares nothing with the fit under test (numpy, LAPACK, the QR fold) but the
 weight table M.  Its basic curve is Φ times M's summed term weights; each
-summary.csv cell is its statistic from the two curves, and each profile
-basic_db cell its basic curve at the row's sample, rounded to 4 places as
-the report cells are.
+summary.csv cell is its statistic from the two curves, each profile basic_db
+and calibrated_db cell its basic curve or Φβ at the row's sample, and each
+disagg cell Φ times a group's summed term weights (basic) or Φ·M_g·α_g
+(calibrated), or a side's sum of those, all rounded to 4 places as the
+report cells are.
 """
 
 import math
@@ -25,11 +27,12 @@ import numpy as np
 import pytest
 
 from helpers import WI_KINDS, random_campaign, random_terrain, save_measurements
-from walfcal import MeasurementSet, ModelKind, calibrate, mpe
+from walfcal import MeasurementSet, ModelKind, build_basis, calibrate, mpe
 from walfcal.cli import CampaignConfig, load_config, load_measurements, run_calibration
 
 DIGITS = Context(prec=50)
 EPS = np.finfo(float).eps
+STEP = Decimal("0.0001")
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
@@ -160,14 +163,15 @@ def test_coefficients_are_the_oracles_minimum_norm_solution(campaign, kind):
     assert deviation(cal.alpha, alpha) <= bound
 
 
-def report_cell(value: Decimal) -> str | None:
+def report_cell(value: Decimal, margin: float = 1e-9) -> str | None:
     """value rounded half to even at 4 places, as a report cell, or None
-    within 1e-9 of a tie, where the float value may round either way."""
+    within margin of a tie, where the float value may round either way."""
     with localcontext(DIGITS):
-        tie = (value * 10_000 - Decimal("0.5")).to_integral_value() + Decimal("0.5")
-        if abs(value - tie / 10_000) < Decimal("1e-9"):
+        rounded = value.quantize(STEP, ROUND_HALF_EVEN)
+        # the nearest tie lies half a step from the rounded value, on value's side
+        if STEP / 2 - abs(value - rounded) < margin:
             return None
-        cell = str(value.quantize(Decimal("0.0001"), ROUND_HALF_EVEN))
+    cell = str(rounded)
     return "0.0000" if cell == "-0.0000" else cell
 
 
@@ -232,3 +236,80 @@ def test_profile_basic_cells_match_the_oracle(campaign, tmp_path):
         cells = [line.split(",")[2] for line in lines]
         assert sum(e is None for e in expected) <= 1
         assert all(e is None or c == e for c, e in zip(cells, expected)), kind
+
+
+def disagg_columns(basis, alpha: list) -> list:
+    """The oracle's 2·groups columns of C, each a list over the features:
+    for each group g of basis, M_g's summed term weights, then M_g·α_g."""
+    with localcontext(DIGITS):
+        m = [[Decimal(w) for w in row] for row in basis.weights.tolist()]
+        return [
+            [sum(m[f][t] * weight[t] for t in basis.group_indices(group)) for f in range(len(m))]
+            for weight in ([Decimal(1)] * len(alpha), alpha)
+            for group in basis.groups
+        ]
+
+
+def disagg_rows(columns: list, phi: list) -> list:
+    """The oracle's disagg values at each row of Φ: Φ times each of the
+    basic columns, their sum, then the same for the calibrated columns."""
+    g = len(columns) // 2
+    with localcontext(DIGITS):
+        rows = []
+        for row in phi:
+            values = [sum(f * c for f, c in zip(row, column)) for column in columns]
+            rows.append([*values[:g], sum(values[:g]), *values[g:], sum(values[g:])])
+    return rows
+
+
+def margin(terrain, meas: MeasurementSet, phi: list, cells: list, curvature) -> float:
+    """How far a report cell's float value may lie from its oracle value:
+    cond(Φ)·n·eps·max|cell|, plus, for cells that weigh the W-BERT curvature
+    feature by up to |curvature|, that feature's own float error at the
+    smallest gap = 1 - d² / (17 dh_tx) of the samples, 2·eps / (ln 10 · gap).
+    In the near-limit campaign that gap is about 1.2e-6, so W-BERT's weight
+    of 18 adds 2.8e-9 dB to the 5.6e-10 dB of the first term; elsewhere the
+    second term is below 1e-13 dB."""
+    cond = np.linalg.cond(np.array(phi, dtype=float))
+    largest = max(float(abs(cell)) for cell in cells)
+    d = meas.distances_km
+    gap = float((1.0 - d * d / (17.0 * terrain.dh_tx_m)).min())
+    return cond * len(meas) * EPS * largest + float(abs(curvature)) * 2 * EPS / (math.log(10) * gap)
+
+
+def test_disagg_and_profile_calibrated_cells_match_the_oracle(campaign, tmp_path):
+    # the grid's two points are measured, so the disagg rows are the distinct
+    # sample distances, sorted, and the profile rows the samples sorted by
+    # distance, duplicates in input order
+    terrain, meas, oracles = campaign
+    out_dir, _ = calibrated_run(campaign, tmp_path)
+    first = np.unique(meas.distances_km, return_index=True)[1].tolist()
+    order = np.argsort(meas.distances_km, kind="stable").tolist()
+    checked = skipped = 0
+    for kind in ModelKind:
+        wb = kind is ModelKind.W_BERT
+        phi, beta, fitted = oracles[wb]
+        basis = build_basis(kind, terrain)
+        columns = disagg_columns(basis, minimum_norm(basis.weights, beta))
+        rows = disagg_rows(columns, [phi[s] for s in first])
+        cells = [value for row in rows for value in row]
+        curvature = max(abs(column[2]) for column in columns) if wb else 0
+        tol = margin(terrain, meas, phi, cells, curvature)
+        expected = [report_cell(value, tol) for value in cells]
+        lines = (out_dir / f"disagg_{kind.value}.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(rows)
+        found = [cell for line in lines for cell in line.split(",")[1:]]
+        # and the profile's calibrated cells, the oracle's curve Φβ
+        tol = margin(terrain, meas, phi, fitted, beta[2] if wb else 0)
+        expected += [report_cell(fitted[i], tol) for i in order]
+        lines = (out_dir / f"profile_{kind.value}.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(order)
+        found += [line.split(",")[3] for line in lines]
+        assert len(found) == len(expected)
+        for cell, oracle_cell in zip(found, expected):
+            if oracle_cell is None:
+                skipped += 1
+            else:
+                checked += 1
+                assert cell == oracle_cell, kind
+    assert checked > 0 and skipped == 0
