@@ -162,20 +162,6 @@ def _fold(basis: BasisSet, d_km, p: np.ndarray | None = None) -> np.ndarray:
     return r[:k]
 
 
-def _fit(basis: BasisSet, r: np.ndarray, meas: MeasurementSet, cutoff: float) -> Calibration:
-    """The fit of basis to meas from r, the _fold of [Φ | p] over meas."""
-    k = len(basis.weights)
-    alpha, rank = minimum_norm_lstsq(r[:, :k] @ basis.weights, r[:, k], cutoff)
-    alpha.setflags(write=False)
-    return Calibration(
-        basis=basis,
-        alpha=alpha,
-        rank=rank,
-        distances_km=meas.distances_km,
-        measured_db=meas.pathloss_db,
-    )
-
-
 def calibrate(
     kind: ModelKind,
     terrain: Terrain,
@@ -188,7 +174,17 @@ def calibrate(
     column; in particular its mean is zero because constants lie in the span.
     """
     basis = build_basis(kind, terrain)
-    return _fit(basis, _fold(basis, meas.distances_km, meas.pathloss_db), meas, cutoff)
+    r = _fold(basis, meas.distances_km, meas.pathloss_db)
+    k = len(basis.weights)
+    alpha, rank = minimum_norm_lstsq(r[:, :k] @ basis.weights, r[:, k], cutoff)
+    alpha.setflags(write=False)
+    return Calibration(
+        basis=basis,
+        alpha=alpha,
+        rank=rank,
+        distances_km=meas.distances_km,
+        measured_db=meas.pathloss_db,
+    )
 
 
 def predict_calibrated(c: Calibration, d_km):

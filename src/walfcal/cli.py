@@ -2,10 +2,10 @@
 
 Inputs are a flat key=value campaign config (terrain, model list, prediction
 grid, rank tolerance) and a two-column CSV of measurements.  calibrate fits
-every configured variant, the four Walfisch-Ikegami ones from one shared
-fold, then writes summary.csv plus per-model profile, disaggregation and
-coefficient files in one call to walfcal.report; one model's failure goes
-to stderr and the exit status without stopping the others.  predict evaluates
+every configured variant with walfcal.calib.calibrate, then writes
+summary.csv plus per-model profile, disaggregation and coefficient files in
+one call to walfcal.report; one model's failure goes to stderr and the exit
+status without stopping the others.  predict evaluates
 a basic or saved calibrated model over the grid; rank prints the numeric
 rank of each design matrix.  Only a grid is truncated at the
 Walfisch-Bertoni curvature limit, with a warning; measured distances face
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, effective_rank
-from .calib import Calibration, MeasurementSet, _fit, _fold, calibrate
+from .calib import Calibration, MeasurementSet, _fold, calibrate
 from .errors import DomainError, ParseError, WalfcalError
 from .metrics import MetricsReport
 from .models import ModelKind, Terrain, _model_distances, predict_basic, wb_max_distance_km
@@ -89,6 +89,14 @@ def _number(text: str, parse=float):
     if "_" in text or not text.isascii():
         raise ValueError(f"not a plain number: {text!r}")
     return parse(text)
+
+
+def _float_arg(text: str) -> float:
+    """A command-line number, read as a config reads one (_number)."""
+    try:
+        return _number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def load_config(path) -> CampaignConfig:
@@ -288,19 +296,11 @@ class CampaignResult:
         return all(run.ok for run in self.runs)
 
 
-def _run_one(kind, config, meas, grid, wi_fold) -> ModelRun:
-    """Fit one model; its report files are written with the other models'
-    once all are fitted.
-
-    The Walfisch-Ikegami variants share Φ, so wi_fold() returns the one fold
-    of [Φ | p] they all solve from.  W-BERT, alone with its Φ, is fitted by
-    calibrate.
-    """
+def _run_one(kind, config, meas, grid) -> ModelRun:
+    """Fit one model with calibrate; its report files are written with the
+    other models' once all are fitted."""
     try:
-        if kind is ModelKind.W_BERT:
-            cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
-        else:
-            cal = _fit(build_basis(kind, config.terrain), wi_fold(), meas, config.rank_tol)
+        cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
         basic_at_meas = predict_basic(kind, config.terrain, meas.distances_km)
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
         _, warning = _model_distances(kind, config.terrain, grid)
@@ -330,12 +330,7 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
     out_dir = Path(output_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    # every WI variant has the Φ of CWI-M, so its fold serves all four
-    wi_basis = build_basis(ModelKind.CWI_M, config.terrain)
-    wi_fold = functools.cache(
-        functools.partial(_fold, wi_basis, meas.distances_km, meas.pathloss_db)
-    )
-    runs = tuple(_run_one(kind, config, meas, grid, wi_fold) for kind in config.models)
+    runs = tuple(_run_one(kind, config, meas, grid) for kind in config.models)
     with _writing(out_dir):
         _write_reports(out_dir, meas, grid, runs)
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
@@ -516,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="print the numeric rank of each design matrix")
     p.add_argument("--config", required=True, help="campaign key=value file")
     p.add_argument("--measurements", help="use these distances instead of the grid")
-    p.add_argument("--tol", type=float, help="relative singular-value threshold")
+    p.add_argument("--tol", type=_float_arg, help="relative singular-value threshold")
     p.set_defaults(handler=_cmd_rank)
     return parser
 

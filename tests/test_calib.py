@@ -36,6 +36,7 @@ from walfcal import (
     predict_basic,
     predict_calibrated,
     rmse,
+    wb_max_distance_km,
 )
 from walfcal.basis import _CHUNK_ROWS
 from walfcal.calib import _fold
@@ -361,7 +362,8 @@ class TestChunkedFit:
 
 
 class TestSharedFold:
-    """run_calibration fits the four WI variants from one fold of [Φ | p]."""
+    """run_calibration fits each variant as a standalone calibrate does; the
+    four WI variants fold the same R, since _fold reads a basis only through Φ."""
 
     @pytest.mark.parametrize("n", [1, 2, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3, "one distance"])
     def test_fits_equal_standalone_calibrate_bitwise(self, tmp_path, n):
@@ -386,25 +388,45 @@ class TestSharedFold:
         if n == "one distance":
             assert [run.calibration.rank for run in result.runs] == [1] * len(ALL_KINDS)
 
-    def test_one_fold_per_feature_set(self, tmp_path, monkeypatch):
-        import walfcal.calib
+    def test_one_calibrate_call_per_configured_kind(self, tmp_path, monkeypatch):
+        # the benchmark's traced calib.calibrate counts (calls, domain errors)
+        # rest on run_calibration fitting every kind through calibrate
         import walfcal.cli
 
-        folded = []
-        fold = walfcal.calib._fold
+        calls = []
 
-        def counted(basis, *args):
-            folded.append(basis.kind)
-            return fold(basis, *args)
+        def recorded(kind, *args, **kwargs):
+            try:
+                cal = calibrate(kind, *args, **kwargs)
+            except Exception as exc:
+                calls.append((kind, exc))
+                raise
+            calls.append((kind, None))
+            return cal
 
-        monkeypatch.setattr(walfcal.calib, "_fold", counted)
-        monkeypatch.setattr(walfcal.cli, "_fold", counted)
+        monkeypatch.setattr(walfcal.cli, "calibrate", recorded)
         rng = np.random.default_rng(19)
         t, meas = random_campaign(rng)
-        save_measurements(meas, tmp_path / "meas.csv")
-        config = CampaignConfig(t, ALL_KINDS, 0.1, 1.0, 0.3)
-        assert run_calibration(config, tmp_path / "meas.csv", tmp_path / "out").ok
-        assert len(folded) == 2 and folded.count(ModelKind.W_BERT) == 1
+        beyond = wb_max_distance_km(t.dh_tx_m) * 1.05
+        d = np.append(meas.distances_km, beyond)
+        save_measurements(MeasurementSet(d, np.append(meas.pathloss_db, 150.0)), tmp_path / "m.csv")
+        kinds = (
+            ModelKind.ITWI_SU, ModelKind.W_BERT, ModelKind.CWI_M, ModelKind.ITWI_M, ModelKind.CWI_SU
+        )
+        assert set(kinds) == set(ALL_KINDS)
+        config = CampaignConfig(t, kinds, 0.1, 1.0, 0.3)
+        result = run_calibration(config, tmp_path / "m.csv", tmp_path / "out")
+        assert [kind for kind, _ in calls] == list(kinds)
+        for (kind, exc), run in zip(calls, result.runs):
+            assert run.kind is kind
+            if kind is ModelKind.W_BERT:
+                assert isinstance(exc, CurvatureDomainError)
+                assert not run.ok
+                assert not list((tmp_path / "out").glob(f"*_{kind.value}.csv"))
+            else:
+                assert exc is None and run.ok
+                for stem in ("coefficients", "disagg", "profile"):
+                    assert (tmp_path / "out" / f"{stem}_{kind.value}.csv").is_file()
 
 
 class TestPredictCalibrated:

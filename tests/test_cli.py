@@ -820,6 +820,21 @@ class TestMainCommand:
         assert captured.out == ""
         assert captured.err == f"error: --tol must lie in (0, 1), got {float(tol)!r}\n"
 
+    @pytest.mark.parametrize("tol", ["1_0e-11", "\uff11e-10", "abc"])
+    def test_python_only_spellings_are_rejected(self, tmp_path, capsys, tol):
+        # --tol reads numbers as a config does, where each of these is a ParseError
+        config_path, _ = write_campaign(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["rank", "--config", str(config_path), "--tol", tol])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --tol: invalid float value: {tol!r}\n")
+        with config_path.open("a", encoding="utf-8") as cfg:
+            cfg.write(f"rank_tol = {tol}\n")
+        with pytest.raises(ParseError, match="rank_tol must be a number"):
+            load_config(config_path)
+
     def test_calibrate_rejects_rank_tol_outside_unit_interval(self, tmp_path, capsys):
         config_path, meas_path = write_campaign(tmp_path)
         with config_path.open("a") as cfg:
