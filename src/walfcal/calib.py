@@ -25,7 +25,6 @@ residuals are the stable quantities.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +194,9 @@ def predict_calibrated(c: Calibration, d_km):
 def _loss_table(c: Calibration) -> np.ndarray:
     """The features×(2·groups + 2) table C with Φ(d) @ C the value columns of
     a disagg file: each group's summed term weights (unit weights for basic,
-    α for calibrated), in c.basis.groups order, then a zero column in each
-    total's place, basic side first."""
+    α for calibrated), in c.basis.groups order, then the side's total, basic
+    side first.  The totals are M·1 and M·α, the c that BasisSet.evaluate
+    forms, so each total is that side's prediction bit for bit."""
     basis = c.basis
     basic, calibrated = [], []
     for group in basis.groups:
@@ -204,18 +204,8 @@ def _loss_table(c: Calibration) -> np.ndarray:
         weights = basis.weights[:, idx]
         basic.append(weights.sum(axis=1))
         calibrated.append(weights @ c.alpha[idx])
-    zero = np.zeros(len(basis.weights))
-    return np.column_stack([*basic, zero, *calibrated, zero])
-
-
-def _group_values(basis: BasisSet, d: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Φ(d)·table for d that passed basis._checked, with each total then the
-    sum of its side's group columns, added one by one in group order."""
-    values = basis._sum(d, table).T
-    g = len(basis.groups)
-    for total in (g, 2 * g + 1):
-        values[:, total] = functools.reduce(np.add, values[:, total - g : total].T)
-    return values
+    basic_total = basis.weights @ np.ones(len(basis))
+    return np.column_stack([*basic, basic_total, *calibrated, basis.weights @ c.alpha])
 
 
 def group_losses(c: Calibration, distances_km) -> np.ndarray:
@@ -224,6 +214,7 @@ def group_losses(c: Calibration, distances_km) -> np.ndarray:
     One row per distance; columns are each group's basic contribution, in
     c.basis.groups order, then their total, then the same for the calibrated
     contributions: the layout of a disagg file after its distance column.
-    Each group's column is Φ(d) times a column of the table C of _loss_table.
+    Each column is Φ(d) times a column of the table C of _loss_table, so the
+    totals are c.basis.evaluate(d, ones) and predict_calibrated(c, d).
     """
-    return _group_values(c.basis, c.basis._checked(distances_km), _loss_table(c))
+    return c.basis._sum(c.basis._checked(distances_km), _loss_table(c)).T

@@ -5,9 +5,11 @@ grid, rank tolerance) and a two-column CSV of measurements.  calibrate fits
 every configured variant with walfcal.calib.calibrate, then writes
 summary.csv plus per-model profile, disaggregation and coefficient files in
 one call to walfcal.report; one model's failure goes to stderr and the exit
-status without stopping the others.  predict evaluates
-a basic or saved calibrated model over the grid; rank prints the numeric
-rank of each design matrix.  Only a grid is truncated at the
+status without stopping the others.  Every basic or calibrated value a run
+prints or writes is one prediction, Φ(d)·(M·w) with unit weights w for the
+basic model or the fitted α: predict evaluates it over the grid, with w
+read from a saved coefficients file when one is given; rank prints the
+numeric rank of each design matrix.  Only a grid is truncated at the
 Walfisch-Bertoni curvature limit, with a warning; measured distances face
 calibrate's domain check in rank too.
 """
@@ -31,7 +33,7 @@ from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, eff
 from .calib import Calibration, MeasurementSet, _fold, calibrate
 from .errors import DomainError, ParseError, WalfcalError
 from .metrics import MetricsReport
-from .models import ModelKind, Terrain, _model_distances, predict_basic, wb_max_distance_km
+from .models import ModelKind, Terrain, _model_distances, wb_max_distance_km
 from .report import _db, _write_reports, _write_table
 
 __all__ = [
@@ -104,11 +106,12 @@ def load_config(path) -> CampaignConfig:
 
     Keys: f_mhz, w_m, b_m, phi_deg, dh_rx_m, dh_tx_m, models (comma-separated
     variant labels, none twice), d_min_km, d_max_km, d_step_km, rank_tol (optional).
-    Blank lines and lines starting with # are ignored.
+    Blank lines and lines starting with # are ignored, and so is a leading
+    byte-order mark.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
 
@@ -301,7 +304,7 @@ def _run_one(kind, config, meas, grid) -> ModelRun:
     other models' once all are fitted."""
     try:
         cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
-        basic_at_meas = predict_basic(kind, config.terrain, meas.distances_km)
+        basic_at_meas = cal.basis.evaluate(meas.distances_km, np.ones(len(cal.basis)))
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
         _, warning = _model_distances(kind, config.terrain, grid)
         return ModelRun(kind, cal, report, (warning,) if warning else ())
@@ -339,13 +342,14 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
 def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | None, np.ndarray]:
     """Read a coefficients file back; returns (kind or None, alpha by index).
 
-    Coefficients must be finite.  Given the basis they will be used with, the
-    file must also match it: same model, one row per term, and each row's
-    label and group equal to that term's (DomainError otherwise).
+    A leading byte-order mark is skipped, and coefficients must be finite.
+    Given the basis they will be used with, the file must also match it: same
+    model, one row per term, and each row's label and group equal to that
+    term's (DomainError otherwise).
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read coefficients {path}: {exc}") from exc
     kind: ModelKind | None = None
@@ -432,12 +436,12 @@ def _cmd_predict(args) -> int:
             f"entire grid lies beyond the curvature limit "
             f"{wb_max_distance_km(config.terrain.dh_tx_m):.4f} km"
         )
+    basis = build_basis(kind, config.terrain)
+    # the nominal model weights every term by 1
+    alpha = np.ones(len(basis))
     if args.coefficients:
-        basis = build_basis(kind, config.terrain)
         _, alpha = load_coefficients(args.coefficients, basis)
-        values_of = functools.partial(basis.evaluate, weights=alpha)
-    else:
-        values_of = functools.partial(predict_basic, kind, config.terrain)
+    values_of = functools.partial(basis.evaluate, weights=alpha)
     header = "distance_km,pathloss_db"
     if args.output:
         with _writing(args.output), open(args.output, "w", newline="\n") as out:

@@ -11,7 +11,8 @@ with a cell too long for its slot go cell by cell through _db_rows.  Blocks
 are sized by cells, so the encoder's temporaries stay in cache.  One walk
 over parts of the report axis writes every disagg and profile file: each
 model takes one column sum per part, and one encode of the part feeds both of
-its files, the profile taking its basic cells from the disagg's basic total.
+its files, the profile taking its basic and calibrated cells from the
+disagg's two totals, which are the model's basic and calibrated predictions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib import MeasurementSet, _group_values, _loss_table
+from .calib import MeasurementSet, _loss_table
 from .models import _model_distances
 
 
@@ -207,24 +208,22 @@ def _write_axis_files(
     over axis, the report axis, with inverse as _profile_rows takes it.
 
     A part of _block_rows points holds each model's cells as [d | disagg
-    values | calibrated], zeros past the end of its _model_distances: the
-    column sum Φ·[C | M @ α], with C its _loss_table, as group_losses and
-    predict_calibrated form them.  One _encode takes the part; a disagg file
-    takes its rows from its [d | values] columns, and a profile row, four
-    slots with a blank measured cell kept as its separator alone, takes its
-    distance, basic and calibrated slots by axis index, the basic one that
-    of the disagg's basic total.  The part's rows go in chunks, one _encode
-    of their measured cells each.  A part with a cell too long for its slot
+    values], zeros past the end of its _model_distances: the column sum Φ·C,
+    with C its _loss_table, as group_losses forms it.  One _encode takes the
+    part; a disagg file takes its rows from its columns, and a profile row,
+    four slots with a blank measured cell kept as its separator alone, takes
+    its distance slot and, as its basic and calibrated slots, those of the
+    disagg's two totals, by axis index.  The part's rows go in chunks, one
+    _encode of their measured cells each.  A part with a cell too long for its slot
     goes cell by cell through _db_rows, its profile rows too, and so does a
     chunk with such a measured cell.  With no fitted model there is no file.
     """
     if not cals:
         return
-    tables = [np.column_stack([_loss_table(cal), cal.basis.weights @ cal.alpha]) for cal in cals]
+    tables = [_loss_table(cal) for cal in cals]
     bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
-    # each model's basic total, the last of the first half of its disagg
-    # values, and its calibrated column
-    pair = np.array([[(lo + hi) // 2 - 1, hi - 1] for lo, hi in zip(bounds, bounds[1:])])
+    # each model's two totals, the last cells of the halves of its disagg values
+    pair = np.array([[(lo + hi) // 2, hi - 1] for lo, hi in zip(bounds, bounds[1:])])
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
     axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
     row_ends = np.searchsorted(axis_rows, ends).tolist()
@@ -247,18 +246,18 @@ def _write_axis_files(
             counts = [min(max(end - start, 0), d.size) for end in ends]
             for cal, table, lo, hi, n in zip(cals, tables, bounds, bounds[1:], counts):
                 part[:, lo] = d
-                part[:n, lo + 1 : hi] = _group_values(cal.basis, d[:n], table)
+                part[:n, lo + 1 : hi] = cal.basis._sum(d[:n], table).T
                 part[n:, lo + 1 : hi] = 0.0
             cells = _encode(part)
             if cells is None:
                 for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
-                    out.write(_db_rows(part[:n, lo : hi - 1]))
+                    out.write(_db_rows(part[:n, lo:hi]))
             else:
                 slots, keep = cells[0], _KEEP[cells[1]]
                 for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
-                    out.write(_row_bytes(slots[:n, lo : hi - 1], keep[:n, lo : hi - 1]))
+                    out.write(_row_bytes(slots[:n, lo:hi], keep[:n, lo:hi]))
                 # by axis point the slots, then masks, of the distance and of
-                # each model's basic and calibrated cells
+                # each model's two totals
                 distance = np.stack([slots[:, 0], keep[:, 0]])
                 pairs = np.stack([slots[:, pair], keep[:, pair]]).transpose(2, 0, 1, 3)
             lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()

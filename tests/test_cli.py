@@ -330,6 +330,12 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="cannot read config"):
             load_config(path)
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        # the sample campaign as a spreadsheet or editor saves it with a BOM
+        path = tmp_path / "campaign.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + (SAMPLE / "campaign.cfg").read_bytes())
+        assert load_config(path) == load_config(SAMPLE / "campaign.cfg")
+
 
 class TestPredictionGrid:
     def test_inclusive_endpoints(self):
@@ -568,6 +574,16 @@ class TestCoefficientsFile:
         with pytest.raises(ParseError, match="cannot read coefficients"):
             load_coefficients(path)
 
+    @pytest.mark.parametrize("first", [0, 1], ids=["with the # line", "without it"])
+    def test_utf8_bom_accepted(self, tmp_path, first):
+        result = run_campaign(tmp_path, models="CWI-M")
+        saved = (result.output_dir / "coefficients_CWI-M.csv").read_text().splitlines()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join(saved[first:]).encode("ascii") + b"\n")
+        kind, alpha = load_coefficients(path)
+        assert kind is (ModelKind.CWI_M if first == 0 else None)
+        assert np.array_equal(alpha, result.runs[0].calibration.alpha)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coefficient(self, tmp_path, cell):
         path = tmp_path / "c.csv"
@@ -712,6 +728,31 @@ class TestMainCommand:
         for row in rows[::7]:
             expected = predict_calibrated(wb_run.calibration, float(row[0]))
             assert float(row[1]) == pytest.approx(expected, abs=1e-4)
+
+    def test_predict_prints_the_report_predictions(self, tmp_path):
+        # on the sample campaign, each model's nominal and replayed predict
+        # rows are its profile's basic and calibrated cells, and its disagg
+        # totals, at the same distances
+        out_dir = tmp_path / "out"
+        argv = ["--config", str(SAMPLE / "campaign.cfg")]
+        inputs = [*argv, "--measurements", str(SAMPLE / "measurements.csv")]
+        assert main(["calibrate", *inputs, "--output-dir", str(out_dir)]) == 0
+        for kind in ModelKind:
+            model = kind.value
+            _, profile = read_rows(out_dir / f"profile_{model}.csv")
+            _, disagg = read_rows(out_dir / f"disagg_{model}.csv")
+            cells = {row[0]: row[2:] for row in profile}
+            totals = {row[0]: [row[len(row) // 2], row[-1]] for row in disagg}
+            predicted = []
+            for side in ([], ["--coefficients", str(out_dir / f"coefficients_{model}.csv")]):
+                out = tmp_path / f"predict_{model}_{len(side)}.csv"
+                assert main(["predict", *argv, "--model", model, *side, "--output", str(out)]) == 0
+                predicted.append(read_rows(out)[1])
+            nominal, replayed = predicted
+            assert [row[0] for row in nominal] == [row[0] for row in replayed]
+            assert len(nominal) == 45
+            for (d, basic), (_, calibrated) in zip(nominal, replayed):
+                assert cells[d] == totals[d] == [basic, calibrated]
 
     def test_predict_rejects_mismatched_coefficients(self, tmp_path, capsys):
         result = run_campaign(tmp_path)

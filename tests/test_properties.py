@@ -141,6 +141,9 @@ def test_group_losses_add_up_to_both_predictions(campaign, kind):
     for side, net in ((basic, predict_basic(kind, terrain, d)), (calibrated, cal.fitted_db)):
         assert np.max(np.abs(side[:, :g].sum(axis=1) - side[:, g])) <= TOL_DB
         assert np.max(np.abs(side[:, g] - net)) <= TOL_DB
+    # each total is that side's prediction bit for bit
+    assert np.array_equal(basic[:, g], cal.basis.evaluate(d, np.ones(len(cal.basis))))
+    assert np.array_equal(calibrated[:, g], cal.fitted_db)
     # each group column is the sum of its terms' design-matrix columns
     terms = term_values(cal.basis, d)
     for n, group in enumerate(groups):

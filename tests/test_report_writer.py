@@ -24,6 +24,7 @@ from walfcal import (
     predict_calibrated,
 )
 from walfcal.basis import _CHUNK_ROWS
+from walfcal.calib import _loss_table
 from walfcal.cli import CampaignConfig, prediction_grid, run_calibration
 from walfcal.report import (
     _KEEP,
@@ -93,8 +94,8 @@ def table(header, columns) -> str:
 
 def walk_width(kinds) -> int:
     """Cells per axis point of the report walk over the given models: each
-    model's distance, 2·groups + 2 disagg values and calibrated."""
-    return sum(4 + 2 * len(build_basis(kind, TERRAIN).groups) for kind in kinds)
+    model's distance and 2·groups + 2 disagg values."""
+    return sum(3 + 2 * len(build_basis(kind, TERRAIN).groups) for kind in kinds)
 
 
 def part_step(kinds) -> int:
@@ -605,9 +606,9 @@ def five_fits(n=120):
     return [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
 
 
-# the walk part of all five models: 4 WI models of 1 + 8 + 1 cells a point
-# and W-BERT's of 1 + 10 + 1, PART points at a time
-WIDTH = 4 * 10 + 12
+# the walk part of all five models, each a distance cell and its loss
+# table's columns a point, PART points at a time
+WIDTH = sum(1 + _loss_table(cal).shape[1] for cal in five_fits())
 PART = _block_rows(WIDTH)
 
 
@@ -744,11 +745,12 @@ def test_walk_encodes_part_by_part(tmp_path, monkeypatch):
     assert calls == [(PART, WIDTH), (PART, 1)] * 2 + [(10, WIDTH), (10, 1)]
 
 
-def test_walk_encodes_predict_calibrated_and_the_basic_total(tmp_path, monkeypatch):
-    # each part's calibrated column is predict_calibrated of its points bit
-    # for bit, and the profile's basic cells are the disagg's basic total, in
-    # value and in text, within 1e-12 dB of predict_basic, over parts that
-    # W-BERT's coverage ends inside
+def test_walk_encodes_both_predictions_as_the_disagg_totals(tmp_path, monkeypatch):
+    # each part's basic and calibrated totals are the nominal and the
+    # calibrated prediction of its points bit for bit, the basic one within
+    # 1e-12 dB of predict_basic, and the profile's basic and calibrated cells
+    # are the disagg's totals in text, over parts that W-BERT's coverage ends
+    # inside
     cals = five_fits()
     inside = np.linspace(0.05, 10.0, 2 * PART + 300)
     axis = np.concatenate([inside, np.linspace(10.2, 30.0, 900)])
@@ -762,31 +764,32 @@ def test_walk_encodes_predict_calibrated_and_the_basic_total(tmp_path, monkeypat
     lo = 0
     for cal in cals:
         groups = len(cal.basis.groups)
-        hi = lo + 4 + 2 * groups
+        hi = lo + 3 + 2 * groups
         end = inside.size if cal.kind is ModelKind.W_BERT else axis.size
         assert end % PART != 0
         for start in range(0, end, PART):
             points = axis[start : min(start + PART, end)]
             part = cells[start : start + points.size]
             assert np.array_equal(part[:, lo], points)
+            assert np.array_equal(part[:, lo + 1 : hi], group_losses(cal, points))
             basic = part[:, lo + 1 + groups]
-            assert np.array_equal(basic, group_losses(cal, points)[:, groups])
+            assert np.array_equal(basic, cal.basis.evaluate(points, np.ones(len(cal.basis))))
             np.testing.assert_allclose(
                 basic, predict_basic(cal.kind, TERRAIN, points), rtol=0.0, atol=1e-12
             )
             assert np.array_equal(part[:, hi - 1], predict_calibrated(cal, points))
         profile = (tmp_path / f"profile_{cal.kind.value}.csv").read_text().splitlines()[1:]
         disagg = (tmp_path / f"disagg_{cal.kind.value}.csv").read_text().splitlines()[1:]
-        totals = [line.split(",")[1 + groups] for line in disagg]
-        assert [line.split(",")[2] for line in profile] == totals
+        totals = [[line.split(",")[n] for n in (1 + groups, -1)] for line in disagg]
+        assert [line.split(",")[2:] for line in profile] == totals
         lo = hi
 
 
 def test_ill_conditioned_calibrated_cells_are_predict_calibrated(tmp_path):
     # a W-BERT fit from two samples 1e-8 km apart, near its 8.2462 km limit,
-    # has group values of about 6e8 dB, and its calibrated total prints
-    # differently from predict_calibrated at some points; the profile's
-    # calibrated cells are predict_calibrated's
+    # has group values of about 6e8 dB, which sum to its calibrated total
+    # with a round-off that moves printed cells; the profile's calibrated
+    # cells and the disagg's calibrated totals are predict_calibrated's
     terrain = Terrain(f_mhz=150.0, w_m=20.0, b_m=30.0, phi_deg=30.0, dh_rx_m=12.0, dh_tx_m=4.0)
     meas = MeasurementSet([8.2, 8.2 + 1e-8], [120.0, 150.0])
     save_measurements(meas, tmp_path / "meas.csv")
@@ -803,7 +806,11 @@ def test_ill_conditioned_calibrated_cells_are_predict_calibrated(tmp_path):
     disagg = (tmp_path / "out" / "disagg_W-BERT.csv").read_text().splitlines()[1:]
     totals = [line.split(",")[-1] for line in disagg]
     assert max(abs(float(cell)) for line in disagg for cell in line.split(",")) > 1e8
-    assert 0 < sum(t != f for t, f in zip(totals, fitted, strict=True)) < len(fitted) // 100
+    assert totals == fitted
+    # the calibrated group columns, added in group order, print otherwise
+    core, height, geometry, curvature = group_losses(cal, axis)[:, 5:9].T
+    summed = [_db(v) for v in (((core + height) + geometry) + curvature).tolist()]
+    assert summed != fitted
 
 
 @pytest.mark.parametrize("width", [2, 3, 11])
