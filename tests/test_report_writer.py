@@ -787,9 +787,9 @@ def test_walk_encodes_both_predictions_as_the_disagg_totals(tmp_path, monkeypatc
 
 def test_ill_conditioned_calibrated_cells_are_predict_calibrated(tmp_path):
     # a W-BERT fit from two samples 1e-8 km apart, near its 8.2462 km limit,
-    # has group values of about 6e8 dB, which sum to its calibrated total
-    # with a round-off that moves printed cells; the profile's calibrated
-    # cells and the disagg's calibrated totals are predict_calibrated's
+    # has group values of about 6e8 dB, whose sum prints otherwise than
+    # predict_calibrated at some points; the profile's calibrated cells and
+    # the disagg's calibrated totals are predict_calibrated's
     terrain = Terrain(f_mhz=150.0, w_m=20.0, b_m=30.0, phi_deg=30.0, dh_rx_m=12.0, dh_tx_m=4.0)
     meas = MeasurementSet([8.2, 8.2 + 1e-8], [120.0, 150.0])
     save_measurements(meas, tmp_path / "meas.csv")
