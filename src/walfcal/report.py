@@ -4,15 +4,15 @@ coefficient files, the summary, and predict's table.
 _write_reports writes every file of a run once all models are fitted, and
 _write_table writes predict's table.  Report cells use 4 decimals (negative
 zero prints as 0.0000), and identical inputs give byte-identical files.
-numpy encodes cells a block at a time into fixed-width byte slots; a cell it
-cannot round with certainty (not finite, 1e7 or more, or next to a .5 tie)
-takes its text from _db, so every cell reads as f"{v:.4f}" does, and rows
-with a cell too long for its slot go cell by cell through _db_rows.  Blocks
-are sized by cells, so the encoder's temporaries stay in cache.  One walk
-over parts of the report axis writes every disagg and profile file: each
-model takes one column sum per part, and one encode of the part feeds both of
-its files, the profile taking its basic and calibrated cells from the
-disagg's two totals, which are the model's basic and calibrated predictions.
+numpy encodes cells a block at a time into byte slots, and a row is its
+slots' nonzero bytes; a cell numpy cannot round with certainty (not finite,
+1e7 or more, or next to a .5 tie) takes its text from _db, so every cell
+reads as f"{v:.4f}" does.  Blocks are sized by cells, so the encoder's
+temporaries stay in cache.  One walk over parts of the report axis writes
+every disagg and profile file: each model takes one column sum per part,
+and one encode of the part feeds both of its files, the profile taking its
+basic and calibrated cells from the disagg's two totals, which are the
+model's basic and calibrated predictions.
 """
 
 from __future__ import annotations
@@ -37,19 +37,19 @@ def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-# A report cell is encoded in a 16-byte slot: integer digits right-aligned at
-# bytes 0..7 with the sign in the byte before the leading one, "." at 8, four
-# decimals at 9..12 and the separator at _SEP.  The cell's text is the slot
-# from its start byte through _SEP; _KEEP[first] is the keep mask of a
-# slot's bytes first.._SEP, and _KEEP[_SEP], the separator alone, that of a
-# blank cell.
-_SLOT = np.dtype("V16")
-_SEP = 13
-_BYTE = np.arange(16)
-_KEEP = ((_BYTE >= _BYTE[:, None]) & (_BYTE <= _SEP)).view(_SLOT)[:, 0]
-# _MINUS[lead] turns the "0" at byte lead - 1 of a slot's first word into
-# "-"; _MINUS[0] changes nothing
-_MINUS = np.array([0] + [(ord("0") - ord("-")) << 8 * byte for byte in range(7)], dtype="<u8")
+# A slot is a bytes string whose nonzero bytes are a cell's text and ",", so
+# a blank cell is b",".  numpy's 16-byte slots have the integer digits
+# right-aligned at bytes 0..7 with the sign before the leading one, "." at 8,
+# four decimals at 9..12 and "," at 13.  A text from _db starts at byte 0,
+# and one too long for 16 bytes widens the slots of its block.
+_SLOT = np.dtype("S16")
+# _LEAD[lead + 8 · negative], subtracted from a slot's first word of digits,
+# turns its "0" bytes before byte lead into NULs, but a negative cell's at
+# lead - 1 into "-" ("0" - "-" is 3)
+_LEAD = np.array(
+    [int.from_bytes(b"0" * (lead - s) + b"\3" * s, "little") for s in (0, 1) for lead in range(8)],
+    dtype="<u8",
+)
 # below this magnitude q = rint(v·1e4) < 1e11: at most 7 integer digits, so a
 # minus sign always has a byte in front of them
 _SLOT_MAX = 9_999_999.9999
@@ -80,9 +80,9 @@ def _digit_tables():
     return quad, low_count, high_count
 
 
-def _encode(block: np.ndarray):
-    """Slots, (n, c) of _SLOT, of an (n, c) float block's cells as _db prints
-    them, and each one's text start byte; None if a text is too long for a slot.
+def _encode(block: np.ndarray) -> np.ndarray:
+    """Slots, (n, c) of _SLOT or wider, of an (n, c) float block's cells as
+    _db prints them.
 
     numpy rounds a cell with |v| < _SLOT_MAX whose v·1e4 lies more than a few
     ulp off a .5 tie: v·1e4 is computed to within |v·1e4|·2^-53, so there
@@ -129,32 +129,23 @@ def _encode(block: np.ndarray):
     halves[..., 1] = quad[lo]
     lead = 8 - np.maximum(high_count[hi], low_count[lo])
     del hi, lo
-    words[..., 0] -= _MINUS[lead * negative]
-    slots, first = words.view(_SLOT)[..., 0], lead - negative
+    words[..., 0] -= _LEAD[lead + 8 * negative]
+    slots = words.view(_SLOT)[..., 0]
     if odd.any():
-        texts = [_db(v) for v in block[odd].tolist()]
-        if max(map(len, texts)) > _SEP:
-            return None
-        # right-aligned before the separator, whatever the layout of the text
-        slots[odd] = np.array([f"{t:>{_SEP}}," for t in texts], dtype="S16").view(_SLOT)
-        first[odd] = [_SEP - len(t) for t in texts]
-    return slots, first
+        texts = [_db(v) + "," for v in block[odd].tolist()]
+        width = max(map(len, texts))
+        if width > _SLOT.itemsize:  # only then, since astype copies the block
+            slots = slots.astype(f"S{width}")
+        slots[odd] = texts
+    return slots
 
 
-def _row_bytes(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The kept bytes of (n, c) cell slots, each row ending in a newline."""
-    data = slots.view(np.uint8).reshape(*slots.shape, _SLOT.itemsize)
-    data[:, -1, _SEP] = ord("\n")
-    return data[keep.view(bool).reshape(data.shape)]
-
-
-def _db_rows(values: np.ndarray, blank=None) -> bytes:
-    """Rows of values formatted cell by cell through _db, each ending in a
-    newline; a cell where the mask blank is set is left empty."""
-    shown = np.ones(values.shape, dtype=bool) if blank is None else ~blank
-    cells = np.full(values.shape, "", dtype=object)
-    cells[shown] = [_db(v) for v in values[shown].tolist()]
-    return "".join(",".join(row) + "\n" for row in cells.tolist()).encode("ascii")
+def _row_bytes(slots: np.ndarray) -> np.ndarray:
+    """The text bytes of (n, c) cell slots, each row ending in a newline."""
+    data = slots.view(np.uint8).reshape(*slots.shape, slots.dtype.itemsize)
+    last = data[:, -1]
+    last[last == ord(",")] = ord("\n")
+    return data[data != 0]
 
 
 def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
@@ -169,54 +160,60 @@ def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
     for start in range(0, d.size, step):
         chunk = d[start : start + step]
         block = np.column_stack([chunk, columns_of(chunk)])
-        cells = _encode(block)
-        rows = _db_rows(block) if cells is None else _row_bytes(cells[0], _KEEP[cells[1]])
-        out.write(str(rows, "ascii"))
+        out.write(str(_row_bytes(_encode(block)), "ascii"))
 
 
-def _profile_rows(axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet):
-    """Axis index and measured sample (-1 for none) of each profile row.
+def _report_axis(d: np.ndarray, grid: np.ndarray):
+    """The report axis, the sorted distinct distances of measured d ∪ grid,
+    and the axis index and measured sample (-1 for none) of each profile row.
 
     Rows are sorted by distance, duplicate measured distances keep their
     input order, and a grid point equal to a measured distance is not
-    repeated.  axis and inverse are what np.unique returns, with
-    return_inverse, for the measured distances followed by the grid.
+    repeated.  Each temporary is freed once spent.
     """
-    n = len(meas)
-    counts = np.bincount(inverse[:n], minlength=axis.size)
-    sampled = counts > 0
-    # the other axis points are grid points, one row per grid entry
-    on_grid = inverse[n:]
-    np.add.at(counts, on_grid[~sampled[on_grid]], 1)
-    rows = np.repeat(np.arange(axis.size), counts)
-    del counts
-    # axis index · n + sample is unique, so a plain sort orders the samples
-    # by axis index and, within one, by input order
-    order = inverse[:n] * n
-    order += np.arange(n)
-    order.sort()
-    np.remainder(order, n, out=order)
-    sample = np.full(rows.size, -1)
-    sample[sampled[rows]] = order
-    return rows, sample
+    n, size = d.size, d.size + grid.size
+    keys = np.concatenate([d, grid])
+    order = np.argsort(keys)
+    keys = keys[order]
+    head = np.concatenate([[True], keys[1:] != keys[:-1]])
+    axis = keys[head]
+    del keys
+    # axis index · size + entry is unique, so a plain sort orders each run of
+    # equal distances by entry: its samples in input order, then its grid
+    # entries, which get a row only if the run has no sample
+    entry = np.cumsum(head, dtype=np.intp)
+    entry -= 1
+    entry *= size
+    entry += order
+    del order
+    entry.sort()
+    unmeasured = entry[head] % size >= n
+    del head
+    rows = entry // size
+    entry %= size
+    keep = entry < n
+    keep |= unmeasured[rows]
+    rows = rows[keep]
+    sample = entry[keep]
+    del entry, keep
+    sample[sample >= n] = -1
+    return axis, rows, sample
 
 
 def _write_axis_files(
-    out_dir: Path, axis: np.ndarray, inverse: np.ndarray, meas: MeasurementSet, cals
+    out_dir: Path, axis: np.ndarray, axis_rows, axis_sample, meas: MeasurementSet, cals
 ) -> None:
     """Write the disagg and profile files of the fitted models in one walk
-    over axis, the report axis, with inverse as _profile_rows takes it.
+    over axis, the report axis, with each profile row's axis index and
+    sample as _report_axis gives them.
 
     A part of _block_rows points holds each model's cells as [d | disagg
     values], zeros past the end of its _model_distances: the column sum Φ·C,
     with C its _loss_table, as group_losses forms it.  One _encode takes the
-    part; a disagg file takes its rows from its columns, and a profile row,
-    four slots with a blank measured cell kept as its separator alone, takes
+    part; a disagg file takes its rows from its columns, and a profile row
     its distance slot and, as its basic and calibrated slots, those of the
-    disagg's two totals, by axis index.  The part's rows go in chunks, one
-    _encode of their measured cells each.  A part with a cell too long for its slot
-    goes cell by cell through _db_rows, its profile rows too, and so does a
-    chunk with such a measured cell.  With no fitted model there is no file.
+    disagg's two totals.  The part's rows go in chunks, one _encode of their
+    measured cells each.  With no fitted model there is no file.
     """
     if not cals:
         return
@@ -225,7 +222,6 @@ def _write_axis_files(
     # each model's two totals, the last cells of the halves of its disagg values
     pair = np.array([[(lo + hi) // 2, hi - 1] for lo, hi in zip(bounds, bounds[1:])])
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
-    axis_rows, axis_sample = _profile_rows(axis, inverse, meas)
     row_ends = np.searchsorted(axis_rows, ends).tolist()
     total, step = max(ends), _block_rows(bounds[-1])
     block = np.empty((min(total, step), bounds[-1]))
@@ -248,41 +244,26 @@ def _write_axis_files(
                 part[:, lo] = d
                 part[:n, lo + 1 : hi] = cal.basis._sum(d[:n], table).T
                 part[n:, lo + 1 : hi] = 0.0
-            cells = _encode(part)
-            if cells is None:
-                for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
-                    out.write(_db_rows(part[:n, lo:hi]))
-            else:
-                slots, keep = cells[0], _KEEP[cells[1]]
-                for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
-                    out.write(_row_bytes(slots[:n, lo:hi], keep[:n, lo:hi]))
-                # by axis point the slots, then masks, of the distance and of
-                # each model's two totals
-                distance = np.stack([slots[:, 0], keep[:, 0]])
-                pairs = np.stack([slots[:, pair], keep[:, pair]]).transpose(2, 0, 1, 3)
+            slots = _encode(part)
+            for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
+                out.write(_row_bytes(slots[:n, lo:hi]))
+            # by axis point and model, the slots of the two totals
+            pairs = slots[:, pair]
             lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
             for a in range(lo_row, hi_row, _block_rows(4)):
                 local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
                 sample = axis_sample[a : a + local.size]
                 blank = sample < 0
-                measured = np.where(blank, 0.0, meas.pathloss_db[sample])
+                measured = _encode(np.where(blank, 0.0, meas.pathloss_db[sample])[:, None])
+                measured[blank] = b","
+                # distance, measured, basic, calibrated
+                row = np.empty((local.size, 4), np.promote_types(slots.dtype, measured.dtype))
+                row[:, 0] = np.take(slots[:, 0], local)
+                row[:, 1] = measured[:, 0]
                 rows = [min(max(end - a, 0), local.size) for end in row_ends]
-                shown = None if cells is None else _encode(measured[:, None])
-                if shown is None:
-                    values = np.column_stack([part[local, 0], measured, np.empty((local.size, 2))])
-                    blanks = blank[:, None] & (np.arange(4) == 1)
-                    for m, (count, out) in enumerate(zip(rows, profiles)):
-                        values[:count, 2:] = part[local[:count, None], pair[m]]
-                        out.write(_db_rows(values[:count], blanks[:count]))
-                    continue
-                # slots in row[0], masks in row[1]: distance, measured, basic, calibrated
-                row = np.empty((2, local.size, 4), dtype=_SLOT)
-                row[:, :, 0] = np.take(distance, local, axis=1)
-                row[0, :, 1] = shown[0][:, 0]
-                row[1, :, 1] = _KEEP[np.where(blank, _SEP, shown[1][:, 0])]
                 for m, (count, out) in enumerate(zip(rows, profiles)):
-                    row[:, :count, 2:] = np.take(pairs[m], local[:count], axis=1)
-                    out.write(_row_bytes(row[0, :count], row[1, :count]))
+                    row[:count, 2:] = np.take(pairs[:, m], local[:count], axis=0)
+                    out.write(_row_bytes(row[:count]))
 
 
 def _write_coefficients(path, cal) -> None:
@@ -314,7 +295,6 @@ def _write_reports(out_dir: Path, meas: MeasurementSet, grid: np.ndarray, runs) 
     cals = [run.calibration for run in runs if run.ok]
     for cal in cals:
         _write_coefficients(out_dir / f"coefficients_{cal.kind.value}.csv", cal)
-    # the report axis: the sorted distinct distances of measured ∪ grid
-    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
-    _write_axis_files(out_dir, axis, inverse, meas, cals)
+    axis, rows, sample = _report_axis(meas.distances_km, grid)
+    _write_axis_files(out_dir, axis, rows, sample, meas, cals)
     _write_summary(out_dir / "summary.csv", runs)

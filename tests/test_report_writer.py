@@ -27,13 +27,10 @@ from walfcal.basis import _CHUNK_ROWS
 from walfcal.calib import _loss_table
 from walfcal.cli import CampaignConfig, prediction_grid, run_calibration
 from walfcal.report import (
-    _KEEP,
-    _SEP,
     _block_rows,
     _db,
-    _db_rows,
     _encode,
-    _profile_rows,
+    _report_axis,
     _row_bytes,
     _write_axis_files,
     _write_table,
@@ -134,8 +131,8 @@ def walked(out_dir, grid, cals, meas=None):
     every disagg and profile file checked against its reference; the rows of
     each profile file.  Without meas the one sample is 100 dB at grid[0]."""
     meas = MeasurementSet(grid[:1], [100.0]) if meas is None else meas
-    axis, inverse = np.unique(np.concatenate([meas.distances_km, grid]), return_inverse=True)
-    _write_axis_files(out_dir, axis, inverse, meas, cals)
+    axis, rows, sample = _report_axis(meas.distances_km, grid)
+    _write_axis_files(out_dir, axis, rows, sample, meas, cals)
     check_disaggs(out_dir, axis, cals)
     return checked_profiles(out_dir, meas, grid, cals)
 
@@ -299,19 +296,20 @@ def test_chunk_of_only_grid_rows(tmp_path):
     assert [row[1] for row in rows if row[1]] == ["120.0000", "121.0000", "122.5000"]
 
 
-def encoded(values) -> str | None:
-    """One cell per row through the numpy encoder, or None where a cell is too
-    long for its slot and the whole block goes cell by cell through _db."""
-    cells = _encode(np.asarray(values, dtype=float).reshape(-1, 1))
-    if cells is None:
-        return None
-    slots, first = cells
-    return str(_row_bytes(slots, _KEEP[first]), "ascii")
+def encoded(values) -> str:
+    """One cell per row through the numpy encoder."""
+    return str(_row_bytes(_encode(np.asarray(values, dtype=float).reshape(-1, 1))), "ascii")
+
+
+def slot_width(values) -> int:
+    """The slot width of a block of values: 16 bytes, or one more than its
+    longest cell text if that is 16 characters or more."""
+    return max(SLOT_TEXT_MAX, *(len(_db(v)) for v in np.ravel(values).tolist())) + 1
 
 
 EXACT = Context(prec=2000)
 # the longest cell text a 16-byte slot holds before its separator
-SLOT_TEXT_MAX = 13
+SLOT_TEXT_MAX = 15
 
 
 def exact_cell(value: float) -> str:
@@ -338,20 +336,15 @@ cell_values = st.one_of(
 @example([1.03125, 0.00005, -0.00005, -0.00004, -0.0, 9999999.99995, -9999999.99997])
 @example([1e7, 1e8, math.nan, math.inf, -math.inf])
 @example([5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308])
+@example([1e11, -1e15, 1.5e300, 2.5])
 def test_encoder_matches_the_exact_decimal_rounding(values):
     for value in values:
-        cell = encoded([value])
         if math.isfinite(value):
             assert _db(value) == exact_cell(value)
-        if cell is None:
-            assert len(_db(value)) > SLOT_TEXT_MAX
-        else:
-            assert cell == _db(value) + "\n"
-    text = encoded(values)
-    if text is None:
-        assert any(encoded([value]) is None for value in values)
-    else:
-        assert text == "".join(_db(value) + "\n" for value in values)
+        assert encoded([value]) == _db(value) + "\n"
+        assert _encode(np.array([[value]])).dtype.itemsize == slot_width([value])
+    assert encoded(values) == "".join(_db(value) + "\n" for value in values)
+    assert _encode(np.array([values])).dtype.itemsize == slot_width(values)
 
 
 @pytest.mark.parametrize(
@@ -372,13 +365,18 @@ def test_encoder_matches_the_exact_decimal_rounding(values):
         (-math.inf, "-inf"),
         (5e-324, "0.0000"),
         (-5e-324, "0.0000"),
+        (99999999.99994, "99999999.9999"),
+        (-1e11, "-100000000000.0000"),
+        (1e15, "1000000000000000.0000"),
     ],
 )
 def test_edge_cells(value, cell):
     assert _db(value) == cell
     text = table("v", [np.array([value, 2.5, -3.25])])
     assert text == f"v\n{cell}\n2.5000\n-3.2500\n"
-    assert encoded([value]) == (None if len(cell) > SLOT_TEXT_MAX else cell + "\n")
+    assert encoded([value]) == cell + "\n"
+    # a slot holds a text of 15 characters and its separator
+    assert _encode(np.array([[value]])).dtype.itemsize == max(16, len(cell) + 1)
 
 
 def oracle_cell(value: float) -> str:
@@ -389,30 +387,27 @@ def oracle_cell(value: float) -> str:
 @given(st.lists(st.tuples(cell_values, st.none() | cell_values), min_size=1, max_size=40))
 @example([(80.03125, 1e7), (1.0, 80.03125), (-9999999.99997, None), (-0.0, 9999999.99995)])
 @example([(1e8, 1.0)])
+@example([(1e15, None), (2.5, -1e11)])
 def test_joined_distance_and_measured_run(cells):
     # a profile row's distance and measured slots, packed as _write_axis_files
-    # packs them: each kept from its start byte, a blank measured cell as its
-    # separator alone, and the basic cell after them as in a profile row
+    # packs them: a blank measured cell is its separator alone, and the basic
+    # cell comes after them as in a profile row
     block = np.array([(d, 0.0 if m is None else m, 1.0) for d, m in cells])
-    encoded_cells = _encode(block)
-    if encoded_cells is None:
-        assert any(len(_db(v)) > SLOT_TEXT_MAX for v in block.ravel().tolist())
-        return
-    slots, first = encoded_cells
-    blank = np.array([m is None for _, m in cells])
-    keep = _KEEP[np.where(blank[:, None] & (np.arange(3) == 1), _SEP, first)]
+    slots = _encode(block)
+    assert slots.dtype.itemsize == slot_width(block)
+    slots[[m is None for _, m in cells], 1] = b","
     expected = "".join(
         oracle_cell(d) + "," + ("" if m is None else oracle_cell(m)) + ",1.0000\n"
         for d, m in cells
     )
-    assert str(_row_bytes(slots, keep), "ascii") == expected
+    assert str(_row_bytes(slots), "ascii") == expected
 
 
 # rows per _write_table block of a 4-column table
 TABLE_STEP = _block_rows(4)
 
 
-@pytest.mark.parametrize("value", [80.03125, 0.00005, math.nan, -9999999.99997, 1e8])
+@pytest.mark.parametrize("value", [80.03125, 0.00005, math.nan, -9999999.99997, 1e8, 1e15])
 @pytest.mark.parametrize("row", [0, TABLE_STEP - 1, TABLE_STEP + 5, 2 * TABLE_STEP + 2])
 def test_one_fallback_cell_among_encoded_rows(monkeypatch, value, row):
     rng = np.random.default_rng(row)
@@ -420,20 +415,16 @@ def test_one_fallback_cell_among_encoded_rows(monkeypatch, value, row):
     columns = [rng.uniform(-300.0, 300.0, n), rng.normal(0.0, 1e-3, n)]
     columns += [rng.uniform(0.0, 20.0, n), rng.normal(0.0, 1e-4, n)]
     columns[1][row] = value
-    starts = range(0, n, TABLE_STEP)
-    blocks = [np.column_stack([c[s : s + TABLE_STEP] for c in columns]) for s in starts]
-    # only a cell too long for its slot sends its block cell by cell through _db
-    too_long = len(_db(value)) > SLOT_TEXT_MAX
-    assert [_encode(block) is None for block in blocks] == [
-        too_long and s <= row < s + TABLE_STEP for s in starts
-    ]
-    slow_blocks = []
-    monkeypatch.setattr(
-        report, "_db_rows", lambda values: slow_blocks.append(values[0, 0]) or _db_rows(values)
-    )
+    # the cell takes its text from _db, and only a text of 16 characters or
+    # more widens its block's slots
+    widths = counted_widths(monkeypatch)
     text = table("a,b,c,d", columns)
     assert_same_text(text, reference_table("a,b,c,d", columns))
-    assert slow_blocks == ([columns[0][row - row % TABLE_STEP]] if too_long else [])
+    wide = len(_db(value)) > SLOT_TEXT_MAX
+    assert [size for _, size in widths] == [
+        len(_db(value)) + 1 if wide and s <= row < s + TABLE_STEP else 16
+        for s in range(0, n, TABLE_STEP)
+    ]
 
 
 def test_blank_measured_cells_at_chunk_edges(tmp_path):
@@ -452,24 +443,32 @@ def test_blank_measured_cells_at_chunk_edges(tmp_path):
     assert rows[1][1] != "" and rows[step + 1][1] != ""
 
 
-def counted_fallbacks(monkeypatch) -> list:
-    """The shape of each _db_rows call's values, as rows go cell by cell
-    through _db."""
+def counted_widths(monkeypatch) -> list:
+    """The block shape and slot width of each _encode call, each width
+    checked against slot_width of its block."""
     calls = []
-    monkeypatch.setattr(
-        report,
-        "_db_rows",
-        lambda values, *rest: calls.append(values.shape) or _db_rows(values, *rest),
-    )
+
+    def encode(block):
+        slots = _encode(block)
+        assert slots.dtype.itemsize == slot_width(block)
+        calls.append((block.shape, slots.dtype.itemsize))
+        return slots
+
+    monkeypatch.setattr(report, "_encode", encode)
     return calls
 
 
-@pytest.mark.parametrize("value", [125.03125, 1e8])
+def widened(calls) -> list:
+    """The calls of counted_widths whose slots are wider than 16 bytes."""
+    return [call for call in calls if call[1] > 16]
+
+
+@pytest.mark.parametrize("value", [125.03125, 1e8, 1e15])
 def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, monkeypatch, value):
     # the second walk part, where the W-BERT file ends, holds a measured
-    # dyadic tie, which takes its slot's text from _db, or a cell too long
-    # for a slot, which sends its row chunk cell by cell through _db for
-    # every model
+    # dyadic tie or a cell of 1e8 or more, which take their slot's text from
+    # _db; a text too long for 16 bytes widens that row chunk's measured
+    # slots, and the rows of both files with them
     rng = np.random.default_rng(17)
     kinds = [ModelKind.W_BERT, ModelKind.CWI_M]
     step = part_step(kinds)
@@ -478,34 +477,41 @@ def test_wb_profile_ends_mid_chunk_with_a_fallback_cell(tmp_path, monkeypatch, v
     p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, n), 3)
     p[np.argmax(d)] = value
     meas = MeasurementSet(d, p)
-    fallbacks = counted_fallbacks(monkeypatch)
+    widths = counted_widths(monkeypatch)
     wb_rows = profile_rows(tmp_path, meas, (0.1, 12.0, 0.01), kinds=kinds)
     axis = np.unique(np.concatenate([d, prediction_grid(0.1, 12.0, 0.01)]))
     covered = np.count_nonzero(axis * axis < 17.0 * TERRAIN.dh_tx_m)
     assert step < covered < axis.size < 2 * step
     assert np.searchsorted(axis, d.max()) >= step
     assert [row[1] for row in wb_rows].count(_db(value)) == 1
-    # part 1's rows, fewer than a row chunk's, in both files
-    assert len(fallbacks) == (2 if len(_db(value)) > SLOT_TEXT_MAX else 0)
+    # of the measured cells, only part 1's, fewer than a row chunk's, widen
+    # (a 1e15 sample also widens the parts where its fits print 16 or more
+    # characters)
+    wide = len(_db(value)) > SLOT_TEXT_MAX
+    measured = [size for shape, size in widened(widths) if shape[1] == 1]
+    assert measured == ([len(_db(value)) + 1] if wide else [])
 
 
-@pytest.mark.parametrize("value", [80.03125, 1e8])
+@pytest.mark.parametrize("value", [80.03125, 1e8, 1e15])
 @pytest.mark.parametrize("at", [ROW_STEP - 1, ROW_STEP])
 def test_odd_measured_cell_in_the_joined_run(tmp_path, monkeypatch, value, at):
     # ROW_STEP + 100 samples at 40 distances, the grid after them: the
     # sample in row `at` ends the first row chunk or starts the second.  A
-    # tie takes its text from _db into the run; a cell too long for its slot
-    # sends that row chunk, and only it, cell by cell through _db
+    # tie or a cell of 1e8 takes its text from _db into the run; a text too
+    # long for 16 bytes widens the measured slots of that row chunk, and of no
+    # other (a 1e15 sample also widens the walk part where its fits print 16
+    # or more characters)
     rng = np.random.default_rng(53)
     d = np.sort(rng.choice(np.round(np.linspace(0.2, 3.0, 40), 3), ROW_STEP + 100))
     p = np.round(100.0 + 30.0 * np.log10(d) + rng.normal(0.0, 2.0, d.size), 3)
     p[at] = value
-    fallbacks = counted_fallbacks(monkeypatch)
+    widths = counted_widths(monkeypatch)
     rows = profile_rows(tmp_path, MeasurementSet(d, p), (3.5, 4.0, 0.5), kinds=list(ModelKind))
     assert rows[at] == [reference_cell(d[at]), _db(value), *rows[at][2:]]
-    too_long = len(_db(value)) > SLOT_TEXT_MAX
+    wide = len(_db(value)) > SLOT_TEXT_MAX
     chunk_rows = ROW_STEP if at < ROW_STEP else len(rows) - ROW_STEP
-    assert fallbacks == ([(chunk_rows, 4)] * len(ModelKind) if too_long else [])
+    measured = [call for call in widened(widths) if call[0][1] == 1]
+    assert measured == ([((chunk_rows, 1), len(_db(value)) + 1)] if wide else [])
 
 
 def reference_profile_rows(axis, meas, grid):
@@ -530,8 +536,8 @@ def test_profile_rows_match_a_sort_of_all_keys(seed):
         grid = 1.0 + 1e-16 * np.arange(5)
         assert np.unique(grid).size < grid.size
     meas = MeasurementSet(d, np.full(d.size, 90.0))
-    axis, inverse = np.unique(np.concatenate([d, grid]), return_inverse=True)
-    rows, sample = _profile_rows(axis, inverse, meas)
+    axis, rows, sample = _report_axis(d, grid)
+    np.testing.assert_array_equal(axis, np.unique(np.concatenate([d, grid])))
     expected_rows, expected_sample = reference_profile_rows(axis, meas, grid)
     np.testing.assert_array_equal(rows, expected_rows)
     np.testing.assert_array_equal(sample, expected_sample)
@@ -566,12 +572,23 @@ def test_profiles_peak_below_six_axis_vectors(tmp_path):
     d = rng.uniform(0.05, 4.0, 200_000)
     meas = MeasurementSet(d, 110.0 + 35.0 * np.log10(d) + rng.normal(0.0, 3.0, d.size))
     grid = prediction_grid(0.1, 12.0, 0.1)
-    axis, inverse = np.unique(np.concatenate([d, grid]), return_inverse=True)
+    axis, rows, sample = _report_axis(d, grid)
     cals = [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
-    _, peak = traced_peak(_write_axis_files, tmp_path, axis, inverse, meas, cals)
+    _, peak = traced_peak(_write_axis_files, tmp_path, axis, rows, sample, meas, cals)
     assert peak < 6 * axis.size * 8
     assert len(list(tmp_path.glob("profile_*.csv"))) == len(cals)
     assert len(list(tmp_path.glob("disagg_*.csv"))) == len(cals)
+
+
+def test_report_axis_peaks_below_five_key_vectors():
+    # the axis, each profile row's axis index and sample, and the build's
+    # temporaries, against 8.1 key vectors for np.unique with its inverse and
+    # the profile rows taken from them
+    d = np.random.default_rng(30).uniform(0.05, 4.0, 200_000)
+    grid = prediction_grid(0.1, 12.0, 0.1)
+    (axis, rows, sample), peak = traced_peak(_report_axis, d, grid)
+    assert axis.size == rows.size == d.size + grid.size
+    assert peak < 5 * axis.size * 8
 
 
 def disagg_header(cal) -> str:
@@ -676,42 +693,47 @@ def test_walk_of_a_run(tmp_path, kinds, d, grid):
 
 
 def steep_fit(kind):
-    """kind's basis with unit weights but for a log10 d weight of -4e7 dB: its
-    calibrated cells reach 1e8 at 1e-5 km, and stay below 1e7 in 1-1.5 km."""
+    """kind's basis with unit weights but for a log10 d weight of -4e9 dB: its
+    calibrated cells reach 2e10 at 1e-5 km and -4e9 at 10 km, 16 characters,
+    and stay above -1e9 in 1-1.5 km, 15 characters at most."""
     basis = build_basis(kind, TERRAIN)
     alpha = np.ones(len(basis))
     # term 1 is 20 log10 d for WI, 38 log10 d for W-BERT
-    alpha[1] = -4e7 / basis.weights[1, 1]
+    alpha[1] = -4e9 / basis.weights[1, 1]
     d = np.array([1.0])
     return Calibration(basis, alpha, len(basis), d, d)
 
 
 def test_a_part_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch):
-    # part 0 holds a 2e8 cell in every file and a tie cell (1.03125); part 1
-    # holds another tie (1.40625), which takes its text from _db in its slot.
-    # Part 0 sends its profile rows, one an axis point, cell by cell through
-    # _db too, and parts 1 and 2 stay in numpy
+    # part 0 holds a 2e10 cell in every file and a tie cell (1.03125); part 1
+    # holds another tie (1.40625).  Each takes its text from _db, and only
+    # part 0, whose 2e10 text is too long for a 16-byte slot, widens its
+    # slots, which its profile rows take on; parts 1 and 2 hold -7e8 cells,
+    # and their 16-byte slots hold those texts
     cals = [steep_fit(kind) for kind in ModelKind]
     axis = np.unique(np.concatenate([[1e-5, 1.03125, 1.40625], np.linspace(1.0, 1.5, 1400)]))
     assert 2 * PART < axis.size < 3 * PART
     assert list(np.searchsorted(axis, [1.03125, 1.40625]) // PART) == [0, 1]
-    fallbacks = counted_fallbacks(monkeypatch)
+    widths = counted_widths(monkeypatch)
     walked(tmp_path, axis, cals)
-    disaggs = [(PART, 2 * len(cal.basis.groups) + 3) for cal in cals]
-    assert fallbacks == disaggs + [(PART, 4)] * len(cals)
+    assert widths[0] == ((PART, WIDTH), 17)
+    assert [size for _, size in widths[1:]] == [16] * 5
     text = (tmp_path / "disagg_CWI-M.csv").read_text()
     assert "\n0.0000," in text and "\n1.0312," in text and "\n1.4062," in text
-    assert any(len(cell) > 13 for cell in text.splitlines()[1].split(","))
+    assert any(len(cell) > SLOT_TEXT_MAX for cell in text.splitlines()[1].split(","))
+    assert max(len(cell) for line in text.splitlines()[3:] for cell in line.split(",")) == 15
 
 
 def test_wb_files_end_inside_a_part_too_long_to_encode(tmp_path, monkeypatch):
-    # every cell past 1 km reads -4e7 or below, too long for its slot, and the
-    # W-BERT files end inside the one part, at sqrt(17 · 6) = 10.0995 km
+    # every model cell past 9.9 km reads -3.9e9 or below, 16 characters, so
+    # the one part widens its slots, and the W-BERT files end inside it, at
+    # sqrt(17 · 6) = 10.0995 km
     cals = [steep_fit(kind) for kind in ModelKind]
     axis = np.linspace(9.9, 10.3, 41)
-    fallbacks = counted_fallbacks(monkeypatch)
-    walked(tmp_path, axis, cals)
-    assert [shape[0] for shape in fallbacks] == [41, 41, 41, 41, 20] * 2
+    widths = counted_widths(monkeypatch)
+    wb_rows = walked(tmp_path, axis, cals)[-1]
+    assert len(wb_rows) == 20
+    assert widths == [((41, WIDTH), 17), ((41, 1), 16)]
 
 
 def counted_encodes(monkeypatch) -> list:
