@@ -4,21 +4,22 @@ coefficient files, the summary, and predict's table.
 _write_reports writes every file of a run once all models are fitted, and
 _write_table writes predict's table.  Report cells use 4 decimals (negative
 zero prints as 0.0000), and identical inputs give byte-identical files.
-numpy encodes cells a block at a time into byte slots, and a row is its
-slots' nonzero bytes; a cell numpy cannot round with certainty (not finite,
-1e7 or more, or next to a .5 tie) takes its text from _db, so every cell
-reads as f"{v:.4f}" does.  Blocks are sized by cells, so the encoder's
-temporaries stay in cache.  One walk over parts of the report axis writes
-every disagg and profile file: each model takes one column sum per part,
-and one encode of the part feeds both of its files, the profile taking its
-basic and calibrated cells from the disagg's two totals, which are the
-model's basic and calibrated predictions.
+numpy encodes cells a block at a time into byte slots; a cell numpy cannot
+round with certainty (not finite, 1e7 or more, or next to a .5 tie) takes
+its text from _db, so every cell reads as f"{v:.4f}" does.  A row packs its
+slot columns cut to the bytes their cells use; written, it loses its few
+NULs, which bytes.replace finds by memchr.  Blocks are sized by cells, so
+the encoder's temporaries stay in cache.  One walk over parts of the report
+axis writes every disagg and profile file: each model takes one column sum
+per part, and one encode of the part feeds both of its files, the profile's
+basic and calibrated cells being the disagg's two totals.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,14 @@ def _write_text(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-# A slot is a bytes string whose nonzero bytes are a cell's text and ",", so
-# a blank cell is b",".  numpy's 16-byte slots have the integer digits
-# right-aligned at bytes 0..7 with the sign before the leading one, "." at 8,
-# four decimals at 9..12 and "," at 13.  A text from _db starts at byte 0,
-# and one too long for 16 bytes widens the slots of its block.
+# A slot is a bytes string whose nonzero bytes are a cell's text and ",".
+# numpy's 16-byte slots have the integer digits right-aligned at bytes 0..7
+# with the sign before the leading one, "." at 8, four decimals at 9..12 and
+# "," at 13.  A text from _db starts at byte 0, and one too long for 16 bytes
+# widens the slots of its block.  A blank (measured) cell, _BLANK, has its ","
+# where numpy's cells have theirs, so it widens no column of packed rows.
 _SLOT = np.dtype("S16")
+_BLANK = b"\0" * 13 + b","
 # _LEAD[lead + 8 · negative], subtracted from a slot's first word of digits,
 # turns its "0" bytes before byte lead into NULs, but a negative cell's at
 # lead - 1 into "-" ("0" - "-" is 3)
@@ -140,27 +143,41 @@ def _encode(block: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _row_bytes(slots: np.ndarray) -> np.ndarray:
-    """The text bytes of (n, c) cell slots, each row ending in a newline."""
-    data = slots.view(np.uint8).reshape(*slots.shape, slots.dtype.itemsize)
-    last = data[:, -1]
-    last[last == ord(",")] = ord("\n")
-    return data[data != 0]
+def _cut(slots: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The positions in a row of slots.view(np.uint8) of the bytes that any
+    cell of (n, c) cell slots uses, from one OR over the slots' words, and
+    the c + 1 offsets where each column's positions start."""
+    used = np.bitwise_or.reduce(slots.view(f"<u{math.gcd(slots.itemsize, 8)}"), axis=0)
+    positions = np.flatnonzero(used.view(np.uint8))
+    starts = np.arange(slots.shape[1] + 1) * slots.itemsize
+    return positions, np.searchsorted(positions, starts).tolist()
+
+
+def _rows(slots: np.ndarray, columns=None, cut=None, lines: bool = True) -> np.ndarray:
+    """(n, L) byte rows of (n, c) cell slots: the bytes that cut (by default
+    _cut(slots)) keeps of the column ranges [(lo, hi), ...], by default all
+    columns, side by side; with lines, the last column's "," is "\n"."""
+    positions, starts = _cut(slots) if cut is None else cut
+    columns = columns or [(0, slots.shape[1])]
+    kept = np.concatenate([positions[starts[lo] : starts[hi]] for lo, hi in columns])
+    rows = slots.view(np.uint8)[:, kept]
+    if lines:
+        hi = columns[-1][1]
+        last = rows[:, rows.shape[1] - (starts[hi] - starts[hi - 1]) :]
+        last[last == ord(",")] = ord("\n")
+    return rows
 
 
 def _write_table(out, header: str, d: np.ndarray, columns_of) -> None:
     """Write a header line, then one row per distance in d, its cells as _db
-    formats them: the distance, then that row of columns_of(d).
-
-    columns_of is evaluated on one _block_rows block of d at a time, so no
-    value array over all of d is built.
-    """
+    formats them: the distance, then that row of columns_of(d), which is
+    evaluated on one _block_rows block of d at a time, never on all of d."""
     out.write(header + "\n")
     step = _block_rows(header.count(",") + 1)
     for start in range(0, d.size, step):
         chunk = d[start : start + step]
         block = np.column_stack([chunk, columns_of(chunk)])
-        out.write(str(_row_bytes(_encode(block)), "ascii"))
+        out.write(str(_rows(_encode(block)).tobytes().replace(b"\0", b""), "ascii"))
 
 
 def _report_axis(d: np.ndarray, grid: np.ndarray):
@@ -209,18 +226,18 @@ def _write_axis_files(
 
     A part of _block_rows points holds each model's cells as [d | disagg
     values], zeros past the end of its _model_distances: the column sum Φ·C,
-    with C its _loss_table, as group_losses forms it.  One _encode takes the
-    part; a disagg file takes its rows from its columns, and a profile row
-    its distance slot and, as its basic and calibrated slots, those of the
-    disagg's two totals.  The part's rows go in chunks, one _encode of their
-    measured cells each.  With no fitted model there is no file.
+    with C its _loss_table, as group_losses forms it.  One _encode and one
+    _cut take the part: each disagg file packs its columns, and the profile
+    rows, in chunks of one measured-cell _encode each, lay down their distance
+    and measured bytes once, then each model's two totals, packed once a part.
+    With no fitted model there is no file.
     """
     if not cals:
         return
     tables = [_loss_table(cal) for cal in cals]
     bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
     # each model's two totals, the last cells of the halves of its disagg values
-    pair = np.array([[(lo + hi) // 2, hi - 1] for lo, hi in zip(bounds, bounds[1:])])
+    pair = [((lo + hi) // 2, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
     ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
     row_ends = np.searchsorted(axis_rows, ends).tolist()
     total, step = max(ends), _block_rows(bounds[-1])
@@ -245,25 +262,28 @@ def _write_axis_files(
                 part[:n, lo + 1 : hi] = cal.basis._sum(d[:n], table).T
                 part[n:, lo + 1 : hi] = 0.0
             slots = _encode(part)
+            cut = _cut(slots)
             for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
-                out.write(_row_bytes(slots[:n, lo:hi]))
-            # by axis point and model, the slots of the two totals
-            pairs = slots[:, pair]
+                out.write(_rows(slots[:n], [(lo, hi)], cut).tobytes().replace(b"\0", b""))
+            # by axis point, the distance and each model's two totals
+            distance = _rows(slots, [(0, 1)], cut, lines=False)
+            totals = [_rows(slots, [(b, b + 1), (c, c + 1)], cut) for b, c in pair]
+            width = max(pair_rows.shape[1] for pair_rows in totals)
             lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
             for a in range(lo_row, hi_row, _block_rows(4)):
                 local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
                 sample = axis_sample[a : a + local.size]
                 blank = sample < 0
                 measured = _encode(np.where(blank, 0.0, meas.pathloss_db[sample])[:, None])
-                measured[blank] = b","
-                # distance, measured, basic, calibrated
-                row = np.empty((local.size, 4), np.promote_types(slots.dtype, measured.dtype))
-                row[:, 0] = np.take(slots[:, 0], local)
-                row[:, 1] = measured[:, 0]
+                measured[blank] = _BLANK
+                near = [np.take(distance, local, axis=0), _rows(measured, lines=False)]
+                row = np.hstack([*near, np.empty((local.size, width), np.uint8)])
+                prefix = row.shape[1] - width
                 rows = [min(max(end - a, 0), local.size) for end in row_ends]
-                for m, (count, out) in enumerate(zip(rows, profiles)):
-                    row[:count, 2:] = np.take(pairs[:, m], local[:count], axis=0)
-                    out.write(_row_bytes(row[:count]))
+                for count, out, pair_rows in zip(rows, profiles, totals):
+                    end = prefix + pair_rows.shape[1]
+                    row[:count, prefix:end] = np.take(pair_rows, local[:count], axis=0)
+                    out.write(row[:count, :end].tobytes().replace(b"\0", b""))
 
 
 def _write_coefficients(path, cal) -> None:

@@ -102,6 +102,31 @@ class TestBuildBasis:
             total = float(term_values(build_basis(kind, t), [d])[0].sum())
             assert total == pytest.approx(predict_basic(kind, t, d), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "fields, label, failing",
+        [
+            # 2 dh_rx / b underflows to 0, whose atan has no log
+            ({"dh_rx_m": 5e-324}, "20 log10 atan_deg(2 dh_rx / b)", [ModelKind.W_BERT]),
+            # (b/2)^2 + dh_rx^2 underflows to 0
+            ({"b_m": 5e-324, "dh_rx_m": 5e-324}, "5 log10((b/2)^2 + dh_rx^2)", [ModelKind.W_BERT]),
+            # (b/2)^2 overflows
+            ({"b_m": 1e308}, "5 log10((b/2)^2 + dh_rx^2)", [ModelKind.W_BERT]),
+            # k_f log10 f is finite, but near 5e307 it leaves a fit no room
+            ({"f_mhz": 1e308}, "k_f log10 f", [ModelKind.CWI_M, ModelKind.CWI_SU]),
+        ],
+    )
+    def test_weights_outside_their_domain_name_the_terrain_fields(self, fields, label, failing):
+        t = make_terrain(**fields)
+        for kind in ModelKind:
+            if kind not in failing:
+                assert np.isfinite(build_basis(kind, t).weights).all()
+                continue
+            with pytest.raises(DomainError) as exc:
+                build_basis(kind, t)
+            message = str(exc.value)
+            assert f"term {label!r}" in message
+            assert all(f"{name} = {value!r}" in message for name, value in fields.items())
+
     def test_terrain_snapshot_retained(self):
         t = make_terrain()
         basis = build_basis(ModelKind.CWI_SU, t)

@@ -683,6 +683,37 @@ class TestMainCommand:
             "model,rmse_basic_db,mpe_basic_db,rmse_calibrated_db,mpe_calibrated_db,improvement_pct\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, value, failing",
+        [
+            ("dh_rx_m", 5e-324, ["W-BERT"]),
+            ("f_mhz", 1e308, ["CWI-M", "CWI-SU"]),
+            ("b_m", 1e308, ["W-BERT"]),
+        ],
+    )
+    def test_terrain_outside_a_term_domain(self, tmp_path, capsys, field, value, failing):
+        # one error line per model whose terms the value puts out of their
+        # domain, naming the field; the other models fit, and nominal predict
+        # of a failing model exits 1 the same way
+        config_path, meas_path = write_campaign(tmp_path)
+        text = config_path.read_text().splitlines()
+        config_path.write_text(
+            "\n".join(f"{field} = {value!r}" if row.startswith(field) else row for row in text)
+        )
+        out_dir = tmp_path / "out"
+        argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
+        assert main([*argv, "--output-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [row.split(":")[1].strip() for row in err] == failing
+        assert all(f"{field} = {value!r}" in row for row in err), err
+        fitted = {path.name for path in out_dir.glob("profile_*.csv")}
+        assert fitted == {f"profile_{m.value}.csv" for m in ModelKind if m.value not in failing}
+        for model in failing:
+            assert main(["predict", "--config", str(config_path), "--model", model]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{field} = {value!r}" in err
+            assert err.count("\n") == 1
+
     def test_predict_basic_to_file(self, tmp_path):
         config_path, _ = write_campaign(tmp_path, models="CWI-M", n=10)
         out = tmp_path / "pred.csv"

@@ -27,11 +27,13 @@ from walfcal.basis import _CHUNK_ROWS
 from walfcal.calib import _loss_table
 from walfcal.cli import CampaignConfig, prediction_grid, run_calibration
 from walfcal.report import (
+    _BLANK,
     _block_rows,
     _db,
     _encode,
     _report_axis,
-    _row_bytes,
+    _cut,
+    _rows,
     _write_axis_files,
     _write_table,
 )
@@ -296,9 +298,19 @@ def test_chunk_of_only_grid_rows(tmp_path):
     assert [row[1] for row in rows if row[1]] == ["120.0000", "121.0000", "122.5000"]
 
 
+def text_of(rows) -> str:
+    """The text of packed rows, as the writers write it: their bytes less NULs."""
+    return str(rows.tobytes().replace(b"\0", b""), "ascii")
+
+
+def packed(slots) -> str:
+    """The text of (n, c) cell slots packed into rows as the writers pack them."""
+    return text_of(_rows(slots))
+
+
 def encoded(values) -> str:
     """One cell per row through the numpy encoder."""
-    return str(_row_bytes(_encode(np.asarray(values, dtype=float).reshape(-1, 1))), "ascii")
+    return packed(_encode(np.asarray(values, dtype=float).reshape(-1, 1)))
 
 
 def slot_width(values) -> int:
@@ -389,18 +401,75 @@ def oracle_cell(value: float) -> str:
 @example([(1e8, 1.0)])
 @example([(1e15, None), (2.5, -1e11)])
 def test_joined_distance_and_measured_run(cells):
-    # a profile row's distance and measured slots, packed as _write_axis_files
-    # packs them: a blank measured cell is its separator alone, and the basic
-    # cell comes after them as in a profile row
+    # a profile row's distance and measured slots, a blank measured cell its
+    # separator alone where a slot's "," stands, and the basic cell after
+    # them; packed whole, and packed as _write_axis_files packs them, the
+    # distance and measured columns apart and the basic one with the newline
     block = np.array([(d, 0.0 if m is None else m, 1.0) for d, m in cells])
     slots = _encode(block)
     assert slots.dtype.itemsize == slot_width(block)
-    slots[[m is None for _, m in cells], 1] = b","
+    slots[[m is None for _, m in cells], 1] = _BLANK
     expected = "".join(
         oracle_cell(d) + "," + ("" if m is None else oracle_cell(m)) + ",1.0000\n"
         for d, m in cells
     )
-    assert str(_row_bytes(slots), "ascii") == expected
+    assert packed(slots) == expected
+    parts = [_rows(slots, [(0, 1)], lines=False), _rows(slots, [(1, 2)], lines=False)]
+    assert text_of(np.hstack([*parts, _rows(slots, [(2, 3)])])) == expected
+
+
+packer_cells = st.one_of(
+    st.none(),
+    st.floats(min_value=-999.0, max_value=999.0),
+    st.floats(min_value=-2e7, max_value=2e7),
+    st.sampled_from([1.03125, -1.09375, 0.00005, -0.00005, math.nan, math.inf, -math.inf]),
+    st.sampled_from([1e7, -1e7, 1e15, -1e15, 1.5e300]),
+    st.integers(-(10**11), 10**11).map(lambda k: (k + 0.5) / 1e4),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(packer_cells, min_size=c, max_size=c), min_size=1, max_size=12)
+    ),
+    st.sampled_from([0, 1, 6, 8, 16]),
+)
+@example([[None, 1.03125], [-2.5, None]], 0)
+@example([[None], [None]], 1)
+@example([[1e15, -3.25, math.nan]], 0)
+def test_packed_rows_are_the_cells_joined(cells, wider):
+    # short, negative, tie, non-finite, 1e7 and longer cells and blank ones
+    # (_BLANK, as a profile's measured cell) mix in a block, whose slots are
+    # then widened by `wider` bytes; each packed row is its cells' texts
+    # joined by "," whatever the slot width
+    block = np.array([[0.0 if v is None else v for v in row] for row in cells])
+    slots = _encode(block)
+    slots[np.array([[v is None for v in row] for row in cells])] = _BLANK
+    slots = slots.astype(f"S{slots.dtype.itemsize + wider}")
+    expected = "".join(
+        ",".join("" if v is None else _db(v) for v in row) + "\n" for row in cells
+    )
+    assert packed(slots) == expected
+
+
+def test_columns_are_cut_to_their_longest_cell():
+    # numpy's cells are right-aligned before the "," at byte 13, so a column
+    # of them keeps the bytes from its longest cell's first one to its ","
+    slots = _encode(np.array([[1.5, -20.25, 0.0], [10.0, 3.0, 0.0]]))
+    positions, starts = _cut(slots)
+    assert np.diff(starts).tolist() == [8, 9, 7]
+    assert positions[:8].tolist() == list(range(6, 14))
+    rows = _rows(slots)
+    assert rows.shape == (2, 24)
+    assert text_of(rows) == "1.5000,-20.2500,0.0000\n10.0000,3.0000,0.0000\n"
+    # a blank cell's "," is where numpy's cells have theirs: it widens no
+    # column, and a column of blanks keeps one byte
+    slots[0, 2] = _BLANK
+    assert np.diff(_cut(slots)[1]).tolist() == [8, 9, 7]
+    slots[1, 2] = _BLANK
+    assert np.diff(_cut(slots)[1]).tolist() == [8, 9, 1]
+    assert text_of(_rows(slots)) == "1.5000,-20.2500,\n10.0000,3.0000,\n"
 
 
 # rows per _write_table block of a 4-column table
@@ -734,6 +803,29 @@ def test_wb_files_end_inside_a_part_too_long_to_encode(tmp_path, monkeypatch):
     wb_rows = walked(tmp_path, axis, cals)[-1]
     assert len(wb_rows) == 20
     assert widths == [((41, WIDTH), 17), ((41, 1), 16)]
+
+
+def test_packed_files_at_row_chunk_edges(tmp_path):
+    # the first walk part's rows: the grid point 1.0, ROW_STEP - 2 samples at
+    # 1.002 km, the grid point 2.5 km, then grid points to 10.3 km.  So both
+    # of its row chunks start and end on a blank measured cell, the first
+    # chunk's last calibrated cell is a long _db text among short numpy
+    # ones, and the W-BERT files end inside the second chunk, at 10.0995 km
+    cals = [steep_fit(kind) for kind in ModelKind]
+    grid = np.concatenate([[1.0, 2.5], np.linspace(2.6, 10.3, PART - 3), np.linspace(10.4, 12, 50)])
+    rng = np.random.default_rng(59)
+    p = np.round(rng.uniform(80.0, 140.0, ROW_STEP - 2), 3)
+    p[-1] = 1e15
+    profiles = walked(tmp_path, grid, cals, MeasurementSet(np.full(p.size, 1.002), p))
+    part_rows = ROW_STEP + PART - 3
+    rows = profiles[0]
+    assert [rows[i][1] for i in (0, ROW_STEP - 1, ROW_STEP, part_rows - 1)] == [""] * 4
+    assert rows[ROW_STEP - 2][1] == _db(1e15)
+    assert rows[part_rows - 1][0] == "10.3000" and rows[part_rows][0] == "10.4000"
+    # numpy encodes a cell under 1e7 in magnitude, _db any longer one
+    assert abs(float(rows[ROW_STEP - 2][3])) < 1e7
+    assert len(rows[ROW_STEP - 1][3]) > SLOT_TEXT_MAX
+    assert ROW_STEP < len(profiles[-1]) < part_rows - 1
 
 
 def counted_encodes(monkeypatch) -> list:
