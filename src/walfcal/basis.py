@@ -10,31 +10,30 @@ constants merged (89.5 = 32.4 + 57.1, 38 log10 d, 21 log10 f).
 At fixed terrain each term is a weight times one feature of distance: 1,
 log10 d or, for W-BERT only, log10(1 - d^2 / (17 dh_tx)).  So the terms at n
 distances are Φ(d)·M, with Φ the n×2 (WI) or n×3 (W-BERT) feature matrix and
-M the features×terms weight table built from one list of (label, group,
-feature, weight) rows per family.  The design matrix Φ @ M is therefore rank
-deficient by construction: rank 2 for WI, 3 for W-BERT.
+M the features×terms weight table built from the (label, group, feature,
+weight) rows that models._terms lists and checks for each family.  The
+design matrix Φ @ M is therefore rank deficient by construction: rank 2 for
+WI, 3 for W-BERT.
 """
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .models import (
-    RTS_LEAD_COST,
-    RTS_LEAD_ITU,
-    Family,
+    _CURVATURE,
+    _LOG_D,
+    _ONE,
     ModelKind,
     Terrain,
     _as_distance,
     _as_floats,
     _check_wb_domain,
-    multiscreen_constants,
-    street_orientation_term,
+    _check_weights,
+    _terms,
 )
 
 __all__ = [
@@ -51,17 +50,6 @@ WB_GROUPS = ("CORE", "HEIGHT", "GEOMETRY", "CURVATURE")
 RANK_TOL_DEFAULT = 1e-10
 # rows per block of a fit's QR fold
 _CHUNK_ROWS = 8192
-
-# feature columns of Φ
-_ONE, _LOG_D, _CURVATURE = 0, 1, 2
-# the largest term weight, in dB or dB per decade, that build_basis accepts: a
-# fit multiplies the weights by R, whose entries reach sqrt(n)·324 at n rows
-# (|log10 d| < 324 for any positive double), so 1e300 leaves a factor of 1e8
-_WEIGHT_MAX = 1e300
-# the Terrain field that each symbol of a term label stands for
-_SYMBOLS = {
-    "f": "f_mhz", "w": "w_m", "b": "b_m", "phi": "phi_deg", "dh_rx": "dh_rx_m", "dh_tx": "dh_tx_m"
-}
 
 
 def _check_rank_tol(tol: float, name: str) -> float:
@@ -103,6 +91,13 @@ class BasisSet:
         if not found:
             raise DomainError(f"unknown group {group!r} for {self.kind.value}")
         return found
+
+    def _check_calibrated(self, alpha: np.ndarray, at) -> None:
+        """DomainError unless each calibrated term weight alpha[n]·w_n passes
+        models._check_weights, so that no term value, group or total that alpha
+        gives at any d overflows; at(n) names the inputs that gave alpha[n]."""
+        weights = [a * row[3] for a, row in zip(alpha.tolist(), self.terms)]
+        _check_weights([row[0] for row in self.terms], weights, at)
 
     def features(self, d_km) -> np.ndarray:
         """Φ(d), one row per distance; validates d and the W-BERT domain once."""
@@ -153,67 +148,15 @@ class BasisSet:
         return values
 
 
-def _log10(x: float) -> float:
-    """log10 x of a term's argument, nan where x is not positive, so that
-    build_basis rejects the term."""
-    return math.log10(x) if x > 0.0 else math.nan
-
-
-def _wi_terms(terrain: Terrain, kind: ModelKind) -> list[tuple[str, str, int, float]]:
-    family, density = kind.family, kind.density
-    lead = RTS_LEAD_ITU if family is Family.ITU else RTS_LEAD_COST
-    ka, kf = multiscreen_constants(terrain, density, family)
-    log_f = _log10(terrain.f_mhz)
-    return [
-        ("32.4", "FSP", _ONE, 32.4),
-        ("20 log10 d", "FSP", _LOG_D, 20.0),
-        ("20 log10 f", "FSP", _ONE, 20.0 * log_f),
-        (f"{lead:g}", "RTS", _ONE, lead),
-        ("-10 log10 w", "RTS", _ONE, -10.0 * _log10(terrain.w_m)),
-        ("10 log10 f", "RTS", _ONE, 10.0 * log_f),
-        ("20 log10 dh_rx", "RTS", _ONE, 20.0 * _log10(terrain.dh_rx_m)),
-        ("orientation(phi)", "RTS", _ONE, street_orientation_term(terrain.phi_deg)),
-        ("-18 log10(1 + dh_tx)", "MSD", _ONE, -18.0 * _log10(1.0 + terrain.dh_tx_m)),
-        ("k_a", "MSD", _ONE, ka),
-        ("18 log10 d", "MSD", _LOG_D, 18.0),
-        ("k_f log10 f", "MSD", _ONE, kf * log_f),
-        ("-9 log10 b", "MSD", _ONE, -9.0 * _log10(terrain.b_m)),
-    ]
-
-
-def _wb_terms(terrain: Terrain) -> list[tuple[str, str, int, float]]:
-    half_b = terrain.b_m / 2.0
-    angle_deg = math.degrees(math.atan(2.0 * terrain.dh_rx_m / terrain.b_m))
-    geometry = 5.0 * _log10(half_b * half_b + terrain.dh_rx_m * terrain.dh_rx_m)
-    return [
-        ("89.5", "CORE", _ONE, 89.5),
-        ("38 log10 d", "CORE", _LOG_D, 38.0),
-        ("-18 log10 dh_tx", "HEIGHT", _ONE, -18.0 * _log10(terrain.dh_tx_m)),
-        ("21 log10 f", "CORE", _ONE, 21.0 * _log10(terrain.f_mhz)),
-        ("5 log10((b/2)^2 + dh_rx^2)", "GEOMETRY", _ONE, geometry),
-        ("-9 log10 b", "GEOMETRY", _ONE, -9.0 * _log10(terrain.b_m)),
-        ("20 log10 atan_deg(2 dh_rx / b)", "GEOMETRY", _ONE, 20.0 * _log10(angle_deg)),
-        ("-18 log10(1 - d^2 / (17 dh_tx))", "CURVATURE", _CURVATURE, -18.0),
-    ]
-
-
 def build_basis(kind: ModelKind, terrain: Terrain) -> BasisSet:
     """Component terms of one variant at fixed terrain, with their table M.
 
     13 terms for a Walfisch-Ikegami variant, 8 for Walfisch-Bertoni; their
-    sum equals predict_basic(kind, terrain, d) at every d.  Every weight must
-    be finite and within ±_WEIGHT_MAX, which also needs every log10 argument
-    positive; DomainError naming the terrain fields of the term otherwise.
+    sum equals predict_basic(kind, terrain, d) at every d.  The terrain must
+    pass the weight check of models._terms (DomainError naming the terrain
+    fields of the failing term otherwise).
     """
-    terms = _wb_terms(terrain) if kind is ModelKind.W_BERT else _wi_terms(terrain, kind)
-    for label, _, _, weight in terms:
-        if not abs(weight) <= _WEIGHT_MAX:
-            symbols = set(re.findall(r"[a-z_]+", label))
-            at = [f"{f} = {getattr(terrain, f)!r}" for s, f in _SYMBOLS.items() if s in symbols]
-            raise DomainError(
-                f"term {label!r} has weight {weight!r} at {', '.join(at)}; "
-                f"a weight must be finite and within ±{_WEIGHT_MAX:g}"
-            )
+    terms = _terms(kind, terrain)
     weights = np.zeros((1 + max(row[2] for row in terms), len(terms)))
     for n, (_, _, feature, weight) in enumerate(terms):
         weights[feature, n] = weight

@@ -171,11 +171,23 @@ def calibrate(
 
     The residual (fitted minus measured) is orthogonal to every design-matrix
     column; in particular its mean is zero because constants lie in the span.
+    DomainError for pathloss whose 2-norm overflows, or for a fit whose
+    calibrated term weights fail BasisSet._check_calibrated, whose values
+    could overflow.
     """
     basis = build_basis(kind, terrain)
     r = _fold(basis, meas.distances_km, meas.pathloss_db)
     k = len(basis.weights)
+    # Φ's columns, each |value| < 324, cannot overflow R; the pathloss column can
+    if not np.isfinite(r[:, k]).all():
+        raise DomainError(
+            f"measured pathloss up to {float(meas.pathloss_db.max())!r} dB is too large for a "
+            f"least-squares fit of {len(meas)} samples: its 2-norm overflows"
+        )
     alpha, rank = minimum_norm_lstsq(r[:, :k] @ basis.weights, r[:, k], cutoff)
+    basis._check_calibrated(
+        alpha, lambda _: f"a fit to measured pathloss up to {float(meas.pathloss_db.max())!r} dB"
+    )
     alpha.setflags(write=False)
     return Calibration(
         basis=basis,

@@ -1,16 +1,18 @@
 """Command-line front end: batch calibration runs.
 
 Inputs are a flat key=value campaign config (terrain, model list, prediction
-grid, rank tolerance) and a two-column CSV of measurements.  calibrate fits
+grid, rank tolerance) and a two-column CSV of measurements; each input file
+is read once, and _reading words a failed read or decode.  calibrate fits
 every configured variant with walfcal.calib.calibrate, then writes
 summary.csv plus per-model profile, disaggregation and coefficient files in
-one call to walfcal.report; one model's failure goes to stderr and the exit
-status without stopping the others.  Every basic or calibrated value a run
-prints or writes is one prediction, Φ(d)·(M·w) with unit weights w for the
-basic model or the fitted α: predict evaluates it over the grid, with w
-read from a saved coefficients file when one is given; rank prints the
-numeric rank of each design matrix.  Only a grid is truncated at the
-Walfisch-Bertoni curvature limit, with a warning; measured distances face
+one call to walfcal.report.  Every basic or calibrated value a run prints
+or writes is one prediction, Φ(d)·(M·w) with unit weights w for the basic
+model or the fitted α: predict evaluates it over the grid, with w read from
+a saved coefficients file when one is given; rank prints the numeric rank
+of each design matrix.  In calibrate and rank each model fails alone: its
+error goes to stderr as "error: <model>: ..." and to the exit status, and
+the others still run.  Only a grid is truncated at the Walfisch-Bertoni
+curvature limit, by _model_grid, with a warning; measured distances face
 calibrate's domain check in rank too.
 """
 
@@ -101,6 +103,16 @@ def _float_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
+@contextlib.contextmanager
+def _reading(path: Path, what: str):
+    """Raise an OSError or UnicodeDecodeError of the block as a ParseError naming
+    what and path; an input file is read once and decoded as "utf-8-sig"."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path) -> CampaignConfig:
     """Parse a key = value campaign file.
 
@@ -110,10 +122,8 @@ def load_config(path) -> CampaignConfig:
     byte-order mark.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
+    with _reading(path, "config"):
+        text = path.read_bytes().decode("utf-8-sig")
 
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -175,10 +185,13 @@ def load_measurements(path) -> MeasurementSet:
     A leading byte-order mark, as spreadsheet exports write, is skipped.
     """
     path = Path(path)
-    table = _read_measurements_fast(path)
+    with _reading(path, "measurements"):
+        data = path.read_bytes()
+    table = _read_measurements_fast(data)
     if table is None:
-        distances, losses = _read_measurements_by_line(path)
+        distances, losses = _read_measurements_by_line(path, data)
     else:
+        del data  # freed before the columns are copied out
         distances, losses = table.T.copy()
     return MeasurementSet(distances, losses)
 
@@ -193,25 +206,24 @@ def _header_ok(line: str) -> bool:
     return ",".join(cell.strip() for cell in line.split(",")) == MEASUREMENT_HEADER
 
 
-def _read_measurements_fast(path: Path):
-    """The n×2 table numpy reads, or None when only the line parser can decide.
+def _read_measurements_fast(data: bytes):
+    """The n×2 table numpy reads from data, or None when only the line parser can decide.
 
-    None on any doubt: an unreadable file, a line break numpy does not split
+    None on any doubt: bytes not in UTF-8, a line break numpy does not split
     at, a header or cell numpy rejects, a warning, no rows, or a value that is
     not finite and positive.  The line parser then accepts or rejects the file
     and words the error, so the fast path never accepts what it rejects.
     """
+    if any(mark in data for mark in _OTHER_LINE_BREAKS[: 5 if data.isascii() else None]):
+        return None
     try:
-        data = path.read_bytes()
-        if any(mark in data for mark in _OTHER_LINE_BREAKS[: 5 if data.isascii() else None]):
-            return None
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as handle:
             if not _header_ok(handle.readline()):
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError, Warning):
+    except (ValueError, Warning):
         return None
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
         return None
@@ -220,12 +232,9 @@ def _read_measurements_fast(path: Path):
     return table
 
 
-def _read_measurements_by_line(path: Path) -> tuple[list[float], list[float]]:
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read measurements {path}: {exc}") from exc
-    lines = text.splitlines()
+def _read_measurements_by_line(path: Path, data: bytes) -> tuple[list[float], list[float]]:
+    with _reading(path, "measurements"):
+        lines = data.decode("utf-8-sig").splitlines()
     if not lines or not _header_ok(lines[0]):
         raise ParseError(f"{path}:1: expected header {MEASUREMENT_HEADER!r}")
 
@@ -344,14 +353,13 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
 
     A leading byte-order mark is skipped, and coefficients must be finite.
     Given the basis they will be used with, the file must also match it: same
-    model, one row per term, and each row's label and group equal to that
-    term's (DomainError otherwise).
+    model, one row per term, each row's label and group equal to that term's,
+    and each calibrated weight within the bound a fit keeps
+    (BasisSet._check_calibrated); DomainError otherwise.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read coefficients {path}: {exc}") from exc
+    with _reading(path, "coefficients"):
+        text = path.read_bytes().decode("utf-8-sig")
     kind: ModelKind | None = None
     rows: dict[int, tuple[int, tuple[str, ...], float]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -398,7 +406,10 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
                     f"{path}:{lineno}: term {index} reads {','.join(tags)!r}, "
                     f"but {model} term {index} is {label},{group}"
                 )
-    return kind, np.array([rows[i][2] for i in range(len(rows))])
+    alpha = np.array([rows[i][2] for i in range(len(rows))])
+    if basis is not None:
+        basis._check_calibrated(alpha, lambda n: f"{path}:{rows[n][0]}, coefficient {rows[n][2]!r}")
+    return kind, alpha
 
 
 def _summary_line(run: ModelRun) -> str:
@@ -424,18 +435,25 @@ def _cmd_calibrate(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_predict(args) -> int:
-    config = load_config(args.config)
-    kind = ModelKind.from_label(args.model)
-    grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
-    grid, warning = _model_distances(kind, config.terrain, grid)
+def _model_grid(kind: ModelKind, terrain: Terrain, grid: np.ndarray) -> np.ndarray:
+    """The grid points kind covers (_model_distances), once its truncation
+    warning is printed; DomainError naming the curvature limit if none is left."""
+    grid, warning = _model_distances(kind, terrain, grid)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     if grid.size == 0:
         raise DomainError(
             f"entire grid lies beyond the curvature limit "
-            f"{wb_max_distance_km(config.terrain.dh_tx_m):.4f} km"
+            f"{wb_max_distance_km(terrain.dh_tx_m):.4f} km"
         )
+    return grid
+
+
+def _cmd_predict(args) -> int:
+    config = load_config(args.config)
+    kind = ModelKind.from_label(args.model)
+    grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
+    grid = _model_grid(kind, config.terrain, grid)
     basis = build_basis(kind, config.terrain)
     # the nominal model weights every term by 1
     alpha = np.ones(len(basis))
@@ -462,30 +480,16 @@ def _cmd_rank(args) -> int:
         distances = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     failed = False
     for kind in config.models:
-        model_d = distances
-        if not args.measurements:
-            model_d, warning = _model_distances(kind, config.terrain, distances)
-            if warning:
-                print(f"warning: {warning}", file=sys.stderr)
-            if model_d.size == 0:
-                print(
-                    f"error: {kind.value}: no grid distances inside the curvature domain",
-                    file=sys.stderr,
-                )
-                failed = True
-                continue
-        basis = build_basis(kind, config.terrain)
         try:
+            d = distances if args.measurements else _model_grid(kind, config.terrain, distances)
+            basis = build_basis(kind, config.terrain)
             # R·M has the rank and singular values of Φ·M
-            reduced = _fold(basis, model_d) @ basis.weights
+            rank = effective_rank(_fold(basis, d) @ basis.weights, tol)
         except WalfcalError as exc:
             print(f"error: {kind.value}: {exc}", file=sys.stderr)
             failed = True
             continue
-        rank = effective_rank(reduced, tol)
-        print(
-            f"{kind.value}: rank={rank} (rows={model_d.size}, functions={len(basis)}, tol={tol:g})"
-        )
+        print(f"{kind.value}: rank={rank} (rows={d.size}, functions={len(basis)}, tol={tol:g})")
     return 1 if failed else 0
 
 

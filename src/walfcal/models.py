@@ -15,6 +15,7 @@ safe to call from any number of workers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,20 @@ __all__ = [
 
 RTS_LEAD_COST = -16.9
 RTS_LEAD_ITU = -8.2
+
+# the features of distance that the component terms weight: 1, log10 d and,
+# for W-BERT, log10(1 - d^2 / (17 dh_tx))
+_ONE, _LOG_D, _CURVATURE = 0, 1, 2
+# the largest term weight, nominal or calibrated, in dB or dB per decade: a
+# fit multiplies the weights by R, whose entries reach sqrt(n)·324 at n rows
+# (|log10 d| < 324 for any positive double), so 1e300 leaves a factor of 1e8;
+# a term's value is its weight times a feature under 324 in magnitude, so no
+# sum of terms overflows either
+_WEIGHT_MAX = 1e300
+# the Terrain field that each symbol of a term label stands for
+_SYMBOLS = {
+    "f": "f_mhz", "w": "w_m", "b": "b_m", "phi": "phi_deg", "dh_rx": "dh_rx_m", "dh_tx": "dh_tx_m"
+}
 
 
 class Family(Enum):
@@ -149,7 +164,9 @@ def wb_max_distance_km(dh_tx_m: float) -> float:
 
 def _inside_wb_limit(d: np.ndarray, dh_tx_m: float) -> np.ndarray:
     """True where d^2 < 17 * dh_tx: the one test of the Walfisch-Bertoni domain."""
-    return d * d < 17.0 * dh_tx_m
+    # a d^2 that overflows to inf lies outside, as it should
+    with np.errstate(over="ignore"):
+        return d * d < 17.0 * dh_tx_m
 
 
 def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
@@ -316,12 +333,90 @@ def _wb_excess_db(terrain: Terrain, d: np.ndarray) -> np.ndarray:
     return loss
 
 
+def _log10(x: float) -> float:
+    """log10 x of a term's argument, nan where x is not positive, so that
+    _terms rejects the term."""
+    return math.log10(x) if x > 0.0 else math.nan
+
+
+def _wi_terms(terrain: Terrain, kind: ModelKind) -> list[tuple[str, str, int, float]]:
+    family, density = kind.family, kind.density
+    lead = RTS_LEAD_ITU if family is Family.ITU else RTS_LEAD_COST
+    ka, kf = multiscreen_constants(terrain, density, family)
+    log_f = _log10(terrain.f_mhz)
+    return [
+        ("32.4", "FSP", _ONE, 32.4),
+        ("20 log10 d", "FSP", _LOG_D, 20.0),
+        ("20 log10 f", "FSP", _ONE, 20.0 * log_f),
+        (f"{lead:g}", "RTS", _ONE, lead),
+        ("-10 log10 w", "RTS", _ONE, -10.0 * _log10(terrain.w_m)),
+        ("10 log10 f", "RTS", _ONE, 10.0 * log_f),
+        ("20 log10 dh_rx", "RTS", _ONE, 20.0 * _log10(terrain.dh_rx_m)),
+        ("orientation(phi)", "RTS", _ONE, street_orientation_term(terrain.phi_deg)),
+        ("-18 log10(1 + dh_tx)", "MSD", _ONE, -18.0 * _log10(1.0 + terrain.dh_tx_m)),
+        ("k_a", "MSD", _ONE, ka),
+        ("18 log10 d", "MSD", _LOG_D, 18.0),
+        ("k_f log10 f", "MSD", _ONE, kf * log_f),
+        ("-9 log10 b", "MSD", _ONE, -9.0 * _log10(terrain.b_m)),
+    ]
+
+
+def _wb_terms(terrain: Terrain) -> list[tuple[str, str, int, float]]:
+    half_b = terrain.b_m / 2.0
+    angle_deg = math.degrees(math.atan(2.0 * terrain.dh_rx_m / terrain.b_m))
+    geometry = 5.0 * _log10(half_b * half_b + terrain.dh_rx_m * terrain.dh_rx_m)
+    return [
+        ("89.5", "CORE", _ONE, 89.5),
+        ("38 log10 d", "CORE", _LOG_D, 38.0),
+        ("-18 log10 dh_tx", "HEIGHT", _ONE, -18.0 * _log10(terrain.dh_tx_m)),
+        ("21 log10 f", "CORE", _ONE, 21.0 * _log10(terrain.f_mhz)),
+        ("5 log10((b/2)^2 + dh_rx^2)", "GEOMETRY", _ONE, geometry),
+        ("-9 log10 b", "GEOMETRY", _ONE, -9.0 * _log10(terrain.b_m)),
+        ("20 log10 atan_deg(2 dh_rx / b)", "GEOMETRY", _ONE, 20.0 * _log10(angle_deg)),
+        ("-18 log10(1 - d^2 / (17 dh_tx))", "CURVATURE", _CURVATURE, -18.0),
+    ]
+
+
+def _check_weights(labels, weights, at) -> None:
+    """DomainError unless every term weight, nominal or calibrated, is finite
+    and within ±_WEIGHT_MAX; at(n) names the inputs that gave weight n."""
+    for n, (label, weight) in enumerate(zip(labels, weights)):
+        if not abs(weight) <= _WEIGHT_MAX:
+            raise DomainError(
+                f"term {label!r} has weight {float(weight)!r} at {at(n)}; "
+                f"a weight must be finite and within ±{_WEIGHT_MAX:g}"
+            )
+
+
+def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float]]:
+    """The component terms of one variant at fixed terrain, as (label, group,
+    feature, weight) rows: 13 for a Walfisch-Ikegami variant, 8 for
+    Walfisch-Bertoni, summing to predict_basic at every d.
+
+    Every weight must pass _check_weights, which also needs every log10
+    argument positive; DomainError naming the terrain fields of the term
+    otherwise.  This is the one terrain check of build_basis and
+    predict_basic.
+    """
+    terms = _wb_terms(terrain) if kind is ModelKind.W_BERT else _wi_terms(terrain, kind)
+
+    def fields(n: int) -> str:
+        symbols = set(re.findall(r"[a-z_]+", terms[n][0]))
+        at = [f"{f} = {getattr(terrain, f)!r}" for s, f in _SYMBOLS.items() if s in symbols]
+        return ", ".join(at)
+
+    _check_weights([row[0] for row in terms], [row[3] for row in terms], fields)
+    return terms
+
+
 def predict_basic(kind: ModelKind, terrain: Terrain, d_km):
     """Nominal (uncalibrated) pathloss of one model variant.
 
     Walfisch-Ikegami variants sum free-space, roof-top-to-street, and
-    multiscreen losses; W-BERT sums free-space and excess losses.
+    multiscreen losses; W-BERT sums free-space and excess losses.  The
+    terrain must pass the weight check of _terms, as for build_basis.
     """
+    _terms(kind, terrain)
     d, scalar = _as_distance(d_km)
     if kind is ModelKind.W_BERT:
         # free space added into the excess, so two arrays at the most

@@ -257,6 +257,20 @@ class TestCalibrate:
         with pytest.raises(CurvatureDomainError, match="13.5"):
             calibrate(ModelKind.W_BERT, t, meas)
 
+    @pytest.mark.parametrize("kind", WI_KINDS, ids=lambda kind: kind.value)
+    def test_rejects_a_fit_whose_term_weights_overflow(self, kind):
+        # log10 d is nearly constant at 1e303 km, so a fit to pathloss near
+        # 1e306 dB needs a constant term past the largest double, where its
+        # fitted values would overflow
+        meas = MeasurementSet(np.array([1.0, 2.0, 5.0]) * 1e303, [2e306, 2.5e306, 3e306])
+        with pytest.raises(DomainError) as caught:
+            calibrate(kind, make_terrain(), meas)
+        assert str(caught.value).startswith("term '32.4' has weight -4.")
+        assert str(caught.value).endswith(
+            " at a fit to measured pathloss up to 3e+306 dB; "
+            "a weight must be finite and within ±1e+300"
+        )
+
     def test_duplicate_distances_act_as_weights(self):
         t = make_terrain()
         # two samples at 1 km pull the fit toward their mean

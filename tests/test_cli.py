@@ -203,9 +203,9 @@ class TestMeasurementFastPath:
         data, fast = PARSE_CASES[name]
         path = tmp_path / "m.csv"
         path.write_bytes(data)
-        table = _read_measurements_fast(path)
+        table = _read_measurements_fast(data)
         try:
-            distances, losses = _read_measurements_by_line(path)
+            distances, losses = _read_measurements_by_line(path, data)
         except ParseError as exc:
             assert table is None
             with pytest.raises(ParseError) as caught:
@@ -219,6 +219,30 @@ class TestMeasurementFastPath:
             assert table.tolist() == [list(row) for row in zip(distances, losses)]
         if fast is not None:
             assert (table is not None) == fast
+
+    @pytest.mark.parametrize("name", ["plain", "bom", "form feed in a line", "underscore"])
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch, name):
+        # the line parser takes the text the numpy path declined, not the file again
+        path = tmp_path / "m.csv"
+        path.write_bytes(PARSE_CASES[name][0])
+        reads = []
+
+        def counted(read):
+            def wrapper(self, *args, **kwargs):
+                reads.append(self)
+                return read(self, *args, **kwargs)
+
+            return wrapper
+
+        for method in ("read_bytes", "read_text"):
+            monkeypatch.setattr(Path, method, counted(getattr(Path, method)))
+        try:
+            load_measurements(path)
+        except ParseError:
+            pass
+        assert reads == [path]
+        declined = _read_measurements_fast(path.read_bytes()) is None
+        assert declined == (name not in ("plain", "bom"))
 
     @pytest.mark.parametrize("name", ["underscore", "fullwidth digit"])
     def test_python_only_spellings_are_rejected(self, tmp_path, name):
@@ -714,6 +738,53 @@ class TestMainCommand:
             assert err.startswith("error: ") and f"{field} = {value!r}" in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("f_mhz", [1e299, 1e300])
+    def test_a_frequency_inside_the_weight_bound_fits_every_model(self, tmp_path, capsys, f_mhz):
+        # the basic RMSE of CWI-M and CWI-SU is near 1e298 dB; its squares overflow
+        config_path, meas_path = write_campaign(tmp_path)
+        config_path.write_text(config_path.read_text().replace("f_mhz = 900", f"f_mhz = {f_mhz!r}"))
+        argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = captured.out.splitlines()[:5]
+        assert [line.split()[0] for line in summary] == [kind.value for kind in ModelKind]
+        assert all("inf" not in line for line in summary)
+
+    @pytest.mark.parametrize("pathloss", [1e300, 1e308])
+    def test_every_pathloss_at_an_extreme(self, tmp_path, capsys, pathloss):
+        config_path, meas_path = write_campaign(tmp_path)
+        d = load_measurements(meas_path).distances_km
+        save_measurements(MeasurementSet(d, np.full(d.size, pathloss)), meas_path)
+        argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
+        code = main([*argv, "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        if pathloss == 1e300:
+            # each RMSE and mean comes out finite once the residual is rescaled
+            assert (code, captured.err) == (0, "")
+            assert all("improvement=100.00%" in line for line in captured.out.splitlines()[:5])
+        else:
+            # the 2-norm of 60 samples at 1e308 dB is past the largest double
+            assert code == 1 and captured.out.startswith("reports written to ")
+            assert captured.err == "".join(
+                f"error: {kind.value}: measured pathloss up to 1e+308 dB is too large for a "
+                "least-squares fit of 60 samples: its 2-norm overflows\n"
+                for kind in ModelKind
+            )
+
+    def test_distances_whose_squares_overflow_fail_only_wb(self, tmp_path, capsys):
+        config_path, meas_path = write_campaign(tmp_path)
+        meas = load_measurements(meas_path)
+        save_measurements(MeasurementSet(meas.distances_km * 1e300, meas.pathloss_db), meas_path)
+        argv = ["--config", str(config_path), "--measurements", str(meas_path)]
+        assert main(["calibrate", *argv, "--output-dir", str(tmp_path / "out")]) == 1
+        calibrated = capsys.readouterr().err
+        assert main(["rank", *argv]) == 1
+        ranked = capsys.readouterr().err
+        assert calibrated == ranked
+        assert ranked.startswith("error: W-BERT: distance(s) ") and ranked.count("\n") == 1
+        assert ranked.endswith(" the curvature limit 10.0995 km (requires d^2 < 17 * dh_tx)\n")
+
     def test_predict_basic_to_file(self, tmp_path):
         config_path, _ = write_campaign(tmp_path, models="CWI-M", n=10)
         out = tmp_path / "pred.csv"
@@ -803,6 +874,22 @@ class TestMainCommand:
         assert code == 1
         assert "W-BERT" in captured.err
 
+    def test_predict_rejects_a_coefficient_whose_term_weight_overflows(self, tmp_path, capsys):
+        result = run_campaign(tmp_path)
+        coefficients = result.output_dir / "coefficients_CWI-M.csv"
+        lines = coefficients.read_text().splitlines()
+        assert lines[2].startswith("0,32.4,FSP,")
+        lines[2] = "0,32.4,FSP,1e308"
+        coefficients.write_text("\n".join(lines) + "\n")
+        argv = ["--config", str(tmp_path / "campaign.cfg"), "--model", "CWI-M"]
+        assert main(["predict", *argv, "--coefficients", str(coefficients)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: term '32.4' has weight inf at {coefficients}:3, coefficient 1e+308; "
+            "a weight must be finite and within ±1e+300\n"
+        )
+
     def test_predict_wb_truncates_grid(self, tmp_path, capsys):
         config_path, _ = write_campaign(tmp_path, models="W-BERT", d_max=12.0)
         code = main(["predict", "--config", str(config_path), "--model", "W-BERT"])
@@ -855,6 +942,34 @@ class TestMainCommand:
             "(20 of 120 points dropped)\n"
         )
         assert "W-BERT: rank=3 (rows=100," in captured.out
+
+    def test_rank_fails_each_model_alone(self, tmp_path, capsys):
+        # a terrain that fails W-BERT's weight check leaves CWI-M's rank standing
+        config_path, _ = write_campaign(tmp_path, models="W-BERT, CWI-M")
+        config_path.write_text(config_path.read_text().replace("dh_rx_m = 12", "dh_rx_m = 5e-324"))
+        assert main(["rank", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: W-BERT: term '20 log10 atan_deg(2 dh_rx / b)' has weight nan at "
+            "b_m = 30.0, dh_rx_m = 5e-324; a weight must be finite and within ±1e+300\n"
+        )
+        assert captured.out == "CWI-M: rank=2 (rows=45, functions=13, tol=1e-10)\n"
+
+    def test_a_grid_past_the_wb_limit_fails_predict_and_rank_alike(self, tmp_path, capsys):
+        config_path, _ = write_campaign(tmp_path, models="W-BERT, CWI-M", d_max=12.0)
+        config_path.write_text(config_path.read_text().replace("d_min_km = 0.1", "d_min_km = 11"))
+        warning = (
+            "warning: W-BERT: grid truncated at the curvature limit 10.0995 km "
+            "(11 of 11 points dropped)\n"
+        )
+        message = "entire grid lies beyond the curvature limit 10.0995 km\n"
+        assert main(["predict", "--config", str(config_path), "--model", "W-BERT"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", warning + "error: " + message)
+        assert main(["rank", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == warning + "error: W-BERT: " + message
+        assert captured.out == "CWI-M: rank=2 (rows=11, functions=13, tol=1e-10)\n"
 
     @pytest.mark.parametrize("rank_tol", [None, 0.9])
     def test_config_rank_tol_reaches_the_fit(self, tmp_path, capsys, rank_tol):

@@ -229,6 +229,28 @@ class TestNotFinite:
         with pytest.raises(DomainError, match="^series must be finite$"):
             mpe([np.inf, 1.0, -np.inf], [1.0, 1.0, 1.0])
 
+    def test_squares_past_the_largest_double_are_rescaled(self):
+        # the root mean square of residuals near 1e200 is finite
+        assert rmse([3e200, 4e200], [0.0, 0.0]) == pytest.approx(12.5**0.5 * 1e200, rel=1e-15)
+        report = MetricsReport.from_series([1.0, 1.0], [3e200, 4e200], [6e200, 8e200])
+        assert report.rmse_db == pytest.approx(12.5**0.5 * 1e200, rel=1e-15)
+        assert report.rmse_basic_db == pytest.approx(12.5**0.5 * 2e200, rel=1e-15)
+        assert report.improvement_pct == pytest.approx(50.0)
+
+    def test_a_sum_past_the_largest_double_is_rescaled(self):
+        # each residual is finite, and so is their mean
+        assert mpe([1.5e308] * 3, [1.0] * 3) == 1.5e308
+        report = MetricsReport.from_series([1.0] * 3, [1.5e308] * 3)
+        assert (report.mpe_db, report.rmse_db) == (1.5e308, 1.5e308)
+
+    def test_improvement_past_a_1e306_gap_is_finite(self):
+        assert improvement_pct(1e307, 1.0) == pytest.approx(100.0)
+        assert improvement_pct(1e308, 5e307) == pytest.approx(50.0)
+
+    def test_a_residual_past_the_largest_double_is_inf_without_a_warning(self):
+        assert rmse([1e308, 0.0], [-1e308, 0.0]) == np.inf
+        assert mpe([1e308, 0.0], [-1e308, 0.0]) == np.inf
+
     def test_finite_series_whose_residual_overflows_keep_their_value(self):
         with np.errstate(over="ignore"):
             assert rmse([1e308, 0.0], [-1e308, 0.0]) == np.inf

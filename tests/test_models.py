@@ -14,6 +14,7 @@ from walfcal import (
     Family,
     ModelKind,
     Terrain,
+    build_basis,
     building_geometry_term,
     free_space_loss,
     multiscreen_constants,
@@ -309,6 +310,27 @@ class TestPredictBasic:
             values = predict_basic(kind, t, d)
             assert values[0] == pytest.approx(predict_basic(kind, t, 0.5))
             assert values[1] == pytest.approx(predict_basic(kind, t, 2.0))
+
+    @pytest.mark.parametrize(
+        "fields, failing",
+        [
+            ({"dh_rx_m": 5e-324}, [ModelKind.W_BERT]),
+            ({"f_mhz": 1e308}, [ModelKind.CWI_M, ModelKind.CWI_SU]),
+        ],
+        ids=["atan underflows", "k_f log10 f past 1e300"],
+    )
+    def test_rejects_the_terrains_build_basis_rejects(self, fields, failing):
+        # the one weight check, with build_basis's words; the other models evaluate
+        t = make_terrain(**fields)
+        for kind in ModelKind:
+            if kind not in failing:
+                assert math.isfinite(predict_basic(kind, t, 1.0))
+                continue
+            with pytest.raises(DomainError) as closed_form:
+                predict_basic(kind, t, 1.0)
+            with pytest.raises(DomainError) as terms:
+                build_basis(kind, t)
+            assert str(closed_form.value) == str(terms.value)
 
     def test_wb_propagates_domain_error(self):
         t = make_terrain(dh_tx_m=10.0)
