@@ -126,9 +126,17 @@ class BasisSet:
         return np.log10(np.subtract(1.0, curvature, out=curvature), out=curvature)
 
     def evaluate(self, d_km, weights):
-        """Weighted sum of the terms in dB, Φ(d) @ (M @ weights); a float for a scalar d."""
+        """Weighted sum of the terms in dB, Φ(d) @ (M @ weights); a float for a scalar d.
+
+        weights must be a vector of len(self) values whose calibrated term
+        weights pass _check_calibrated; DomainError otherwise.
+        """
+        w = _as_floats(weights, "weights")
+        if w.shape != (len(self),):
+            raise DomainError(f"{self.kind.value} needs {len(self)} weights, got shape {w.shape}")
+        self._check_calibrated(w, lambda n: f"weights[{n}] = {float(w[n])!r}")
         d = _as_floats(d_km, "d_km")
-        values = self._sum(self._checked(d), self.weights @ weights)
+        values = self._sum(self._checked(d), self.weights @ w)
         return float(values[0]) if d.ndim == 0 else values.reshape(d.shape)
 
     def _sum(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Inputs are a flat key=value campaign config (terrain, model list, prediction
 grid, rank tolerance) and a two-column CSV of measurements; each input file
-is read once, and _reading words a failed read or decode.  calibrate fits
+is read once, and _reading words a failed read or decode; a CampaignConfig
+builds and checks its grid once, with prediction_grid.  calibrate fits
 every configured variant with walfcal.calib.calibrate, then writes
 summary.csv plus per-model profile, disaggregation and coefficient files in
 one call to walfcal.report.  Every basic or calibrated value a run prints
@@ -26,7 +27,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -70,20 +71,17 @@ class CampaignConfig:
     d_max_km: float
     d_step_km: float
     rank_tol: float = RANK_TOL_DEFAULT
+    # the read-only prediction_grid of the three grid fields, built once here
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.models:
             raise DomainError("at least one model kind is required")
         if len(set(self.models)) < len(self.models):
             raise DomainError(f"model kinds repeat in {[kind.value for kind in self.models]}")
-        for name in ("d_min_km", "d_max_km", "d_step_km"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if self.d_max_km < self.d_min_km:
-            raise DomainError(
-                f"d_max_km ({self.d_max_km!r}) must not be below d_min_km ({self.d_min_km!r})"
-            )
+        grid = prediction_grid(self.d_min_km, self.d_max_km, self.d_step_km)
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         _check_rank_tol(self.rank_tol, "rank_tol")
 
 
@@ -263,9 +261,14 @@ def _read_measurements_by_line(path: Path, data: bytes) -> tuple[list[float], li
 
 
 def prediction_grid(d_min_km: float, d_max_km: float, d_step_km: float) -> np.ndarray:
-    """Inclusive arithmetic grid from d_min to d_max in steps of d_step, with no repeated point."""
-    if d_step_km <= 0.0 or d_min_km <= 0.0 or d_max_km < d_min_km:
-        raise DomainError("grid must satisfy 0 < d_min <= d_max with positive step")
+    """Inclusive arithmetic grid from d_min to d_max in steps of d_step, the one
+    check of the grid rules: each field finite and positive, d_max not below
+    d_min, at most _GRID_POINTS_MAX points and none repeated."""
+    for name, value in zip(_GRID_KEYS, (d_min_km, d_max_km, d_step_km)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    if d_max_km < d_min_km:
+        raise DomainError(f"d_max_km ({d_max_km!r}) must not be below d_min_km ({d_min_km!r})")
     steps = (d_max_km - d_min_km) / d_step_km + 1e-9
     # checked before floor(), which fails on the inf a subnormal step gives
     if steps >= _GRID_POINTS_MAX:
@@ -308,14 +311,14 @@ class CampaignResult:
         return all(run.ok for run in self.runs)
 
 
-def _run_one(kind, config, meas, grid) -> ModelRun:
+def _run_one(kind, config, meas) -> ModelRun:
     """Fit one model with calibrate; its report files are written with the
     other models' once all are fitted."""
     try:
         cal = calibrate(kind, config.terrain, meas, cutoff=config.rank_tol)
         basic_at_meas = cal.basis.evaluate(meas.distances_km, np.ones(len(cal.basis)))
         report = MetricsReport.from_series(meas.pathloss_db, cal.fitted_db, basic_at_meas)
-        _, warning = _model_distances(kind, config.terrain, grid)
+        warning = _model_distances(kind, config.terrain, config.grid)[1]
         return ModelRun(kind, cal, report, (warning,) if warning else ())
     except WalfcalError as exc:
         return ModelRun(kind, None, None, error=f"{kind.value}: {exc}")
@@ -338,13 +341,12 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
     ModelRun while the remaining variants still produce their files.
     """
     meas = load_measurements(measurements_path)
-    grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     out_dir = Path(output_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    runs = tuple(_run_one(kind, config, meas, grid) for kind in config.models)
+    runs = tuple(_run_one(kind, config, meas) for kind in config.models)
     with _writing(out_dir):
-        _write_reports(out_dir, meas, grid, runs)
+        _write_reports(out_dir, meas, config.grid, runs)
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
 
 
@@ -438,22 +440,19 @@ def _cmd_calibrate(args) -> int:
 def _model_grid(kind: ModelKind, terrain: Terrain, grid: np.ndarray) -> np.ndarray:
     """The grid points kind covers (_model_distances), once its truncation
     warning is printed; DomainError naming the curvature limit if none is left."""
-    grid, warning = _model_distances(kind, terrain, grid)
+    end, warning = _model_distances(kind, terrain, grid)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
-    if grid.size == 0:
-        raise DomainError(
-            f"entire grid lies beyond the curvature limit "
-            f"{wb_max_distance_km(terrain.dh_tx_m):.4f} km"
-        )
-    return grid
+    if end == 0:
+        limit = wb_max_distance_km(terrain.dh_tx_m)
+        raise DomainError(f"entire grid lies beyond the curvature limit {limit:.4f} km")
+    return grid[:end]
 
 
 def _cmd_predict(args) -> int:
     config = load_config(args.config)
     kind = ModelKind.from_label(args.model)
-    grid = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
-    grid = _model_grid(kind, config.terrain, grid)
+    grid = _model_grid(kind, config.terrain, config.grid)
     basis = build_basis(kind, config.terrain)
     # the nominal model weights every term by 1
     alpha = np.ones(len(basis))
@@ -473,11 +472,10 @@ def _cmd_predict(args) -> int:
 def _cmd_rank(args) -> int:
     config = load_config(args.config)
     tol = config.rank_tol if args.tol is None else _check_rank_tol(args.tol, "--tol")
+    distances = config.grid
     if args.measurements:
         # measured distances face calibrate's domain check; only a grid is truncated
         distances = load_measurements(args.measurements).distances_km
-    else:
-        distances = prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)
     failed = False
     for kind in config.models:
         try:

@@ -110,6 +110,10 @@ class MetricsReport:
     def __post_init__(self):
         if not (math.isfinite(self.rmse_db) and self.rmse_db >= 0.0):
             raise DomainError(f"rmse_db must be non-negative, got {self.rmse_db!r}")
+        for name in ("mpe_db", "rmse_basic_db", "mpe_basic_db", "improvement_pct"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         # mean of residuals can never beat their root mean square, save for
         # rounding, which grows with their size: a few tens of epsilons of
         # rmse for any length numpy sums pairwise, far below the 1e-12 allowed

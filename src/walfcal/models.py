@@ -170,20 +170,19 @@ def _inside_wb_limit(d: np.ndarray, dh_tx_m: float) -> np.ndarray:
 
 
 def _model_distances(kind: ModelKind, terrain: Terrain, d: np.ndarray):
-    """The distances a model covers, and a warning if any were dropped.
+    """How many leading points of sorted d a model covers, and a warning if any are not.
 
-    All of d, or for W-BERT those inside its curvature limit: on a sorted
-    axis a prefix, which holds every measured distance of a fit.
+    All of d, or for W-BERT those inside its curvature limit: a prefix,
+    which holds every measured distance of a fit.
     """
     if kind is not ModelKind.W_BERT:
-        return d, None
-    kept = d[_inside_wb_limit(d, terrain.dh_tx_m)]
-    dropped = d.size - kept.size
-    if not dropped:
-        return kept, None
-    return kept, (
+        return d.size, None
+    end = int(np.count_nonzero(_inside_wb_limit(d, terrain.dh_tx_m)))
+    if end == d.size:
+        return end, None
+    return end, (
         f"{kind.value}: grid truncated at the curvature limit "
-        f"{wb_max_distance_km(terrain.dh_tx_m):.4f} km ({dropped} of {d.size} points dropped)"
+        f"{wb_max_distance_km(terrain.dh_tx_m):.4f} km ({d.size - end} of {d.size} points dropped)"
     )
 
 
@@ -270,7 +269,9 @@ def multiscreen_loss(terrain: Terrain, d_km, density: Density, family: Family):
     """Multiscreen diffraction loss.
 
     -18 log10(1 + dh_tx) + k_a + 18 log10(d) + k_f log10(f) - 9 log10(b).
+    The terrain must pass the weight check of its MSD term rows (_check_terms).
     """
+    _check_terms(_wi_terms(terrain, family, density), terrain, "MSD")
     d, scalar = _as_distance(d_km)
     loss = _multiscreen_db(terrain, np.log10(d), density, family)
     return float(loss[0]) if scalar else loss
@@ -291,8 +292,15 @@ def building_geometry_term(terrain: Terrain) -> float:
     """Building-geometry loss of the Walfisch-Bertoni model.
 
     A = 5 log10((b/2)^2 + dh_rx^2) - 9 log10(b) + 20 log10(arctan(2 dh_rx / b)),
-    the arc tangent expressed in degrees.
+    the arc tangent expressed in degrees.  The terrain must pass the weight
+    check of its GEOMETRY term rows (_check_terms).
     """
+    _check_terms(_wb_terms(terrain), terrain, "GEOMETRY")
+    return _geometry_db(terrain)
+
+
+def _geometry_db(terrain: Terrain) -> float:
+    """building_geometry_term of a terrain that passed its check."""
     half_b = terrain.b_m / 2.0
     angle_deg = math.degrees(math.atan(2.0 * terrain.dh_rx_m / terrain.b_m))
     return (
@@ -307,8 +315,10 @@ def wb_excess_loss(terrain: Terrain, d_km):
 
     57.1 + log10(f) + 18 log10(d) - 18 log10(dh_tx)
     - 18 log10(1 - d^2 / (17 dh_tx)) + A(terrain),
-    defined only while d^2 < 17 * dh_tx.
+    defined only while d^2 < 17 * dh_tx.  The terrain must pass the weight
+    check of the W-BERT term rows, as for predict_basic.
     """
+    _terms(ModelKind.W_BERT, terrain)
     d, scalar = _as_distance(d_km)
     _check_wb_domain(d, terrain.dh_tx_m)
     loss = _wb_excess_db(terrain, d)
@@ -329,7 +339,7 @@ def _wb_excess_db(terrain: Terrain, d: np.ndarray) -> np.ndarray:
     curvature *= 18.0
     loss -= curvature
     del curvature
-    loss += building_geometry_term(terrain)
+    loss += _geometry_db(terrain)
     return loss
 
 
@@ -339,8 +349,9 @@ def _log10(x: float) -> float:
     return math.log10(x) if x > 0.0 else math.nan
 
 
-def _wi_terms(terrain: Terrain, kind: ModelKind) -> list[tuple[str, str, int, float]]:
-    family, density = kind.family, kind.density
+def _wi_terms(
+    terrain: Terrain, family: Family, density: Density
+) -> list[tuple[str, str, int, float]]:
     lead = RTS_LEAD_ITU if family is Family.ITU else RTS_LEAD_COST
     ka, kf = multiscreen_constants(terrain, density, family)
     log_f = _log10(terrain.f_mhz)
@@ -388,17 +399,11 @@ def _check_weights(labels, weights, at) -> None:
             )
 
 
-def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float]]:
-    """The component terms of one variant at fixed terrain, as (label, group,
-    feature, weight) rows: 13 for a Walfisch-Ikegami variant, 8 for
-    Walfisch-Bertoni, summing to predict_basic at every d.
-
-    Every weight must pass _check_weights, which also needs every log10
-    argument positive; DomainError naming the terrain fields of the term
-    otherwise.  This is the one terrain check of build_basis and
-    predict_basic.
-    """
-    terms = _wb_terms(terrain) if kind is ModelKind.W_BERT else _wi_terms(terrain, kind)
+def _check_terms(terms, terrain: Terrain, group: str | None = None) -> None:
+    """_check_weights over the term rows, or over those of one group, with
+    the DomainError naming the terrain fields of the failing term."""
+    if group is not None:
+        terms = [row for row in terms if row[1] == group]
 
     def fields(n: int) -> str:
         symbols = set(re.findall(r"[a-z_]+", terms[n][0]))
@@ -406,6 +411,24 @@ def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float
         return ", ".join(at)
 
     _check_weights([row[0] for row in terms], [row[3] for row in terms], fields)
+
+
+def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float]]:
+    """The component terms of one variant at fixed terrain, as (label, group,
+    feature, weight) rows: 13 for a Walfisch-Ikegami variant, 8 for
+    Walfisch-Bertoni, summing to predict_basic at every d.
+
+    Every weight must pass _check_weights, which also needs every log10
+    argument positive; DomainError naming the terrain fields of the term
+    otherwise (_check_terms).  This is the one terrain check of build_basis,
+    predict_basic and wb_excess_loss; building_geometry_term and
+    multiscreen_loss check their own group's rows.
+    """
+    if kind is ModelKind.W_BERT:
+        terms = _wb_terms(terrain)
+    else:
+        terms = _wi_terms(terrain, kind.family, kind.density)
+    _check_terms(terms, terrain)
     return terms
 
 

@@ -224,21 +224,21 @@ def _write_axis_files(
     over axis, the report axis, with each profile row's axis index and
     sample as _report_axis gives them.
 
-    A part of _block_rows points holds each model's cells as [d | disagg
-    values], zeros past the end of its _model_distances: the column sum Φ·C,
-    with C its _loss_table, as group_losses forms it.  One _encode and one
-    _cut take the part: each disagg file packs its columns, and the profile
-    rows, in chunks of one measured-cell _encode each, lay down their distance
-    and measured bytes once, then each model's two totals, packed once a part.
-    With no fitted model there is no file.
+    A part of _block_rows points holds d in column 0, then each model's
+    disagg values, zeros past the end of its _model_distances: the column
+    sum Φ·C, with C its _loss_table, as group_losses forms it.  One _encode
+    and one _cut take the part: each disagg file packs column 0 and its own
+    columns, and the profile rows, in chunks of one measured-cell _encode
+    each, lay down their distance and measured bytes once, then each model's
+    two totals, packed once a part.  With no fitted model there is no file.
     """
     if not cals:
         return
     tables = [_loss_table(cal) for cal in cals]
-    bounds = np.cumsum([0] + [1 + table.shape[1] for table in tables]).tolist()
+    bounds = np.cumsum([1] + [table.shape[1] for table in tables]).tolist()
     # each model's two totals, the last cells of the halves of its disagg values
-    pair = [((lo + hi) // 2, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
-    ends = [_model_distances(cal.kind, cal.terrain, axis)[0].size for cal in cals]
+    pair = [((lo + hi) // 2 - 1, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
+    ends = [_model_distances(cal.kind, cal.terrain, axis)[0] for cal in cals]
     row_ends = np.searchsorted(axis_rows, ends).tolist()
     total, step = max(ends), _block_rows(bounds[-1])
     block = np.empty((min(total, step), bounds[-1]))
@@ -257,14 +257,15 @@ def _write_axis_files(
             d = axis[start : min(start + step, total)]
             part = block[: d.size]
             counts = [min(max(end - start, 0), d.size) for end in ends]
+            part[:, 0] = d
             for cal, table, lo, hi, n in zip(cals, tables, bounds, bounds[1:], counts):
-                part[:, lo] = d
-                part[:n, lo + 1 : hi] = cal.basis._sum(d[:n], table).T
-                part[n:, lo + 1 : hi] = 0.0
+                part[:n, lo:hi] = cal.basis._sum(d[:n], table).T
+                part[n:, lo:hi] = 0.0
             slots = _encode(part)
             cut = _cut(slots)
             for out, lo, hi, n in zip(disaggs, bounds, bounds[1:], counts):
-                out.write(_rows(slots[:n], [(lo, hi)], cut).tobytes().replace(b"\0", b""))
+                rows = _rows(slots[:n], [(0, 1), (lo, hi)], cut)
+                out.write(rows.tobytes().replace(b"\0", b""))
             # by axis point, the distance and each model's two totals
             distance = _rows(slots, [(0, 1)], cut, lines=False)
             totals = [_rows(slots, [(b, b + 1), (c, c + 1)], cut) for b, c in pair]

@@ -173,6 +173,24 @@ class TestDesignMatrix:
         with pytest.raises(DomainError, match="d_km must be a rectangular array of numbers"):
             basis.evaluate(bad, np.ones(len(basis)))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (np.ones(3), r"CWI-M needs 13 weights, got shape \(3,\)"),
+            (np.ones(14), r"CWI-M needs 13 weights, got shape \(14,\)"),
+            (np.ones((1, 13)), r"CWI-M needs 13 weights, got shape \(1, 13\)"),
+            (1.0, r"CWI-M needs 13 weights, got shape \(\)"),
+            ([1, [2]], "weights must be a rectangular array of numbers"),
+            (np.full(13, np.nan), r"term '32.4' has weight nan at weights\[0\] = nan"),
+            (np.r_[np.ones(12), 1e299], r"term '-9 log10 b' has weight -1.24\d*e\+300 at weights"),
+        ],
+        ids=["short", "long", "2-d", "scalar", "ragged", "nan", "past 1e300"],
+    )
+    def test_evaluate_rejects_bad_weights(self, weights, message):
+        # numpy's matmul error, its sequence error, or a silent nan before
+        with pytest.raises(DomainError, match=message):
+            build_basis(ModelKind.CWI_M, make_terrain()).evaluate([1.0], weights)
+
     def test_entries_finite(self):
         rng = np.random.default_rng(37)
         for kind in ALL_KINDS:

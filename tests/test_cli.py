@@ -4,6 +4,7 @@ import argparse
 import errno
 import gc
 import io
+import math
 import os
 import subprocess
 import sys
@@ -376,8 +377,26 @@ class TestPredictionGrid:
         assert prediction_grid(2.0, 2.0, 0.5) == pytest.approx([2.0])
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as caught:
             prediction_grid(2.0, 1.0, 0.1)
+        assert str(caught.value) == "d_max_km (1.0) must not be below d_min_km (2.0)"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("name", ["d_min_km", "d_max_km", "d_step_km"])
+    def test_bad_field_is_named(self, name, bad):
+        # a nan ended in floor()'s "cannot convert float NaN to integer", and
+        # every other bad field in one message for the whole grid; a config
+        # words it the same
+        fields = {"d_min_km": 0.1, "d_max_km": 4.5, "d_step_km": 0.1}
+        fields[name] = bad
+        message = f"{name} must be positive and finite, got {bad!r}"
+        with pytest.raises(DomainError) as caught:
+            prediction_grid(*fields.values())
+        assert str(caught.value) == message
+        terrain = Terrain(900.0, 20.0, 30.0, 30.0, 12.0, 6.0)
+        with pytest.raises(DomainError) as caught:
+            CampaignConfig(terrain, (ModelKind.CWI_M,), **fields)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("step", [1e-9, 5e-324])
     def test_tiny_step_rejected_before_allocation(self, monkeypatch, step):
@@ -431,6 +450,19 @@ class TestCampaignConfigValidation:
     def test_rejects_bad_rank_tol(self):
         with pytest.raises(DomainError):
             self.base(rank_tol=0.0)
+
+    def test_owns_its_read_only_grid(self):
+        config = self.base()
+        assert np.array_equal(config.grid, prediction_grid(0.1, 4.5, 0.1))
+        assert not config.grid.flags.writeable
+        # derived: no init argument, and not in the repr or the comparison
+        assert config == self.base() and "grid" not in repr(config)
+        with pytest.raises(TypeError):
+            self.base(grid=config.grid)
+
+    def test_rejects_a_grid_past_the_point_cap(self):
+        with pytest.raises(DomainError, match="^d_step_km = 1e-16 gives over 10000000 grid"):
+            self.base(d_step_km=1e-16)
 
 
 def run_campaign(tmp_path, out_name="out", **kwargs):
@@ -1032,7 +1064,7 @@ class TestMainCommand:
         assert "error: rank_tol must lie in (0, 1), got 1.5" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("command", ["calibrate", "predict", "rank"])
+    @pytest.mark.parametrize("command", ["calibrate", "predict", "rank", "rank --measurements"])
     def test_grid_with_repeated_points_fails(self, tmp_path, capsys, command):
         config_path, meas_path = write_campaign(tmp_path, d_max="1.0000000000000004")
         text = config_path.read_text().replace("d_min_km = 0.1", "d_min_km = 1")
@@ -1042,13 +1074,30 @@ class TestMainCommand:
             "calibrate": ["--measurements", str(meas_path), "--output-dir", str(out_dir)],
             "predict": ["--model", "CWI-M"],
             "rank": [],
+            "rank --measurements": ["--measurements", str(meas_path)],
         }[command]
-        assert main([command, "--config", str(config_path), *argv]) == 1
+        assert main([command.split()[0], "--config", str(config_path), *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: d_step_km = 1e-16 ")
         assert captured.err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "rank"])
+    def test_grid_past_the_point_cap_fails_before_the_measurements_are_read(
+        self, tmp_path, capsys, command
+    ):
+        # the config is rejected, not the missing measurements file
+        config_path, _ = write_campaign(tmp_path)
+        text = config_path.read_text().replace("d_step_km = 0.1", "d_step_km = 1e-16")
+        config_path.write_text(text)
+        argv = [command, "--config", str(config_path), "--measurements", str(tmp_path / "absent")]
+        if command == "calibrate":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d_step_km = 1e-16 gives over 10000000 grid points\n"
 
     def test_error_surfaces_as_exit_code(self, tmp_path, capsys):
         code = main(
@@ -1226,7 +1275,7 @@ class TestWbLimitBoundary:
     def test_limit_is_exact(self, tmp_path):
         config = load_config(self.write_config(tmp_path))
         assert 17.0 * config.terrain.dh_tx_m == 2.0 * 2.0
-        assert prediction_grid(config.d_min_km, config.d_max_km, config.d_step_km)[-1] == 2.0
+        assert config.grid[-1] == 2.0
 
     def test_predict_drops_the_point_with_a_warning(self, tmp_path, capsys):
         config_path = self.write_config(tmp_path)

@@ -145,6 +145,16 @@ class TestMetricsReport:
         with pytest.raises(DomainError):
             MetricsReport(rmse_db=-0.5, mpe_db=0.0)
 
+    @pytest.mark.parametrize("name", ["mpe_db", "rmse_basic_db", "mpe_basic_db", "improvement_pct"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_fields_that_are_not_finite(self, name, bad):
+        # abs(nan) > rmse is False, so a nan mpe passed the pair check
+        fields = dict(rmse_db=1.0, mpe_db=0.0, rmse_basic_db=2.0, mpe_basic_db=0.5)
+        with pytest.raises(DomainError, match=f"{name} must be finite, got {bad!r}"):
+            MetricsReport(**{**fields, "improvement_pct": 50.0, name: bad})
+        if name != "mpe_db":
+            assert getattr(MetricsReport(**{**fields, name: None}), name) is None
+
     def test_from_series_equals_the_standalone_statistics(self):
         rng = np.random.default_rng(5)
         measured, calibrated, basic = rng.normal(100.0, 5.0, (3, 257))

@@ -25,6 +25,11 @@ from walfcal import (
     wb_excess_loss,
     wb_max_distance_km,
 )
+from walfcal.models import _inside_wb_limit, _model_distances
+
+
+METRO = (Density.METRO, Family.COST)
+SUBURBAN = (Density.SUBURBAN, Family.COST)
 
 
 def make_terrain(**overrides) -> Terrain:
@@ -332,6 +337,27 @@ class TestPredictBasic:
                 build_basis(kind, t)
             assert str(closed_form.value) == str(terms.value)
 
+    @pytest.mark.parametrize(
+        "fields, kind, call",
+        [
+            ({"dh_rx_m": 5e-324}, ModelKind.W_BERT, building_geometry_term),
+            ({"b_m": 1e308}, ModelKind.W_BERT, building_geometry_term),
+            ({"dh_rx_m": 5e-324}, ModelKind.W_BERT, lambda t: wb_excess_loss(t, 1.0)),
+            ({"f_mhz": 1e308}, ModelKind.CWI_M, lambda t: multiscreen_loss(t, 1.0, *METRO)),
+            ({"f_mhz": 1e308}, ModelKind.CWI_SU, lambda t: multiscreen_loss(t, 1.0, *SUBURBAN)),
+        ],
+        ids=["geometry atan", "geometry (b/2)^2", "excess", "multiscreen", "multiscreen SU"],
+    )
+    def test_component_functions_take_the_weight_check(self, fields, kind, call):
+        # build_basis's DomainError for the function's own terms, not a math
+        # domain error or a loss of 5e307 dB
+        t = make_terrain(**fields)
+        with pytest.raises(DomainError) as component:
+            call(t)
+        with pytest.raises(DomainError) as terms:
+            build_basis(kind, t)
+        assert str(component.value) == str(terms.value)
+
     def test_wb_propagates_domain_error(self):
         t = make_terrain(dh_tx_m=10.0)
         with pytest.raises(CurvatureDomainError):
@@ -418,3 +444,38 @@ class TestDistanceChecksOnLongArrays:
         )
         inside = predict_basic(ModelKind.W_BERT, t, self.distances(np.nextafter(17.0, 0.0)))
         assert np.isfinite(inside).all()
+
+
+class TestModelDistances:
+    """_model_distances counts the leading points of a sorted array that a
+    model covers; for W-BERT that is the count of its curvature-limit mask."""
+
+    # dh_tx = 17 m puts the W-BERT limit at exactly 17 km
+    @pytest.mark.parametrize(
+        "d",
+        [
+            np.linspace(17.0, 30.0, 14),
+            np.concatenate([np.linspace(0.5, 30.0, 60), [1e155, 1e200]]),
+            np.linspace(0.5, np.nextafter(17.0, 0.0), 40),
+        ],
+        ids=["no coverage", "partial coverage", "full coverage"],
+    )
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_count_is_the_mask_count(self, kind, d):
+        t = make_terrain(dh_tx_m=17.0)
+        end, warning = _model_distances(kind, t, d)
+        if kind is ModelKind.W_BERT:
+            mask = _inside_wb_limit(d, t.dh_tx_m)
+            assert np.array_equal(mask, d < 17.0)
+        else:
+            mask = np.ones(d.size, bool)
+        assert type(end) is int
+        assert end == np.count_nonzero(mask)
+        assert mask[:end].all() and not mask[end:].any()
+        if end == d.size:
+            assert warning is None
+        else:
+            assert warning == (
+                "W-BERT: grid truncated at the curvature limit 17.0000 km "
+                f"({d.size - end} of {d.size} points dropped)"
+            )

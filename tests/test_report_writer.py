@@ -92,9 +92,9 @@ def table(header, columns) -> str:
 
 
 def walk_width(kinds) -> int:
-    """Cells per axis point of the report walk over the given models: each
-    model's distance and 2·groups + 2 disagg values."""
-    return sum(3 + 2 * len(build_basis(kind, TERRAIN).groups) for kind in kinds)
+    """Cells per axis point of the report walk over the given models: one
+    distance, then each model's 2·groups + 2 disagg values."""
+    return 1 + sum(2 + 2 * len(build_basis(kind, TERRAIN).groups) for kind in kinds)
 
 
 def part_step(kinds) -> int:
@@ -692,9 +692,9 @@ def five_fits(n=120):
     return [calibrate(kind, TERRAIN, meas) for kind in ModelKind]
 
 
-# the walk part of all five models, each a distance cell and its loss
-# table's columns a point, PART points at a time
-WIDTH = sum(1 + _loss_table(cal).shape[1] for cal in five_fits())
+# the walk part of all five models, a distance cell and each loss table's
+# columns a point, PART points at a time
+WIDTH = 1 + sum(_loss_table(cal).shape[1] for cal in five_fits())
 PART = _block_rows(WIDTH)
 
 
@@ -780,7 +780,7 @@ def test_a_part_too_long_to_encode_goes_through_db_alone(tmp_path, monkeypatch):
     # slots, which its profile rows take on; parts 1 and 2 hold -7e8 cells,
     # and their 16-byte slots hold those texts
     cals = [steep_fit(kind) for kind in ModelKind]
-    axis = np.unique(np.concatenate([[1e-5, 1.03125, 1.40625], np.linspace(1.0, 1.5, 1400)]))
+    axis = np.unique(np.concatenate([[1e-5, 1.03125, 1.40625], np.linspace(1.0, 1.5, 1600)]))
     assert 2 * PART < axis.size < 3 * PART
     assert list(np.searchsorted(axis, [1.03125, 1.40625]) // PART) == [0, 1]
     widths = counted_widths(monkeypatch)
@@ -857,6 +857,8 @@ def test_walk_encodes_part_by_part(tmp_path, monkeypatch):
     calls = counted_encodes(monkeypatch)
     walked(tmp_path, np.linspace(0.05, 9.9, 2 * PART + 10), five_fits())
     assert calls == [(PART, WIDTH), (PART, 1)] * 2 + [(10, WIDTH), (10, 1)]
+    # one distance column and 4 · 8 + 10 disagg values a point
+    assert (PART, WIDTH) == (762, 43)
 
 
 def test_walk_encodes_both_predictions_as_the_disagg_totals(tmp_path, monkeypatch):
@@ -875,18 +877,20 @@ def test_walk_encodes_both_predictions_as_the_disagg_totals(tmp_path, monkeypatc
     walked(tmp_path, axis, cals)
     cells = np.vstack([part for part in parts if part.shape[1] == WIDTH])
     assert cells.shape == (axis.size, WIDTH)
-    lo = 0
+    # one distance cell a point, shared by every model's files
+    assert np.array_equal(cells[:, 0], axis)
+    lo = 1
     for cal in cals:
         groups = len(cal.basis.groups)
-        hi = lo + 3 + 2 * groups
+        hi = lo + 2 + 2 * groups
         end = inside.size if cal.kind is ModelKind.W_BERT else axis.size
         assert end % PART != 0
+        assert not cells[end:, lo:hi].any()
         for start in range(0, end, PART):
             points = axis[start : min(start + PART, end)]
             part = cells[start : start + points.size]
-            assert np.array_equal(part[:, lo], points)
-            assert np.array_equal(part[:, lo + 1 : hi], group_losses(cal, points))
-            basic = part[:, lo + 1 + groups]
+            assert np.array_equal(part[:, lo:hi], group_losses(cal, points))
+            basic = part[:, lo + groups]
             assert np.array_equal(basic, cal.basis.evaluate(points, np.ones(len(cal.basis))))
             np.testing.assert_allclose(
                 basic, predict_basic(cal.kind, TERRAIN, points), rtol=0.0, atol=1e-12
