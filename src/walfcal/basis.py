@@ -135,9 +135,9 @@ class BasisSet:
         if w.shape != (len(self),):
             raise DomainError(f"{self.kind.value} needs {len(self)} weights, got shape {w.shape}")
         self._check_calibrated(w, lambda n: f"weights[{n}] = {float(w[n])!r}")
-        d = _as_floats(d_km, "d_km")
-        values = self._sum(self._checked(d), self.weights @ w)
-        return float(values[0]) if d.ndim == 0 else values.reshape(d.shape)
+        values = self._sum(self._checked(d_km), self.weights @ w)
+        shape = np.shape(d_km)
+        return float(values[0]) if shape == () else values.reshape(shape)
 
     def _sum(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Φ(d)·c for d that passed _checked: c[0] + c[1]·log10 d (+ c[2]·curvature)
@@ -160,9 +160,9 @@ def build_basis(kind: ModelKind, terrain: Terrain) -> BasisSet:
     """Component terms of one variant at fixed terrain, with their table M.
 
     13 terms for a Walfisch-Ikegami variant, 8 for Walfisch-Bertoni; their
-    sum equals predict_basic(kind, terrain, d) at every d.  The terrain must
-    pass the weight check of models._terms (DomainError naming the terrain
-    fields of the failing term otherwise).
+    sum is the closed form that models' component functions state, at every
+    d.  The terrain must pass the weight check of models._terms (DomainError
+    naming the terrain fields of the failing term otherwise).
     """
     terms = _terms(kind, terrain)
     weights = np.zeros((1 + max(row[2] for row in terms), len(terms)))

@@ -6,6 +6,10 @@ both (ITWI-M / ITWI-SU: roof-top leading constant -8.2 instead of -16.9, plus
 substituted multiscreen constants above 2 GHz), and the Walfisch-Bertoni
 model (W-BERT).
 
+The component functions below state the closed form as the paper does.
+_terms lists the same formulas once more, as the term rows behind
+basis.build_basis; predict_basic sums those rows, Φ(d)·(M·1).
+
 Units are fixed throughout and never auto-converted: distance in km,
 frequency in MHz, street/building geometry in m, losses in dB.  Every
 function is pure and accepts scalar or numpy-array distances, so they are
@@ -208,17 +212,8 @@ def free_space_loss(d_km, f_mhz: float):
     if not (math.isfinite(f_mhz) and f_mhz > 0.0):
         raise DomainError(f"f_mhz must be positive and finite, got {f_mhz!r}")
     d, scalar = _as_distance(d_km)
-    loss = _free_space_db(np.log10(d), f_mhz)
+    loss = 32.4 + 20.0 * np.log10(d) + 20.0 * np.log10(f_mhz)
     return float(loss[0]) if scalar else loss
-
-
-def _free_space_db(log_d: np.ndarray, f_mhz: float) -> np.ndarray:
-    """free_space_loss from log10(d), written over log_d."""
-    # 32.4 + 20 log10(d) + 20 log10(f), in that order
-    log_d *= 20.0
-    log_d += 32.4
-    log_d += 20.0 * np.log10(f_mhz)
-    return log_d
 
 
 def street_orientation_term(phi_deg: float) -> float:
@@ -269,23 +264,19 @@ def multiscreen_loss(terrain: Terrain, d_km, density: Density, family: Family):
     """Multiscreen diffraction loss.
 
     -18 log10(1 + dh_tx) + k_a + 18 log10(d) + k_f log10(f) - 9 log10(b).
-    The terrain must pass the weight check of its MSD term rows (_check_terms).
+    The terrain must pass the weight check of its variant's term rows (_check_terms).
     """
-    _check_terms(_wi_terms(terrain, family, density), terrain, "MSD")
+    _check_terms(_wi_terms(terrain, family, density), terrain)
     d, scalar = _as_distance(d_km)
-    loss = _multiscreen_db(terrain, np.log10(d), density, family)
-    return float(loss[0]) if scalar else loss
-
-
-def _multiscreen_db(terrain: Terrain, log_d: np.ndarray, density: Density, family: Family):
-    """multiscreen_loss from log10(d), written over log_d."""
     ka, kf = multiscreen_constants(terrain, density, family)
-    # the terms in the order above, the two leading constants summed first
-    log_d *= 18.0
-    log_d += -18.0 * math.log10(1.0 + terrain.dh_tx_m) + ka
-    log_d += kf * math.log10(terrain.f_mhz)
-    log_d -= 9.0 * math.log10(terrain.b_m)
-    return log_d
+    loss = (
+        -18.0 * math.log10(1.0 + terrain.dh_tx_m)
+        + ka
+        + 18.0 * np.log10(d)
+        + kf * math.log10(terrain.f_mhz)
+        - 9.0 * math.log10(terrain.b_m)
+    )
+    return float(loss[0]) if scalar else loss
 
 
 def building_geometry_term(terrain: Terrain) -> float:
@@ -293,14 +284,9 @@ def building_geometry_term(terrain: Terrain) -> float:
 
     A = 5 log10((b/2)^2 + dh_rx^2) - 9 log10(b) + 20 log10(arctan(2 dh_rx / b)),
     the arc tangent expressed in degrees.  The terrain must pass the weight
-    check of its GEOMETRY term rows (_check_terms).
+    check of the W-BERT term rows (_terms).
     """
-    _check_terms(_wb_terms(terrain), terrain, "GEOMETRY")
-    return _geometry_db(terrain)
-
-
-def _geometry_db(terrain: Terrain) -> float:
-    """building_geometry_term of a terrain that passed its check."""
+    _terms(ModelKind.W_BERT, terrain)
     half_b = terrain.b_m / 2.0
     angle_deg = math.degrees(math.atan(2.0 * terrain.dh_rx_m / terrain.b_m))
     return (
@@ -316,31 +302,20 @@ def wb_excess_loss(terrain: Terrain, d_km):
     57.1 + log10(f) + 18 log10(d) - 18 log10(dh_tx)
     - 18 log10(1 - d^2 / (17 dh_tx)) + A(terrain),
     defined only while d^2 < 17 * dh_tx.  The terrain must pass the weight
-    check of the W-BERT term rows, as for predict_basic.
+    check of the W-BERT term rows, as for building_geometry_term.
     """
-    _terms(ModelKind.W_BERT, terrain)
+    geometry = building_geometry_term(terrain)
     d, scalar = _as_distance(d_km)
     _check_wb_domain(d, terrain.dh_tx_m)
-    loss = _wb_excess_db(terrain, d)
+    loss = (
+        57.1
+        + math.log10(terrain.f_mhz)
+        + 18.0 * np.log10(d)
+        - 18.0 * math.log10(terrain.dh_tx_m)
+        - 18.0 * np.log10(1.0 - d * d / (17.0 * terrain.dh_tx_m))
+        + geometry
+    )
     return float(loss[0]) if scalar else loss
-
-
-def _wb_excess_db(terrain: Terrain, d: np.ndarray) -> np.ndarray:
-    """wb_excess_loss at d, an array that passed _as_distance and _check_wb_domain."""
-    # the terms in the order above, in two arrays: the sum and the curvature
-    loss = np.log10(d)
-    loss *= 18.0
-    loss += 57.1 + math.log10(terrain.f_mhz)
-    loss -= 18.0 * math.log10(terrain.dh_tx_m)
-    curvature = d * d
-    curvature /= 17.0 * terrain.dh_tx_m
-    np.subtract(1.0, curvature, out=curvature)
-    np.log10(curvature, out=curvature)
-    curvature *= 18.0
-    loss -= curvature
-    del curvature
-    loss += _geometry_db(terrain)
-    return loss
 
 
 def _log10(x: float) -> float:
@@ -399,11 +374,9 @@ def _check_weights(labels, weights, at) -> None:
             )
 
 
-def _check_terms(terms, terrain: Terrain, group: str | None = None) -> None:
-    """_check_weights over the term rows, or over those of one group, with
-    the DomainError naming the terrain fields of the failing term."""
-    if group is not None:
-        terms = [row for row in terms if row[1] == group]
+def _check_terms(terms, terrain: Terrain) -> None:
+    """_check_weights over the term rows, with the DomainError naming the
+    terrain fields of the failing term."""
 
     def fields(n: int) -> str:
         symbols = set(re.findall(r"[a-z_]+", terms[n][0]))
@@ -421,8 +394,8 @@ def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float
     Every weight must pass _check_weights, which also needs every log10
     argument positive; DomainError naming the terrain fields of the term
     otherwise (_check_terms).  This is the one terrain check of build_basis,
-    predict_basic and wb_excess_loss; building_geometry_term and
-    multiscreen_loss check their own group's rows.
+    so of predict_basic, and of building_geometry_term and wb_excess_loss;
+    multiscreen_loss checks its own variant's rows the same way.
     """
     if kind is ModelKind.W_BERT:
         terms = _wb_terms(terrain)
@@ -433,24 +406,14 @@ def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float
 
 
 def predict_basic(kind: ModelKind, terrain: Terrain, d_km):
-    """Nominal (uncalibrated) pathloss of one model variant.
+    """Nominal (uncalibrated) pathloss of one model variant, in dB.
 
-    Walfisch-Ikegami variants sum free-space, roof-top-to-street, and
-    multiscreen losses; W-BERT sums free-space and excess losses.  The
-    terrain must pass the weight check of _terms, as for build_basis.
+    The sum of the variant's component terms, Φ(d)·(M·1): the basic
+    prediction of every walfcal report, bit for bit.  A float for a scalar
+    d, else an array of d's shape.  The terrain must pass the weight check
+    of _terms, as for build_basis.
     """
-    _terms(kind, terrain)
-    d, scalar = _as_distance(d_km)
-    if kind is ModelKind.W_BERT:
-        # free space added into the excess, so two arrays at the most
-        _check_wb_domain(d, terrain.dh_tx_m)
-        loss = _wb_excess_db(terrain, d)
-        loss += _free_space_db(np.log10(d), terrain.f_mhz)
-    else:
-        # one log10(d) for free space and multiscreen, summed in that order
-        loss = np.log10(d)
-        multiscreen = _multiscreen_db(terrain, loss.copy(), kind.density, kind.family)
-        _free_space_db(loss, terrain.f_mhz)
-        loss += rooftop_to_street_loss(terrain, kind.family)
-        loss += multiscreen
-    return float(loss[0]) if scalar else loss
+    from .basis import build_basis
+
+    basis = build_basis(kind, terrain)
+    return basis.evaluate(d_km, np.ones(len(basis)))

@@ -271,8 +271,9 @@ def _write_axis_files(
             totals = [_rows(slots, [(b, b + 1), (c, c + 1)], cut) for b, c in pair]
             width = max(pair_rows.shape[1] for pair_rows in totals)
             lo_row, hi_row = np.searchsorted(axis_rows, [start, start + d.size]).tolist()
-            for a in range(lo_row, hi_row, _block_rows(4)):
-                local = axis_rows[a : min(a + _block_rows(4), hi_row)] - start
+            # chunks as long as a block of the one-column measured-cell _encode
+            for a in range(lo_row, hi_row, _block_rows(1)):
+                local = axis_rows[a : min(a + _block_rows(1), hi_row)] - start
                 sample = axis_sample[a : a + local.size]
                 blank = sample < 0
                 measured = _encode(np.where(blank, 0.0, meas.pathloss_db[sample])[:, None])
@@ -285,6 +286,9 @@ def _write_axis_files(
                     end = prefix + pair_rows.shape[1]
                     row[:count, prefix:end] = np.take(pair_rows, local[:count], axis=0)
                     out.write(row[:count, :end].tobytes().replace(b"\0", b""))
+            # a part's last chunk can be as long as its first, so free it
+            # before the next part is encoded
+            del local, sample, blank, measured, near, row
 
 
 def _write_coefficients(path, cal) -> None:

@@ -1,5 +1,5 @@
-"""Randomized-input builders, term values, a measurement writer, a text
-comparison and a memory probe shared by the test modules."""
+"""Randomized-input builders, the closed form, term values, a measurement
+writer, a text comparison and a memory probe shared by the test modules."""
 
 import math
 import tracemalloc
@@ -7,7 +7,15 @@ from pathlib import Path
 
 import numpy as np
 
-from walfcal import MeasurementSet, ModelKind, Terrain
+from walfcal import (
+    MeasurementSet,
+    ModelKind,
+    Terrain,
+    free_space_loss,
+    multiscreen_loss,
+    rooftop_to_street_loss,
+    wb_excess_loss,
+)
 from walfcal.basis import _CHUNK_ROWS
 from walfcal.cli import MEASUREMENT_HEADER
 
@@ -44,6 +52,18 @@ def random_campaign(rng, n_lo=30, n_hi=300):
     trend = rng.uniform(100.0, 140.0) + rng.uniform(20.0, 40.0) * np.log10(d)
     noisy = trend + rng.normal(0.0, rng.uniform(0.5, 6.0), size=n)
     return terrain, MeasurementSet(d, np.maximum(noisy, 1.0))
+
+
+def closed_form(kind, terrain, d):
+    """The basic model as the paper sums its component functions: free space,
+    roof-top-to-street and multiscreen for WI, free space and excess for W-BERT."""
+    if kind is ModelKind.W_BERT:
+        return free_space_loss(d, terrain.f_mhz) + wb_excess_loss(terrain, d)
+    return (
+        free_space_loss(d, terrain.f_mhz)
+        + rooftop_to_street_loss(terrain, kind.family)
+        + multiscreen_loss(terrain, d, kind.density, kind.family)
+    )
 
 
 def term_values(basis, d) -> np.ndarray:

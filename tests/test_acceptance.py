@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     ALL_KINDS,
     WI_KINDS,
+    closed_form,
     random_campaign,
     random_distances,
     random_terrain,
@@ -30,7 +31,6 @@ from walfcal import (
     improvement_pct,
     mpe,
     multiscreen_loss,
-    predict_basic,
     rmse,
     rooftop_to_street_loss,
     wb_excess_loss,
@@ -125,7 +125,7 @@ def test_c5_reconstruction_identity():
         terrain = random_terrain(rng)
         d = float(random_distances(rng, terrain, 1)[0])
         total = float(term_values(build_basis(kind, terrain), [d])[0].sum())
-        worst = max(worst, abs(total - predict_basic(kind, terrain, d)))
+        worst = max(worst, abs(total - closed_form(kind, terrain, d)))
     ok = worst <= 1e-9
     _report(5, "basis functions sum to the basic model", ok)
     assert ok, f"worst reconstruction gap = {worst:.3e} dB"

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ALL_KINDS, WI_KINDS, random_distances, random_terrain, term_values
+from helpers import (
+    ALL_KINDS,
+    WI_KINDS,
+    closed_form,
+    random_distances,
+    random_terrain,
+    term_values,
+)
 from walfcal import (
     CurvatureDomainError,
     DomainError,
@@ -15,7 +22,6 @@ from walfcal import (
     WI_GROUPS,
     build_basis,
     effective_rank,
-    predict_basic,
 )
 
 
@@ -100,7 +106,7 @@ class TestBuildBasis:
             t = random_terrain(rng)
             d = float(random_distances(rng, t, 1)[0])
             total = float(term_values(build_basis(kind, t), [d])[0].sum())
-            assert total == pytest.approx(predict_basic(kind, t, d), abs=1e-9)
+            assert total == pytest.approx(closed_form(kind, t, d), abs=1e-9)
 
     @pytest.mark.parametrize(
         "fields, label, failing",

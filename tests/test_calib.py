@@ -12,6 +12,7 @@ from helpers import (
     NEAR_LIMIT_GAPS,
     TOL_DB,
     WI_KINDS,
+    closed_form,
     random_campaign,
     random_distances,
     random_terrain,
@@ -465,9 +466,7 @@ class TestPredictCalibrated:
                 distances_km=d,
                 measured_db=np.zeros(3),
             )
-            assert predict_calibrated(cal, d) == pytest.approx(
-                predict_basic(kind, t, d), abs=1e-9
-            )
+            assert predict_calibrated(cal, d) == pytest.approx(closed_form(kind, t, d), abs=1e-9)
 
     def test_scalar_distance_gives_float(self):
         rng = np.random.default_rng(103)
@@ -561,7 +560,7 @@ class TestDisaggregate:
             values = group_losses(cal, d)
             g = len(cal.basis.groups)
             assert values[:, 2 * g + 1] == pytest.approx(predict_calibrated(cal, d), abs=1e-9)
-            assert values[:, g] == pytest.approx(predict_basic(kind, t, d), abs=1e-9)
+            assert values[:, g] == pytest.approx(closed_form(kind, t, d), abs=1e-9)
 
     def test_basic_free_space_group(self):
         t = make_terrain()

@@ -19,6 +19,7 @@ from walfcal import (
     CurvatureDomainError,
     DomainError,
     MeasurementSet,
+    MetricsReport,
     ModelKind,
     ParseError,
     Terrain,
@@ -61,9 +62,10 @@ ALL_LABELS = "CWI-M, CWI-SU, ITWI-M, ITWI-SU, W-BERT"
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
-def write_campaign(tmp_path, models=ALL_LABELS, d_max=4.5, seed=42, n=60):
+def write_campaign(tmp_path, models=ALL_LABELS, d_max=4.5, seed=42, n=60, f_mhz=900):
     config_path = tmp_path / "campaign.cfg"
-    config_path.write_text(CONFIG_TEXT.format(models=models, d_max=d_max))
+    text = CONFIG_TEXT.format(models=models, d_max=d_max)
+    config_path.write_text(text.replace("f_mhz = 900", f"f_mhz = {f_mhz}"))
     rng = np.random.default_rng(seed)
     d = np.round(rng.uniform(0.15, 4.4, n), 3)
     p = np.round(98.0 + 33.0 * np.log10(d) + rng.normal(0.0, 3.0, n), 4)
@@ -506,14 +508,17 @@ class TestRunCalibration:
         _, rows = read_rows(result.output_dir / "summary.csv")
         assert {row[4] for row in rows} == {"0.0000"}
 
-    def test_summary_matches_in_memory_metrics(self, tmp_path):
-        result = run_campaign(tmp_path)
+    @pytest.mark.parametrize("f_mhz", [900, 2500])
+    def test_summary_matches_in_memory_metrics(self, tmp_path, f_mhz):
+        # the library's basic prediction is the summary's to the bit; at 2500
+        # MHz the ITU variants take their multiscreen constants above 2 GHz
+        result = run_campaign(tmp_path, f_mhz=f_mhz)
         meas = result.measurements
         for run in result.runs:
-            recomputed = rmse(run.calibration.fitted_db, meas.pathloss_db)
-            assert abs(run.metrics.rmse_db - recomputed) <= 1e-9
             basic = predict_basic(run.kind, result.config.terrain, meas.distances_km)
-            assert abs(run.metrics.rmse_basic_db - rmse(basic, meas.pathloss_db)) <= 1e-9
+            assert run.metrics == MetricsReport.from_series(
+                meas.pathloss_db, run.calibration.fitted_db, basic
+            )
 
     def test_summary_matches_profile_file_within_rounding(self, tmp_path):
         result = run_campaign(tmp_path)

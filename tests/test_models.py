@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import WI_KINDS, random_terrain, traced_peak
+from helpers import WI_KINDS, closed_form, random_terrain, traced_peak
 from walfcal import (
     CurvatureDomainError,
     Density,
@@ -274,11 +274,7 @@ class TestPredictBasic:
     def test_wi_is_sum_of_components(self):
         t = make_terrain()
         d = np.array([0.4, 1.0, 3.3])
-        expected = (
-            free_space_loss(d, t.f_mhz)
-            + rooftop_to_street_loss(t, Family.COST)
-            + multiscreen_loss(t, d, Density.METRO, Family.COST)
-        )
+        expected = closed_form(ModelKind.CWI_M, t, d)
         assert predict_basic(ModelKind.CWI_M, t, d) == pytest.approx(expected, abs=1e-12)
 
     def test_wb_is_sum_of_components(self):
@@ -365,25 +361,34 @@ class TestPredictBasic:
 
     @pytest.mark.parametrize("kind", WI_KINDS)
     def test_wi_equals_its_components_bitwise(self, kind):
-        # one log10(d) serves both distance terms, summed in the order below
+        # each component function is its formula, evaluated in the order
+        # written; predict_basic is Φ(d)·(M·1) to the bit, and the components'
+        # sum to within 1e-12 dB
         rng = np.random.default_rng(41)
         t = random_terrain(rng, f_hi=3000.0)
         d = rng.uniform(0.01, 20.0, 1000)
-
-        def components(distances):
-            return (
-                free_space_loss(distances, t.f_mhz)
-                + rooftop_to_street_loss(t, kind.family)
-                + multiscreen_loss(t, distances, kind.density, kind.family)
-            )
-
+        ka, kf = multiscreen_constants(t, kind.density, kind.family)
+        free_space = 32.4 + 20.0 * np.log10(d) + 20.0 * np.log10(t.f_mhz)
+        multiscreen = (
+            -18.0 * math.log10(1.0 + t.dh_tx_m)
+            + ka
+            + 18.0 * np.log10(d)
+            + kf * math.log10(t.f_mhz)
+            - 9.0 * math.log10(t.b_m)
+        )
+        assert np.array_equal(free_space_loss(d, t.f_mhz), free_space)
+        assert np.array_equal(multiscreen_loss(t, d, kind.density, kind.family), multiscreen)
+        basis = build_basis(kind, t)
         values = predict_basic(kind, t, d)
-        assert values.tobytes() == components(d).tobytes()
+        assert values.tobytes() == basis.evaluate(d, np.ones(len(basis))).tobytes()
+        np.testing.assert_allclose(values, closed_form(kind, t, d), rtol=0.0, atol=1e-12)
         scalar = predict_basic(kind, t, float(d[0]))
-        assert type(scalar) is float and scalar == components(float(d[0])) == values[0]
+        assert type(scalar) is float and scalar == values[0]
 
     def test_wb_equals_its_closed_form_bitwise(self):
-        # evaluated in place, in the operation order of the closed form
+        # free space and the excess are their formulas, evaluated in the order
+        # written; predict_basic is Φ(d)·(M·1) to the bit, and their sum to
+        # within 1e-12 dB
         t = make_terrain(dh_tx_m=10.0)
         d = np.random.default_rng(31).uniform(0.01, 13.0, 1000)
         free_space = 32.4 + 20.0 * np.log10(d) + 20.0 * np.log10(t.f_mhz)
@@ -395,10 +400,12 @@ class TestPredictBasic:
             - 18.0 * np.log10(1.0 - d * d / (17.0 * t.dh_tx_m))
             + building_geometry_term(t)
         )
-        values = predict_basic(ModelKind.W_BERT, t, d)
-        assert np.array_equal(values, free_space + excess)
         assert np.array_equal(free_space_loss(d, t.f_mhz), free_space)
         assert np.array_equal(wb_excess_loss(t, d), excess)
+        basis = build_basis(ModelKind.W_BERT, t)
+        values = predict_basic(ModelKind.W_BERT, t, d)
+        assert values.tobytes() == basis.evaluate(d, np.ones(len(basis))).tobytes()
+        np.testing.assert_allclose(values, free_space + excess, rtol=0.0, atol=1e-12)
         scalar = predict_basic(ModelKind.W_BERT, t, float(d[0]))
         assert type(scalar) is float and scalar == values[0]
 

@@ -19,7 +19,15 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_KINDS, FRACTIONS, NEAR_LIMIT_GAPS, TOL_DB, WI_KINDS, term_values
+from helpers import (
+    ALL_KINDS,
+    FRACTIONS,
+    NEAR_LIMIT_GAPS,
+    TOL_DB,
+    WI_KINDS,
+    closed_form,
+    term_values,
+)
 from walfcal import (
     RANK_TOL_DEFAULT,
     MeasurementSet,
@@ -29,7 +37,6 @@ from walfcal import (
     calibrate,
     group_losses,
     mpe,
-    predict_basic,
     predict_calibrated,
     rmse,
 )
@@ -121,7 +128,7 @@ def test_evaluation_paths_agree(campaign, kind):
     _assume_clear_rank(terrain, meas, [kind])
     d = meas.distances_km
     cal = calibrate(kind, terrain, meas)
-    basic = predict_basic(kind, terrain, d)
+    basic = closed_form(kind, terrain, d)
     assert np.max(np.abs(cal.basis.evaluate(d, np.ones(len(cal.basis))) - basic)) <= TOL_DB
     assert np.array_equal(predict_calibrated(cal, d), cal.fitted_db)
 
@@ -138,7 +145,7 @@ def test_group_losses_add_up_to_both_predictions(campaign, kind):
     g = len(groups)
     assert values.shape == (d.size, 2 * g + 2)
     basic, calibrated = values[:, : g + 1], values[:, g + 1 :]
-    for side, net in ((basic, predict_basic(kind, terrain, d)), (calibrated, cal.fitted_db)):
+    for side, net in ((basic, closed_form(kind, terrain, d)), (calibrated, cal.fitted_db)):
         assert np.max(np.abs(side[:, :g].sum(axis=1) - side[:, g])) <= TOL_DB
         assert np.max(np.abs(side[:, g] - net)) <= TOL_DB
     # each total is that side's prediction bit for bit

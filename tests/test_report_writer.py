@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walfcal.report as report
-from helpers import assert_same_text, save_measurements, traced_peak
+from helpers import assert_same_text, closed_form, save_measurements, traced_peak
 from walfcal import (
     Calibration,
     MeasurementSet,
@@ -104,7 +104,7 @@ def part_step(kinds) -> int:
 
 # rows per measured-cell chunk of the walk, counted from the first row of a
 # walk part
-ROW_STEP = _block_rows(4)
+ROW_STEP = _block_rows(1)
 
 
 def profile_rows(tmp_path, meas, grid, kinds=(ModelKind.CWI_M,)):
@@ -649,6 +649,23 @@ def test_profiles_peak_below_six_axis_vectors(tmp_path):
     assert len(list(tmp_path.glob("disagg_*.csv"))) == len(cals)
 
 
+def test_walk_frees_each_parts_row_chunk(tmp_path):
+    # 11 samples at each axis point, as in a drive test logged at 1 m: each
+    # walk part's profile rows are one chunk of 11 · PART rows.  While the
+    # next part is encoded, the last part's encoded cells are still held
+    # (about 60 bytes a chunk row here) but its chunk's arrays (about 75 bytes
+    # a row) are not, so a walk over four parts peaks less than 100 bytes a
+    # chunk row above a walk over one
+    cals = five_fits()
+    peaks = []
+    for parts in (1, 4):
+        d = np.repeat(np.linspace(0.1, 9.0, parts * PART), 11)
+        meas = MeasurementSet(d, 100.0 + 30.0 * np.log10(d))
+        axis, rows, sample = _report_axis(d, d[:1])
+        peaks.append(traced_peak(_write_axis_files, tmp_path, axis, rows, sample, meas, cals)[1])
+    assert peaks[1] - peaks[0] < 11 * PART * 100
+
+
 def test_report_axis_peaks_below_five_key_vectors():
     # the axis, each profile row's axis index and sample, and the build's
     # temporaries, against 8.1 key vectors for np.unique with its inverse and
@@ -864,7 +881,7 @@ def test_walk_encodes_part_by_part(tmp_path, monkeypatch):
 def test_walk_encodes_both_predictions_as_the_disagg_totals(tmp_path, monkeypatch):
     # each part's basic and calibrated totals are the nominal and the
     # calibrated prediction of its points bit for bit, the basic one within
-    # 1e-12 dB of predict_basic, and the profile's basic and calibrated cells
+    # 1e-12 dB of the closed form, and the profile's basic and calibrated cells
     # are the disagg's totals in text, over parts that W-BERT's coverage ends
     # inside
     cals = five_fits()
@@ -893,7 +910,7 @@ def test_walk_encodes_both_predictions_as_the_disagg_totals(tmp_path, monkeypatc
             basic = part[:, lo + groups]
             assert np.array_equal(basic, cal.basis.evaluate(points, np.ones(len(cal.basis))))
             np.testing.assert_allclose(
-                basic, predict_basic(cal.kind, TERRAIN, points), rtol=0.0, atol=1e-12
+                basic, closed_form(cal.kind, TERRAIN, points), rtol=0.0, atol=1e-12
             )
             assert np.array_equal(part[:, hi - 1], predict_calibrated(cal, points))
         profile = (tmp_path / f"profile_{cal.kind.value}.csv").read_text().splitlines()[1:]
