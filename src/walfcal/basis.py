@@ -92,13 +92,6 @@ class BasisSet:
             raise DomainError(f"unknown group {group!r} for {self.kind.value}")
         return found
 
-    def _check_calibrated(self, alpha: np.ndarray, at) -> None:
-        """DomainError unless each calibrated term weight alpha[n]·w_n passes
-        models._check_weights, so that no term value, group or total that alpha
-        gives at any d overflows; at(n) names the inputs that gave alpha[n]."""
-        weights = [a * row[3] for a, row in zip(alpha.tolist(), self.terms)]
-        _check_weights([row[0] for row in self.terms], weights, at)
-
     def features(self, d_km) -> np.ndarray:
         """Φ(d), one row per distance; validates d and the W-BERT domain once."""
         return self._sum(self._checked(d_km), np.eye(len(self.weights))).T
@@ -129,12 +122,12 @@ class BasisSet:
         """Weighted sum of the terms in dB, Φ(d) @ (M @ weights); a float for a scalar d.
 
         weights must be a vector of len(self) values whose calibrated term
-        weights pass _check_calibrated; DomainError otherwise.
+        weights pass models._check_weights; DomainError otherwise.
         """
         w = _as_floats(weights, "weights")
         if w.shape != (len(self),):
             raise DomainError(f"{self.kind.value} needs {len(self)} weights, got shape {w.shape}")
-        self._check_calibrated(w, lambda n: f"weights[{n}] = {float(w[n])!r}")
+        _check_weights(self.terms, w.tolist(), lambda n: f"weights[{n}] = {float(w[n])!r}")
         values = self._sum(self._checked(d_km), self.weights @ w)
         shape = np.shape(d_km)
         return float(values[0]) if shape == () else values.reshape(shape)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import _CHUNK_ROWS, RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis
 from .errors import DomainError
-from .models import ModelKind, Terrain, _as_floats
+from .models import ModelKind, Terrain, _as_floats, _check_weights
 
 __all__ = [
     "Calibration",
@@ -172,8 +172,8 @@ def calibrate(
     The residual (fitted minus measured) is orthogonal to every design-matrix
     column; in particular its mean is zero because constants lie in the span.
     DomainError for pathloss whose 2-norm overflows, or for a fit whose
-    calibrated term weights fail BasisSet._check_calibrated, whose values
-    could overflow.
+    calibrated term weights fail models._check_weights, whose values could
+    overflow.
     """
     basis = build_basis(kind, terrain)
     r = _fold(basis, meas.distances_km, meas.pathloss_db)
@@ -185,8 +185,10 @@ def calibrate(
             f"least-squares fit of {len(meas)} samples: its 2-norm overflows"
         )
     alpha, rank = minimum_norm_lstsq(r[:, :k] @ basis.weights, r[:, k], cutoff)
-    basis._check_calibrated(
-        alpha, lambda _: f"a fit to measured pathloss up to {float(meas.pathloss_db.max())!r} dB"
+    _check_weights(
+        basis.terms,
+        alpha.tolist(),
+        lambda _: f"a fit to measured pathloss up to {float(meas.pathloss_db.max())!r} dB",
     )
     alpha.setflags(write=False)
     return Calibration(

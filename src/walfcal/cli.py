@@ -36,7 +36,7 @@ from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, eff
 from .calib import Calibration, MeasurementSet, _fold, calibrate
 from .errors import DomainError, ParseError, WalfcalError
 from .metrics import MetricsReport
-from .models import ModelKind, Terrain, _model_distances, wb_max_distance_km
+from .models import ModelKind, Terrain, _check_weights, _model_distances, wb_max_distance_km
 from .report import _db, _write_reports, _write_table
 
 __all__ = [
@@ -357,7 +357,7 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
     Given the basis they will be used with, the file must also match it: same
     model, one row per term, each row's label and group equal to that term's,
     and each calibrated weight within the bound a fit keeps
-    (BasisSet._check_calibrated); DomainError otherwise.
+    (models._check_weights); DomainError otherwise.
     """
     path = Path(path)
     with _reading(path, "coefficients"):
@@ -395,6 +395,7 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
         raise ParseError(f"{path}: no coefficient rows")
     if sorted(rows) != list(range(len(rows))):
         raise ParseError(f"{path}: coefficient indices must cover 0..{len(rows) - 1}")
+    alpha = np.array([rows[i][2] for i in range(len(rows))])
     if basis is not None:
         model = basis.kind.value
         if kind not in (None, basis.kind):
@@ -408,9 +409,11 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
                     f"{path}:{lineno}: term {index} reads {','.join(tags)!r}, "
                     f"but {model} term {index} is {label},{group}"
                 )
-    alpha = np.array([rows[i][2] for i in range(len(rows))])
-    if basis is not None:
-        basis._check_calibrated(alpha, lambda n: f"{path}:{rows[n][0]}, coefficient {rows[n][2]!r}")
+        _check_weights(
+            basis.terms,
+            alpha.tolist(),
+            lambda n: f"{path}:{rows[n][0]}, coefficient {rows[n][2]!r}",
+        )
     return kind, alpha
 
 

@@ -17,14 +17,15 @@ def _series(values, name: str) -> np.ndarray:
     return np.atleast_1d(_as_floats(values, name))
 
 
-def _residual(p: np.ndarray, m: np.ndarray, out=None) -> tuple[np.ndarray, float]:
-    """p - m for two _series, which must be 1-d, equal length, nonempty and
-    finite, written into out if given, and its mean.
+def _stats(p: np.ndarray, m: np.ndarray) -> tuple[float, float]:
+    """(mean, root mean square) of p - m for two _series, which must be 1-d,
+    equal length, nonempty and finite, from one n-long buffer: its mean is
+    taken first, then it is squared in place.
 
     An inf or NaN in a series makes the mean not finite, so the series are
-    scanned only then.  For finite series a mean that is not finite comes
-    from a sum past the largest double, which _rescaled then avoids, or from
-    a residual that overflowed, which keeps its inf.
+    scanned only then.  For finite series a statistic that is not finite
+    comes from a sum or squares past the largest double, which _rescaled then
+    avoids, or from a residual that overflowed, which keeps its inf.
     """
     if p.ndim != 1 or m.ndim != 1 or p.size != m.size:
         raise DomainError(f"series must be 1-d and equal length, got {p.shape} vs {m.shape}")
@@ -32,13 +33,17 @@ def _residual(p: np.ndarray, m: np.ndarray, out=None) -> tuple[np.ndarray, float
         raise DomainError("series must be nonempty")
     # opposite infinities give NaN without a warning, and the scan rejects them
     with np.errstate(invalid="ignore", over="ignore"):
-        diff = np.subtract(p, m, out=out)
+        diff = p - m
         mean = float(np.mean(diff))
         if not math.isfinite(mean):
             if not (np.isfinite(p).all() and np.isfinite(m).all()):
                 raise DomainError("series must be finite")
             mean = _rescaled(np.mean, diff)
-    return diff, mean
+        diff *= diff
+        rms = float(np.sqrt(np.mean(diff)))
+        if not math.isfinite(rms):
+            rms = _rescaled(lambda x: np.sqrt(np.mean(x * x)), np.subtract(p, m, out=diff))
+    return mean, rms
 
 
 def _rescaled(statistic, x: np.ndarray) -> float:
@@ -51,22 +56,9 @@ def _rescaled(statistic, x: np.ndarray) -> float:
     return float(np.ldexp(statistic(np.ldexp(x, -exponent)), exponent))
 
 
-def _rmse(diff: np.ndarray, p: np.ndarray, m: np.ndarray) -> float:
-    """sqrt(mean(diff^2)) for the diff = p - m of _residual, squaring diff in
-    place; when that overflows, p - m is formed again for _rescaled."""
-    with np.errstate(over="ignore"):
-        diff *= diff
-        value = float(np.sqrt(np.mean(diff)))
-        if math.isfinite(value):
-            return value
-        # a residual that overflowed stays inf here, as in _residual
-        return _rescaled(lambda x: np.sqrt(np.mean(x * x)), np.subtract(p, m, out=diff))
-
-
 def rmse(predicted, measured) -> float:
     """Root-mean-square error sqrt(mean((predicted - measured)^2)), dB."""
-    p, m = _series(predicted, "predicted"), _series(measured, "measured")
-    return _rmse(_residual(p, m)[0], p, m)
+    return _stats(_series(predicted, "predicted"), _series(measured, "measured"))[1]
 
 
 def mpe(predicted, measured) -> float:
@@ -74,7 +66,7 @@ def mpe(predicted, measured) -> float:
 
     Sign convention: positive when the model over-predicts the measurements.
     """
-    return _residual(_series(predicted, "predicted"), _series(measured, "measured"))[1]
+    return _stats(_series(predicted, "predicted"), _series(measured, "measured"))[0]
 
 
 def improvement_pct(rmse_basic: float, rmse_calibrated: float) -> float:
@@ -124,19 +116,12 @@ class MetricsReport:
 
     @classmethod
     def from_series(cls, measured, calibrated, basic=None) -> "MetricsReport":
-        """Build a report from raw series; basic series is optional.
-
-        Both residuals go through one buffer: its mean is taken first, then
-        it is squared in place.
-        """
-        m, cal = _series(measured, "measured"), _series(calibrated, "calibrated")
-        diff, mpe_cal = _residual(cal, m)
-        rmse_cal = _rmse(diff, cal, m)
+        """Build a report from raw series; basic series is optional."""
+        m = _series(measured, "measured")
+        mpe_cal, rmse_cal = _stats(_series(calibrated, "calibrated"), m)
         if basic is None:
             return cls(rmse_db=rmse_cal, mpe_db=mpe_cal)
-        bas = _series(basic, "basic")
-        mpe_bas = _residual(bas, m, out=diff)[1]
-        rmse_bas = _rmse(diff, bas, m)
+        mpe_bas, rmse_bas = _stats(_series(basic, "basic"), m)
         gain = improvement_pct(rmse_bas, rmse_cal) if rmse_bas > 0.0 else None
         return cls(
             rmse_db=rmse_cal,

@@ -363,27 +363,29 @@ def _wb_terms(terrain: Terrain) -> list[tuple[str, str, int, float]]:
     ]
 
 
-def _check_weights(labels, weights, at) -> None:
-    """DomainError unless every term weight, nominal or calibrated, is finite
-    and within ±_WEIGHT_MAX; at(n) names the inputs that gave weight n."""
-    for n, (label, weight) in enumerate(zip(labels, weights)):
-        if not abs(weight) <= _WEIGHT_MAX:
+def _check_weights(terms, alpha, at) -> None:
+    """DomainError unless every calibrated term weight alpha[n]·w_n is finite
+    and within ±_WEIGHT_MAX, so that no term value, group or total that alpha
+    gives at any d overflows; at(n) names the inputs that gave weight n.  A
+    nominal check passes alpha = [1.0] * len(terms), as 1.0·w is w bit for bit."""
+    for n, ((label, _, _, w), a) in enumerate(zip(terms, alpha)):
+        if not abs(a * w) <= _WEIGHT_MAX:
             raise DomainError(
-                f"term {label!r} has weight {float(weight)!r} at {at(n)}; "
+                f"term {label!r} has weight {float(a * w)!r} at {at(n)}; "
                 f"a weight must be finite and within ±{_WEIGHT_MAX:g}"
             )
 
 
 def _check_terms(terms, terrain: Terrain) -> None:
-    """_check_weights over the term rows, with the DomainError naming the
-    terrain fields of the failing term."""
+    """_check_weights over the nominal term rows, with the DomainError naming
+    the terrain fields of the failing term."""
 
     def fields(n: int) -> str:
         symbols = set(re.findall(r"[a-z_]+", terms[n][0]))
         at = [f"{f} = {getattr(terrain, f)!r}" for s, f in _SYMBOLS.items() if s in symbols]
         return ", ".join(at)
 
-    _check_weights([row[0] for row in terms], [row[3] for row in terms], fields)
+    _check_weights(terms, [1.0] * len(terms), fields)
 
 
 def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float]]:

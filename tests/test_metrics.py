@@ -178,10 +178,15 @@ class TestMetricsReport:
         want += [rmse(basic, measured), mpe(basic, measured)]
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    def test_from_series_peaks_at_one_residual_buffer(self):
+    @pytest.mark.parametrize(
+        "statistic, count",
+        [(MetricsReport.from_series, 3), (rmse, 2), (mpe, 2)],
+        ids=["from_series", "rmse", "mpe"],
+    )
+    def test_from_series_peaks_at_one_residual_buffer(self, statistic, count):
         n = 200_000
-        measured, calibrated, basic = np.random.default_rng(43).normal(100.0, 5.0, (3, n))
-        _, peak = traced_peak(MetricsReport.from_series, measured, calibrated, basic)
+        series = np.random.default_rng(43).normal(100.0, 5.0, (count, n))
+        _, peak = traced_peak(statistic, *series)
         # one n-long float buffer; no series is scanned while its mean is finite
         assert peak < 1.25 * n * 8
 
@@ -242,6 +247,7 @@ class TestNotFinite:
     def test_squares_past_the_largest_double_are_rescaled(self):
         # the root mean square of residuals near 1e200 is finite
         assert rmse([3e200, 4e200], [0.0, 0.0]) == pytest.approx(12.5**0.5 * 1e200, rel=1e-15)
+        assert mpe([3e200, 4e200], [0.0, 0.0]) == 3.5e200
         report = MetricsReport.from_series([1.0, 1.0], [3e200, 4e200], [6e200, 8e200])
         assert report.rmse_db == pytest.approx(12.5**0.5 * 1e200, rel=1e-15)
         assert report.rmse_basic_db == pytest.approx(12.5**0.5 * 2e200, rel=1e-15)
