@@ -36,7 +36,8 @@ from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, eff
 from .calib import Calibration, MeasurementSet, _fold, calibrate
 from .errors import DomainError, ParseError, WalfcalError
 from .metrics import MetricsReport
-from .models import ModelKind, Terrain, _check_weights, _model_distances, wb_max_distance_km
+from .models import ModelKind, Terrain, _check_positive, _check_weights, _model_distances
+from .models import wb_max_distance_km
 from .report import _db, _write_reports, _write_table
 
 __all__ = [
@@ -265,8 +266,7 @@ def prediction_grid(d_min_km: float, d_max_km: float, d_step_km: float) -> np.nd
     check of the grid rules: each field finite and positive, d_max not below
     d_min, at most _GRID_POINTS_MAX points and none repeated."""
     for name, value in zip(_GRID_KEYS, (d_min_km, d_max_km, d_step_km)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        _check_positive(name, value)
     if d_max_km < d_min_km:
         raise DomainError(f"d_max_km ({d_max_km!r}) must not be below d_min_km ({d_min_km!r})")
     steps = (d_max_km - d_min_km) / d_step_km + 1e-9
@@ -353,11 +353,11 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
 def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | None, np.ndarray]:
     """Read a coefficients file back; returns (kind or None, alpha by index).
 
-    A leading byte-order mark is skipped, and coefficients must be finite.
-    Given the basis they will be used with, the file must also match it: same
-    model, one row per term, each row's label and group equal to that term's,
-    and each calibrated weight within the bound a fit keeps
-    (models._check_weights); DomainError otherwise.
+    A leading byte-order mark is skipped, every model= header must name the
+    same kind, and coefficients must be finite. Given the basis they will be
+    used with, the file must also match it: same model, one row per term, each
+    row's label and group equal to that term's, and each calibrated weight
+    within the bound a fit keeps (models._check_weights); DomainError otherwise.
     """
     path = Path(path)
     with _reading(path, "coefficients"):
@@ -372,9 +372,11 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
             for token in stripped[1:].split():
                 if token.startswith("model="):
                     try:
-                        kind = ModelKind.from_label(token.removeprefix("model="))
+                        kind, earlier = ModelKind.from_label(token.removeprefix("model=")), kind
                     except DomainError as exc:
                         raise ParseError(f"{path}:{lineno}: {exc}") from None
+                    if earlier not in (None, kind):
+                        raise ParseError(f"{path}:{lineno}: {token} conflicts with {earlier.value}")
             continue
         if stripped.startswith("index,"):
             continue

@@ -108,6 +108,12 @@ class ModelKind(Enum):
         return Density.SUBURBAN if self.value.endswith("-SU") else Density.METRO
 
 
+def _check_positive(name: str, value: float) -> None:
+    """DomainError naming the scalar unless it is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Terrain:
     """Fixed per-campaign link and environment parameters.
@@ -131,9 +137,7 @@ class Terrain:
 
     def __post_init__(self):
         for name in ("f_mhz", "w_m", "b_m", "dh_rx_m", "dh_tx_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            _check_positive(name, getattr(self, name))
         if not (math.isfinite(self.phi_deg) and 0.0 <= self.phi_deg <= 55.0):
             raise DomainError(
                 f"phi_deg must lie in [0, 55] degrees, got {self.phi_deg!r}"
@@ -209,8 +213,7 @@ def _check_wb_domain(d: np.ndarray, dh_tx_m: float) -> None:
 
 def free_space_loss(d_km, f_mhz: float):
     """Free-space loss: 32.4 + 20 log10(d_km) + 20 log10(f_mhz)."""
-    if not (math.isfinite(f_mhz) and f_mhz > 0.0):
-        raise DomainError(f"f_mhz must be positive and finite, got {f_mhz!r}")
+    _check_positive("f_mhz", f_mhz)
     d, scalar = _as_distance(d_km)
     loss = 32.4 + 20.0 * np.log10(d) + 20.0 * np.log10(f_mhz)
     return float(loss[0]) if scalar else loss

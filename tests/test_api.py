@@ -1,7 +1,9 @@
 """The public names of the package and its command-line module, sorted and
 pinned, so that each addition or removal shows up as a diff of this file,
-and the boundary of the private report module."""
+the boundary of the private report module, and the README's library
+example."""
 
+import math
 import os
 import subprocess
 import sys
@@ -104,3 +106,14 @@ def test_report_module_stays_private_and_below_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(walfcal.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", LAYERING], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_library_example(capsys):
+    # the first python block of the "Library use" section, run as a reader
+    # would paste it, with warnings as errors
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    rank, loss = capsys.readouterr().out.splitlines()[:2]
+    assert rank == "3"
+    assert math.isfinite(float(loss))

@@ -617,11 +617,21 @@ class TestCoefficientsFile:
             assert kind is run.kind
             assert np.array_equal(alpha, run.calibration.alpha)
 
-    def test_rejects_gap_in_indices(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ("0,a,G,1.0\n2,b,G,2.0\n", "{path}: coefficient indices must cover 0..1"),
+            ("0\n", "{path}:2: expected index,...,coefficient"),
+            ("\n  \n", "{path}: no coefficient rows"),
+        ],
+        ids=["gap", "index only", "blank lines only"],
+    )
+    def test_rejects_gap_in_indices(self, tmp_path, rows, message):
         path = tmp_path / "c.csv"
-        path.write_text("index,label,group,coefficient\n0,a,G,1.0\n2,b,G,2.0\n")
-        with pytest.raises(ParseError, match="indices must cover"):
+        path.write_text("index,label,group,coefficient\n" + rows)
+        with pytest.raises(ParseError) as caught:
             load_coefficients(path)
+        assert str(caught.value) == message.format(path=path)
 
     def test_rejects_duplicate_index(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -683,6 +693,27 @@ class TestCoefficientsFile:
         err = capsys.readouterr().err
         assert "headerless.csv:5: term 3 reads '-16.9,RTS'" in err
         assert "ITWI-M term 3 is -8.2,RTS" in err
+        headerless.write_text("\n".join(saved[1:3]) + "\n")
+        assert main([*argv, "--model", "CWI-M"]) == 1
+        assert capsys.readouterr().err == "error: CWI-M needs 13 coefficients, file has 1\n"
+
+    def test_a_second_model_header_must_name_the_same_kind(self, tmp_path, capsys):
+        result = run_campaign(tmp_path, models="CWI-M, W-BERT")
+        saved = (result.output_dir / "coefficients_W-BERT.csv").read_text()
+        path = tmp_path / "c.csv"
+        path.write_text(f"{saved.splitlines()[0]}\n{saved}")
+        kind, alpha = load_coefficients(path)
+        assert kind is ModelKind.W_BERT
+        assert np.array_equal(alpha, result.runs[1].calibration.alpha)
+        path.write_text(f"# model=CWI-M rank=2\n{saved}")
+        with pytest.raises(ParseError) as caught:
+            load_coefficients(path)
+        assert str(caught.value) == f"{path}:2: model=W-BERT conflicts with CWI-M"
+        argv = ["predict", "--config", str(tmp_path / "campaign.cfg"), "--model", "W-BERT"]
+        assert main([*argv, "--coefficients", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:2: model=W-BERT conflicts with CWI-M\n"
 
 
 class TestMainCommand:

@@ -2,9 +2,11 @@
 
 tests/golden/ holds summary.csv, every profile_* and disagg_* file, and the
 predict output (nominal and replayed from the run's own coefficients) for
-CWI-M and W-BERT.  A change to formatting, rounding, row order or row set
-shows up here; a rerun-vs-rerun comparison cannot catch it.  Coefficient
-files are not pinned: their last digits depend on the solver.
+CWI-M and W-BERT.  The rank output over the grid and over the measurements
+is pinned here as text: the paper's rank 2 for each WI variant and 3 for
+W-BERT.  A change to formatting, rounding, row order or row set shows up
+here; a rerun-vs-rerun comparison cannot catch it.  Coefficient files are
+not pinned: their last digits depend on the solver.
 """
 
 from pathlib import Path
@@ -66,3 +68,20 @@ def test_predict_replayed_coefficients_bytes(sample_run, tmp_path, model):
     argv = ["predict", "--config", str(CONFIG), "--model", model]
     assert main([*argv, "--coefficients", str(coefficients), "--output", str(out)]) == 0
     assert_same_text(out.read_bytes(), (GOLDEN / f"predict_calibrated_{model}.csv").read_bytes())
+
+
+@pytest.mark.parametrize(
+    ("inputs", "rows"),
+    [([], 45), (["--measurements", str(MEASUREMENTS)], 60)],
+    ids=["grid", "measurements"],
+)
+def test_rank_stdout(capsys, inputs, rows):
+    assert main(["rank", "--config", str(CONFIG), *inputs]) == 0
+    assert capsys.readouterr() == (
+        f"CWI-M: rank=2 (rows={rows}, functions=13, tol=1e-10)\n"
+        f"CWI-SU: rank=2 (rows={rows}, functions=13, tol=1e-10)\n"
+        f"ITWI-M: rank=2 (rows={rows}, functions=13, tol=1e-10)\n"
+        f"ITWI-SU: rank=2 (rows={rows}, functions=13, tol=1e-10)\n"
+        f"W-BERT: rank=3 (rows={rows}, functions=8, tol=1e-10)\n",
+        "",
+    )
