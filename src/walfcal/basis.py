@@ -31,6 +31,7 @@ from .models import (
     Terrain,
     _as_distance,
     _as_floats,
+    _check_scalar,
     _check_wb_domain,
     _check_weights,
     _terms,
@@ -50,18 +51,9 @@ WB_GROUPS = ("CORE", "HEIGHT", "GEOMETRY", "CURVATURE")
 RANK_TOL_DEFAULT = 1e-10
 # rows per block of a fit's QR fold
 _CHUNK_ROWS = 8192
-
-
-def _check_rank_tol(tol: float, name: str) -> float:
-    """Return tol if it lies in (0, 1), the domain of every relative
-    singular-value cutoff; DomainError naming it otherwise.
-
-    At 0 round-off directions count, and at 1 or above no singular value
-    does, where np.linalg.lstsq would silently use machine precision instead.
-    """
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"{name} must lie in (0, 1), got {tol!r}")
-    return tol
+# the rule of a relative singular-value cutoff: at 0 round-off directions count, and
+# at 1 or above no singular value does, where lstsq would silently use machine precision
+_RANK_TOL = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,7 @@ def effective_rank(m, tol: float = RANK_TOL_DEFAULT) -> int:
     linear-independence argument: constants collapse into a single dimension
     no matter how many columns carry them.
     """
-    _check_rank_tol(tol, "tol")
+    tol = _check_scalar("tol", tol, *_RANK_TOL)
     matrix = _as_floats(m, "m")
     if matrix.ndim != 2 or not np.isfinite(matrix).all():
         raise DomainError(f"rank needs a finite 2-d matrix, got shape {matrix.shape}")

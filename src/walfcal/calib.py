@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _CHUNK_ROWS, RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis
+from .basis import _CHUNK_ROWS, _RANK_TOL, RANK_TOL_DEFAULT, BasisSet, build_basis
 from .errors import DomainError
-from .models import ModelKind, Terrain, _as_floats, _check_weights
+from .models import ModelKind, Terrain, _as_floats, _check_positive_values, _check_scalar
+from .models import _check_weights
 
 __all__ = [
     "Calibration",
@@ -64,11 +65,8 @@ class MeasurementSet:
             )
         if d.size == 0:
             raise DomainError("a measurement set needs at least one sample")
-        # NaN propagates through min, so two reductions test every value
-        if not (d.min() > 0.0 and d.max() < np.inf):
-            raise DomainError("measurement distances must be positive and finite")
-        if not (p.min() > 0.0 and p.max() < np.inf):
-            raise DomainError("measured pathloss values must be positive and finite")
+        _check_positive_values(d, "measurement distances must be positive and finite")
+        _check_positive_values(p, "measured pathloss values must be positive and finite")
         # read-only views, so the caller's own arrays stay writeable
         d, p = d.view(), p.view()
         d.setflags(write=False)
@@ -120,7 +118,7 @@ def minimum_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray, cutoff: float = RANK
     (DomainError otherwise).  Deterministic for given inputs;
     the unique minimizer of ||x|| among all least-squares solutions.
     """
-    _check_rank_tol(cutoff, "cutoff")
+    cutoff = _check_scalar("cutoff", cutoff, *_RANK_TOL)
     matrix = _as_floats(matrix, "matrix")
     rhs = _as_floats(rhs, "rhs")
     if matrix.ndim != 2 or rhs.ndim != 1 or matrix.shape[0] != rhs.size:

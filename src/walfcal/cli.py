@@ -32,12 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import RANK_TOL_DEFAULT, BasisSet, _check_rank_tol, build_basis, effective_rank
+from .basis import _RANK_TOL, RANK_TOL_DEFAULT, BasisSet, build_basis, effective_rank
 from .calib import Calibration, MeasurementSet, _fold, calibrate
 from .errors import DomainError, ParseError, WalfcalError
 from .metrics import MetricsReport
-from .models import ModelKind, Terrain, _check_positive, _check_weights, _model_distances
-from .models import wb_max_distance_km
+from .models import _POSITIVE, ModelKind, Terrain, _check_models, _check_positive_values
+from .models import _check_scalar, _check_weights, _model_distances, wb_max_distance_km
 from .report import _db, _write_reports, _write_table
 
 __all__ = [
@@ -76,14 +76,11 @@ class CampaignConfig:
     grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.models:
-            raise DomainError("at least one model kind is required")
-        if len(set(self.models)) < len(self.models):
-            raise DomainError(f"model kinds repeat in {[kind.value for kind in self.models]}")
+        _check_models(self.models)
         grid = prediction_grid(self.d_min_km, self.d_max_km, self.d_step_km)
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        _check_rank_tol(self.rank_tol, "rank_tol")
+        object.__setattr__(self, "rank_tol", _check_scalar("rank_tol", self.rank_tol, *_RANK_TOL))
 
 
 def _number(text: str, parse=float):
@@ -157,23 +154,16 @@ def load_config(path) -> CampaignConfig:
 
     models_value, models_line = raw["models"]
     labels = [token.strip() for token in models_value.split(",") if token.strip()]
-    if not labels:
-        raise ParseError(f"{path}:{models_line}: models list is empty")
     try:
         kinds = tuple(ModelKind.from_label(label) for label in labels)
+        _check_models(kinds)
     except DomainError as exc:
         raise ParseError(f"{path}:{models_line}: {exc}") from None
-    for n, kind in enumerate(kinds):
-        if kind in kinds[:n]:
-            raise ParseError(f"{path}:{models_line}: model {labels[n]!r} repeats {kind.value}")
 
-    terrain = Terrain(**{key: numbers[key] for key in _TERRAIN_KEYS})
     return CampaignConfig(
-        terrain=terrain,
+        terrain=Terrain(**{key: numbers[key] for key in _TERRAIN_KEYS}),
         models=kinds,
-        d_min_km=numbers["d_min_km"],
-        d_max_km=numbers["d_max_km"],
-        d_step_km=numbers["d_step_km"],
+        **{key: numbers[key] for key in _GRID_KEYS},
         rank_tol=numbers.get("rank_tol", RANK_TOL_DEFAULT),
     )
 
@@ -226,7 +216,9 @@ def _read_measurements_fast(data: bytes):
         return None
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
         return None
-    if not (table.min() > 0.0 and table.max() < math.inf):
+    try:
+        _check_positive_values(table, "measurements")
+    except DomainError:
         return None
     return table
 
@@ -250,9 +242,9 @@ def _read_measurements_by_line(path: Path, data: bytes) -> tuple[list[float], li
             p = _number(cells[1])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric cell in {line!r}") from None
-        if not (math.isfinite(d) and d > 0.0):
+        if not _POSITIVE[0](d):
             raise ParseError(f"{path}:{lineno}: distance must be positive km, got {cells[0]}")
-        if not (math.isfinite(p) and p > 0.0):
+        if not _POSITIVE[0](p):
             raise ParseError(f"{path}:{lineno}: pathloss must be positive dB, got {cells[1]}")
         distances.append(d)
         losses.append(p)
@@ -265,8 +257,10 @@ def prediction_grid(d_min_km: float, d_max_km: float, d_step_km: float) -> np.nd
     """Inclusive arithmetic grid from d_min to d_max in steps of d_step, the one
     check of the grid rules: each field finite and positive, d_max not below
     d_min, at most _GRID_POINTS_MAX points and none repeated."""
-    for name, value in zip(_GRID_KEYS, (d_min_km, d_max_km, d_step_km)):
-        _check_positive(name, value)
+    d_min_km, d_max_km, d_step_km = [
+        _check_scalar(name, value, *_POSITIVE)
+        for name, value in zip(_GRID_KEYS, (d_min_km, d_max_km, d_step_km))
+    ]
     if d_max_km < d_min_km:
         raise DomainError(f"d_max_km ({d_max_km!r}) must not be below d_min_km ({d_min_km!r})")
     steps = (d_max_km - d_min_km) / d_step_km + 1e-9
@@ -350,19 +344,18 @@ def run_calibration(config: CampaignConfig, measurements_path, output_dir) -> Ca
     return CampaignResult(config=config, measurements=meas, runs=runs, output_dir=out_dir)
 
 
-def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | None, np.ndarray]:
-    """Read a coefficients file back; returns (kind or None, alpha by index).
+def load_coefficients(path, basis: BasisSet) -> np.ndarray:
+    """Read a coefficients file back for use with basis; returns alpha by index.
 
-    A leading byte-order mark is skipped, every model= header must name the
-    same kind, and coefficients must be finite. Given the basis they will be
-    used with, the file must also match it: same model, one row per term, each
+    A leading byte-order mark is skipped.  The file must match the basis, else
+    DomainError: every model= header names its kind, one row per term, each
     row's label and group equal to that term's, and each calibrated weight
-    within the bound a fit keeps (models._check_weights); DomainError otherwise.
+    finite and within the bound a fit keeps (models._check_weights).
     """
     path = Path(path)
     with _reading(path, "coefficients"):
         text = path.read_bytes().decode("utf-8-sig")
-    kind: ModelKind | None = None
+    model = basis.kind.value
     rows: dict[int, tuple[int, tuple[str, ...], float]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -372,11 +365,12 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
             for token in stripped[1:].split():
                 if token.startswith("model="):
                     try:
-                        kind, earlier = ModelKind.from_label(token.removeprefix("model=")), kind
+                        kind = ModelKind.from_label(token.removeprefix("model="))
                     except DomainError as exc:
                         raise ParseError(f"{path}:{lineno}: {exc}") from None
-                    if earlier not in (None, kind):
-                        raise ParseError(f"{path}:{lineno}: {token} conflicts with {earlier.value}")
+                    if kind is not basis.kind:
+                        saved = f"coefficients were saved for {kind.value}, not {model}"
+                        raise DomainError(f"{path}:{lineno}: {saved}")
             continue
         if stripped.startswith("index,"):
             continue
@@ -388,8 +382,6 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
             value = _number(cells[-1])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed coefficient row {line!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(f"{path}:{lineno}: coefficient must be finite, got {cells[-1]}")
         if index in rows:
             raise ParseError(f"{path}:{lineno}: duplicate index {index}")
         rows[index] = (lineno, tuple(cells[1:-1]), value)
@@ -397,26 +389,22 @@ def load_coefficients(path, basis: BasisSet | None = None) -> tuple[ModelKind | 
         raise ParseError(f"{path}: no coefficient rows")
     if sorted(rows) != list(range(len(rows))):
         raise ParseError(f"{path}: coefficient indices must cover 0..{len(rows) - 1}")
+    if len(rows) != len(basis):
+        raise DomainError(f"{model} needs {len(basis)} coefficients, file has {len(rows)}")
+    for index, (label, group, _, _) in enumerate(basis.terms):
+        lineno, tags, _ = rows[index]
+        if tags != (label, group):
+            raise DomainError(
+                f"{path}:{lineno}: term {index} reads {','.join(tags)!r}, "
+                f"but {model} term {index} is {label},{group}"
+            )
     alpha = np.array([rows[i][2] for i in range(len(rows))])
-    if basis is not None:
-        model = basis.kind.value
-        if kind not in (None, basis.kind):
-            raise DomainError(f"coefficients were saved for {kind.value}, not {model}")
-        if len(rows) != len(basis):
-            raise DomainError(f"{model} needs {len(basis)} coefficients, file has {len(rows)}")
-        for index, (label, group, _, _) in enumerate(basis.terms):
-            lineno, tags, _ = rows[index]
-            if tags != (label, group):
-                raise DomainError(
-                    f"{path}:{lineno}: term {index} reads {','.join(tags)!r}, "
-                    f"but {model} term {index} is {label},{group}"
-                )
-        _check_weights(
-            basis.terms,
-            alpha.tolist(),
-            lambda n: f"{path}:{rows[n][0]}, coefficient {rows[n][2]!r}",
-        )
-    return kind, alpha
+    _check_weights(
+        basis.terms,
+        alpha.tolist(),
+        lambda n: f"{path}:{rows[n][0]}, coefficient {rows[n][2]!r}",
+    )
+    return alpha
 
 
 def _summary_line(run: ModelRun) -> str:
@@ -428,8 +416,7 @@ def _summary_line(run: ModelRun) -> str:
     )
 
 
-def _cmd_calibrate(args) -> int:
-    config = load_config(args.config)
+def _cmd_calibrate(config: CampaignConfig, args) -> int:
     result = run_calibration(config, args.measurements, args.output_dir)
     for run in result.runs:
         for warning in run.warnings:
@@ -454,29 +441,26 @@ def _model_grid(kind: ModelKind, terrain: Terrain, grid: np.ndarray) -> np.ndarr
     return grid[:end]
 
 
-def _cmd_predict(args) -> int:
-    config = load_config(args.config)
+def _cmd_predict(config: CampaignConfig, args) -> int:
     kind = ModelKind.from_label(args.model)
     grid = _model_grid(kind, config.terrain, config.grid)
     basis = build_basis(kind, config.terrain)
     # the nominal model weights every term by 1
-    alpha = np.ones(len(basis))
-    if args.coefficients:
-        _, alpha = load_coefficients(args.coefficients, basis)
+    alpha = (
+        load_coefficients(args.coefficients, basis) if args.coefficients else np.ones(len(basis))
+    )
     values_of = functools.partial(basis.evaluate, weights=alpha)
-    header = "distance_km,pathloss_db"
     if args.output:
         with _writing(args.output), open(args.output, "w", newline="\n") as out:
-            _write_table(out, header, grid, values_of)
+            _write_table(out, MEASUREMENT_HEADER, grid, values_of)
         print(f"predictions written to {args.output}")
     else:
-        _write_table(sys.stdout, header, grid, values_of)
+        _write_table(sys.stdout, MEASUREMENT_HEADER, grid, values_of)
     return 0
 
 
-def _cmd_rank(args) -> int:
-    config = load_config(args.config)
-    tol = config.rank_tol if args.tol is None else _check_rank_tol(args.tol, "--tol")
+def _cmd_rank(config: CampaignConfig, args) -> int:
+    tol = config.rank_tol if args.tol is None else _check_scalar("--tol", args.tol, *_RANK_TOL)
     distances = config.grid
     if args.measurements:
         # measured distances face calibrate's domain check; only a grid is truncated
@@ -530,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        status = args.handler(args)
+        status = args.handler(load_config(args.config), args)
         sys.stdout.flush()
         return status
     except WalfcalError as exc:

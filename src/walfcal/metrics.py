@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import _as_floats
+from .models import _NON_NEGATIVE, _POSITIVE, _as_floats, _check_scalar
 
 __all__ = ["MetricsReport", "improvement_pct", "mpe", "rmse"]
 
@@ -71,12 +71,8 @@ def mpe(predicted, measured) -> float:
 
 def improvement_pct(rmse_basic: float, rmse_calibrated: float) -> float:
     """Percent RMSE reduction of the calibrated model over the basic one."""
-    if not (math.isfinite(rmse_basic) and rmse_basic > 0.0):
-        raise DomainError(f"rmse_basic must be positive and finite, got {rmse_basic!r}")
-    if not (math.isfinite(rmse_calibrated) and rmse_calibrated >= 0.0):
-        raise DomainError(
-            f"rmse_calibrated must be non-negative and finite, got {rmse_calibrated!r}"
-        )
+    rmse_basic = _check_scalar("rmse_basic", rmse_basic, *_POSITIVE)
+    rmse_calibrated = _check_scalar("rmse_calibrated", rmse_calibrated, *_NON_NEGATIVE)
     gain = 100.0 * (rmse_basic - rmse_calibrated)
     # the product overflows past a 1.8e306 dB gap, where the quotient goes first
     if not math.isfinite(gain):
@@ -100,12 +96,13 @@ class MetricsReport:
     improvement_pct: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.rmse_db) and self.rmse_db >= 0.0):
-            raise DomainError(f"rmse_db must be non-negative, got {self.rmse_db!r}")
+        rmse = _check_scalar("rmse_db", self.rmse_db, _NON_NEGATIVE[0], "must be non-negative")
+        object.__setattr__(self, "rmse_db", rmse)
         for name in ("mpe_db", "rmse_basic_db", "mpe_basic_db", "improvement_pct"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+            if value is not None or name == "mpe_db":
+                value = _check_scalar(name, value, math.isfinite, "must be finite")
+                object.__setattr__(self, name, value)
         # mean of residuals can never beat their root mean square, save for
         # rounding, which grows with their size: a few tens of epsilons of
         # rmse for any length numpy sums pairwise, far below the 1e-12 allowed

@@ -19,6 +19,7 @@ safe to call from any number of workers.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +60,10 @@ _WEIGHT_MAX = 1e300
 _SYMBOLS = {
     "f": "f_mhz", "w": "w_m", "b": "b_m", "phi": "phi_deg", "dh_rx": "dh_rx_m", "dh_tx": "dh_tx_m"
 }
+# the rules of scalar inputs, as (test, wording) for _check_scalar; each test rejects nan
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "must be non-negative and finite")
+_PHI = (lambda v: 0.0 <= v <= 55.0, "must lie in [0, 55] degrees")
 
 
 class Family(Enum):
@@ -108,10 +113,30 @@ class ModelKind(Enum):
         return Density.SUBURBAN if self.value.endswith("-SU") else Density.METRO
 
 
-def _check_positive(name: str, value: float) -> None:
-    """DomainError naming the scalar unless it is positive and finite."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+def _check_scalar(name: str, value, test, rule: str) -> float:
+    """float(value) once test accepts it, the one check of a scalar input;
+    DomainError "<name> <rule>, got <value!r>" otherwise.  A bool, a value
+    that is not a real number and one past the largest double reach test as
+    nan, which every test rejects; a float skips the slower numbers.Real test."""
+    real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        number = math.nan
+    if not test(number):
+        raise DomainError(f"{name} {rule}, got {value!r}")
+    return number
+
+
+def _check_models(models) -> None:
+    """DomainError unless models holds at least one ModelKind and none twice."""
+    if not models:
+        raise DomainError("at least one model kind is required")
+    for kind in models:
+        if not isinstance(kind, ModelKind):
+            raise DomainError(f"model kind must be a ModelKind, got {kind!r}")
+    if len(set(models)) < len(models):
+        raise DomainError(f"model kinds repeat in {[kind.value for kind in models]}")
 
 
 @dataclass(frozen=True)
@@ -136,12 +161,9 @@ class Terrain:
     dh_tx_m: float
 
     def __post_init__(self):
-        for name in ("f_mhz", "w_m", "b_m", "dh_rx_m", "dh_tx_m"):
-            _check_positive(name, getattr(self, name))
-        if not (math.isfinite(self.phi_deg) and 0.0 <= self.phi_deg <= 55.0):
-            raise DomainError(
-                f"phi_deg must lie in [0, 55] degrees, got {self.phi_deg!r}"
-            )
+        for name in ("f_mhz", "w_m", "b_m", "dh_rx_m", "dh_tx_m", "phi_deg"):
+            rule = _PHI if name == "phi_deg" else _POSITIVE
+            object.__setattr__(self, name, _check_scalar(name, getattr(self, name), *rule))
 
 
 def _as_floats(values, name: str) -> np.ndarray:
@@ -159,15 +181,27 @@ def _as_distance(d_km):
     d = _as_floats(d_km, "d_km")
     if d.size == 0:
         raise DomainError("at least one distance is required")
-    # NaN propagates through min, so two reductions test every value
-    if not (d.min() > 0.0 and d.max() < math.inf):
-        raise DomainError(f"distances must be positive and finite km, got {d_km!r}")
+    _check_positive_values(d, "distances must be positive and finite km")
     return np.atleast_1d(d), d.ndim == 0
+
+
+def _listing(values: np.ndarray) -> str:
+    """At most 8 of values as %g, then "... (<n> total)" if there are more."""
+    listed = ", ".join(f"{value:g}" for value in values[:8])
+    return listed + (f", ... ({values.size} total)" if values.size > 8 else "")
+
+
+def _check_positive_values(values: np.ndarray, what: str) -> None:
+    """DomainError "<what>, got <_listing of the bad values>" unless a nonempty
+    float array is positive and finite; NaN propagates, so two reductions decide."""
+    if not (values.min() > 0.0 and values.max() < math.inf):
+        bad = values[~((values > 0.0) & (values < math.inf))]
+        raise DomainError(f"{what}, got {_listing(bad)}")
 
 
 def wb_max_distance_km(dh_tx_m: float) -> float:
     """Upper distance limit sqrt(17 * dh_tx) of the Walfisch-Bertoni model."""
-    return math.sqrt(17.0 * dh_tx_m)
+    return math.sqrt(17.0 * _check_scalar("dh_tx_m", dh_tx_m, *_POSITIVE))
 
 
 def _inside_wb_limit(d: np.ndarray, dh_tx_m: float) -> np.ndarray:
@@ -201,19 +235,15 @@ def _check_wb_domain(d: np.ndarray, dh_tx_m: float) -> None:
     """
     if _inside_wb_limit(d.max(), dh_tx_m):
         return
-    bad = d[~_inside_wb_limit(d, dh_tx_m)]
-    listed = ", ".join(f"{value:g}" for value in bad[:8])
-    if bad.size > 8:
-        listed += f", ... ({bad.size} total)"
     raise CurvatureDomainError(
-        f"distance(s) {listed} km at or beyond the curvature limit "
-        f"{wb_max_distance_km(dh_tx_m):.4f} km (requires d^2 < 17 * dh_tx)"
+        f"distance(s) {_listing(d[~_inside_wb_limit(d, dh_tx_m)])} km at or beyond the "
+        f"curvature limit {wb_max_distance_km(dh_tx_m):.4f} km (requires d^2 < 17 * dh_tx)"
     )
 
 
 def free_space_loss(d_km, f_mhz: float):
     """Free-space loss: 32.4 + 20 log10(d_km) + 20 log10(f_mhz)."""
-    _check_positive("f_mhz", f_mhz)
+    f_mhz = _check_scalar("f_mhz", f_mhz, *_POSITIVE)
     d, scalar = _as_distance(d_km)
     loss = 32.4 + 20.0 * np.log10(d) + 20.0 * np.log10(f_mhz)
     return float(loss[0]) if scalar else loss
@@ -224,8 +254,7 @@ def street_orientation_term(phi_deg: float) -> float:
 
     -10 + 0.354 * phi on [0, 35); 2.5 + 0.075 * (phi - 35) on [35, 55].
     """
-    if not (math.isfinite(phi_deg) and 0.0 <= phi_deg <= 55.0):
-        raise DomainError(f"phi_deg must lie in [0, 55] degrees, got {phi_deg!r}")
+    phi_deg = _check_scalar("phi_deg", phi_deg, *_PHI)
     if phi_deg < 35.0:
         return -10.0 + 0.354 * phi_deg
     return 2.5 + 0.075 * (phi_deg - 35.0)
@@ -392,9 +421,9 @@ def _check_terms(terms, terrain: Terrain) -> None:
 
 
 def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float]]:
-    """The component terms of one variant at fixed terrain, as (label, group,
-    feature, weight) rows: 13 for a Walfisch-Ikegami variant, 8 for
-    Walfisch-Bertoni, summing to predict_basic at every d.
+    """The component terms of a ModelKind (_check_models) at fixed terrain, as
+    (label, group, feature, weight) rows: 13 for a Walfisch-Ikegami variant,
+    8 for Walfisch-Bertoni, summing to predict_basic at every d.
 
     Every weight must pass _check_weights, which also needs every log10
     argument positive; DomainError naming the terrain fields of the term
@@ -402,6 +431,7 @@ def _terms(kind: ModelKind, terrain: Terrain) -> list[tuple[str, str, int, float
     so of predict_basic, and of building_geometry_term and wb_excess_loss;
     multiscreen_loss checks its own variant's rows the same way.
     """
+    _check_models((kind,))
     if kind is ModelKind.W_BERT:
         terms = _wb_terms(terrain)
     else:

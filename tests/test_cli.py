@@ -328,7 +328,8 @@ class TestLoadConfig:
     def test_repeated_model_names_line_and_label(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text(CONFIG_TEXT.format(models="CWI-M, W-BERT, cwi-m", d_max=2.0))
-        with pytest.raises(ParseError, match=r"c\.cfg:9: model 'cwi-m' repeats CWI-M"):
+        message = r"c\.cfg:9: model kinds repeat in \['CWI-M', 'W-BERT', 'CWI-M'\]$"
+        with pytest.raises(ParseError, match=message):
             load_config(path)
 
     def test_repeated_model_stops_calibrate_before_any_file(self, tmp_path, capsys):
@@ -336,7 +337,7 @@ class TestLoadConfig:
         out_dir = tmp_path / "out"
         argv = ["calibrate", "--config", str(config_path), "--measurements", str(meas_path)]
         assert main([*argv, "--output-dir", str(out_dir)]) == 1
-        assert "repeats CWI-M" in capsys.readouterr().err
+        assert "model kinds repeat in ['CWI-M', 'CWI-M']" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_line_without_equals(self, tmp_path):
@@ -608,13 +609,14 @@ class TestRunCalibration:
 
 
 class TestCoefficientsFile:
+    # the CWI-M basis of CONFIG_TEXT's terrain
+    BASIS = walfcal.build_basis(ModelKind.CWI_M, Terrain(900, 20, 30, 30, 12, 6))
+
     def test_round_trip(self, tmp_path):
         result = run_campaign(tmp_path)
         for run in result.runs:
-            kind, alpha = load_coefficients(
-                result.output_dir / f"coefficients_{run.kind.value}.csv"
-            )
-            assert kind is run.kind
+            path = result.output_dir / f"coefficients_{run.kind.value}.csv"
+            alpha = load_coefficients(path, run.calibration.basis)
             assert np.array_equal(alpha, run.calibration.alpha)
 
     @pytest.mark.parametrize(
@@ -630,20 +632,20 @@ class TestCoefficientsFile:
         path = tmp_path / "c.csv"
         path.write_text("index,label,group,coefficient\n" + rows)
         with pytest.raises(ParseError) as caught:
-            load_coefficients(path)
+            load_coefficients(path, self.BASIS)
         assert str(caught.value) == message.format(path=path)
 
     def test_rejects_duplicate_index(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("index,label,group,coefficient\n0,a,G,1.0\n0,b,G,2.0\n")
         with pytest.raises(ParseError, match="duplicate"):
-            load_coefficients(path)
+            load_coefficients(path, self.BASIS)
 
     def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_bytes(b"index,label,group,coefficient\n0,a,G,1.\xff0\n")
         with pytest.raises(ParseError, match="cannot read coefficients"):
-            load_coefficients(path)
+            load_coefficients(path, self.BASIS)
 
     @pytest.mark.parametrize("first", [0, 1], ids=["with the # line", "without it"])
     def test_utf8_bom_accepted(self, tmp_path, first):
@@ -651,16 +653,24 @@ class TestCoefficientsFile:
         saved = (result.output_dir / "coefficients_CWI-M.csv").read_text().splitlines()
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + "\n".join(saved[first:]).encode("ascii") + b"\n")
-        kind, alpha = load_coefficients(path)
-        assert kind is (ModelKind.CWI_M if first == 0 else None)
+        alpha = load_coefficients(path, result.runs[0].calibration.basis)
         assert np.array_equal(alpha, result.runs[0].calibration.alpha)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coefficient(self, tmp_path, cell):
+        # the weight check of a fit rejects it, naming the file's line
+        result = run_campaign(tmp_path, models="CWI-M")
+        saved = (result.output_dir / "coefficients_CWI-M.csv").read_text().splitlines()
+        saved[3] = saved[3].rpartition(",")[0] + f",{cell}"
         path = tmp_path / "c.csv"
-        path.write_text(f"index,label,group,coefficient\n0,a,G,1.0\n1,b,G,{cell}\n")
-        with pytest.raises(ParseError, match=r"c\.csv:3: coefficient must be finite"):
-            load_coefficients(path)
+        path.write_text("\n".join(saved) + "\n")
+        with pytest.raises(DomainError) as caught:
+            load_coefficients(path, result.runs[0].calibration.basis)
+        # the coefficient of 20 log10 d, whose weight is 20
+        assert str(caught.value) == (
+            f"term '20 log10 d' has weight {cell} at {path}:4, coefficient {cell}; "
+            "a weight must be finite and within ±1e+300"
+        )
 
     @pytest.mark.parametrize("row", ["1_0,b,G,2.0", "1,b,G,2_0.5", "\uff11,b,G,2.0"])
     def test_python_only_spellings_are_rejected(self, tmp_path, row):
@@ -668,13 +678,13 @@ class TestCoefficientsFile:
         lines = ["index,label,group,coefficient", "0,a,G,1.0", row]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"c\.csv:3: malformed coefficient row"):
-            load_coefficients(path)
+            load_coefficients(path, self.BASIS)
 
     def test_unknown_model_in_header_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "c.csv"
         path.write_text("# model=XYZ rank=2 n_functions=2\n0,a,G,1.0\n1,b,G,2.0\n")
         with pytest.raises(ParseError, match=r"c\.csv:1: unknown model kind 'XYZ'"):
-            load_coefficients(path)
+            load_coefficients(path, self.BASIS)
         config_path, _ = write_campaign(tmp_path, models="CWI-M")
         argv = ["predict", "--config", str(config_path), "--model", "CWI-M"]
         assert main([*argv, "--coefficients", str(path)]) == 1
@@ -698,22 +708,26 @@ class TestCoefficientsFile:
         assert capsys.readouterr().err == "error: CWI-M needs 13 coefficients, file has 1\n"
 
     def test_a_second_model_header_must_name_the_same_kind(self, tmp_path, capsys):
+        # each model= header is checked against the basis on its own line
         result = run_campaign(tmp_path, models="CWI-M, W-BERT")
+        cwi_m, w_bert = (run.calibration.basis for run in result.runs)
         saved = (result.output_dir / "coefficients_W-BERT.csv").read_text()
         path = tmp_path / "c.csv"
         path.write_text(f"{saved.splitlines()[0]}\n{saved}")
-        kind, alpha = load_coefficients(path)
-        assert kind is ModelKind.W_BERT
+        alpha = load_coefficients(path, w_bert)
         assert np.array_equal(alpha, result.runs[1].calibration.alpha)
         path.write_text(f"# model=CWI-M rank=2\n{saved}")
-        with pytest.raises(ParseError) as caught:
-            load_coefficients(path)
-        assert str(caught.value) == f"{path}:2: model=W-BERT conflicts with CWI-M"
+        for basis, line, saved_for in [(w_bert, 1, "CWI-M"), (cwi_m, 2, "W-BERT")]:
+            with pytest.raises(DomainError) as caught:
+                load_coefficients(path, basis)
+            assert str(caught.value) == (
+                f"{path}:{line}: coefficients were saved for {saved_for}, not {basis.kind.value}"
+            )
         argv = ["predict", "--config", str(tmp_path / "campaign.cfg"), "--model", "W-BERT"]
         assert main([*argv, "--coefficients", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {path}:2: model=W-BERT conflicts with CWI-M\n"
+        assert captured.err == f"error: {path}:1: coefficients were saved for CWI-M, not W-BERT\n"
 
 
 class TestMainCommand:

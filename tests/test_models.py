@@ -438,7 +438,7 @@ class TestDistanceChecksOnLongArrays:
         with pytest.raises(DomainError) as caught:
             predict_basic(kind, make_terrain(dh_tx_m=17.0), d)
         assert type(caught.value) is DomainError
-        assert str(caught.value) == f"distances must be positive and finite km, got {d!r}"
+        assert str(caught.value) == f"distances must be positive and finite km, got {bad:g}"
 
     def test_sample_at_the_limit_mid_array(self):
         # dh_tx = 17 m puts the limit at exactly 17 km: 17 * 17 is exact
